@@ -9,7 +9,7 @@ and token error rates.
 
 from .architectures import (ArchSpec, arch_spec_from_config, build_cnn,
                             build_dnn, build_fcnn, build_network, build_tfcnn,
-                            fuse_feature_maps, parse_kv_config)
+                            parse_kv_config)
 from .audio import Waveform, mix_noise_at_snr, read_wav, write_wav
 from .corpus import (ParallelCorpus, Utterance, build_parallel_corpus,
                      corpus_digest, read_corpus, write_corpus)

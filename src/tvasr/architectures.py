@@ -15,9 +15,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
-from .nn import (Activation, Conv1d, Dense, FusionLayout, MaxPool1d,
-                 NetworkGraph, Softmax, Stream)
+from .errors import ConfigError
+from .nn import (Activation, Conv1d, Dense, MaxPool1d, NetworkGraph, Softmax,
+                 Stream)
 
 ACOUSTIC_INPUT = "acoustic"
 TV_INPUT = "tv"
@@ -163,21 +163,6 @@ _BUILDERS = {"dnn": build_dnn, "cnn": build_cnn, "tfcnn": build_tfcnn,
 
 def build_network(spec: ArchSpec, seed: int = 0, dtype=np.float32) -> NetworkGraph:
     return _BUILDERS[spec.kind](spec, seed, dtype)
-
-
-def fuse_feature_maps(freq_maps: np.ndarray, time_maps: np.ndarray):
-    """Concatenate per-frame feature maps, frequency maps first.
-
-    Returns (fused, FusionLayout). Frame counts must match; a zero-width
-    time stream leaves the frequency maps unchanged.
-    """
-    freq_maps = np.asarray(freq_maps)
-    time_maps = np.asarray(time_maps)
-    if freq_maps.shape[0] != time_maps.shape[0]:
-        raise ShapeError(
-            f"frame count mismatch: {freq_maps.shape[0]} vs {time_maps.shape[0]}")
-    fused = np.concatenate([freq_maps, time_maps], axis=1)
-    return fused, FusionLayout(freq_maps.shape[1], time_maps.shape[1])
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FormatError
+from .records import Reader, read_file
 
 DEFAULT_SAMPLE_RATE = 16000
 
@@ -47,46 +48,44 @@ class Waveform:
         return float(np.sqrt(np.mean(np.square(self.samples))))
 
 
+def _parse_wav(r: Reader) -> Waveform:
+    riff, _, wave = r.take("<4sI4s")
+    if riff != b"RIFF" or wave != b"WAVE":
+        raise FormatError("not a RIFF/WAVE file")
+    fmt = payload = None
+    while r.remaining:
+        cid, size = r.take("<4sI")
+        if cid == b"fmt ":
+            if size < 16:
+                raise FormatError("truncated fmt chunk")
+            fmt = r.take("<HHIIHH")
+            r.skip(size - 16)
+        elif cid == b"data":
+            if size % 2 or not size:
+                raise FormatError("data chunk is empty or has odd length")
+            payload = r.array("<i2", (size // 2,))
+        else:
+            r.skip(size)
+        r.skip(size & 1)
+
+    if fmt is None or payload is None:
+        raise FormatError("missing fmt or data chunk")
+    audio_format, n_channels, sample_rate, _, _, bits = fmt
+    if audio_format != 1:
+        raise FormatError(f"unsupported WAV encoding {audio_format} (PCM only)")
+    if bits != 16:
+        raise FormatError(f"unsupported sample width {bits} bits (16-bit only)")
+    if n_channels != 1:
+        raise FormatError(f"{n_channels} channels unsupported (mono only)")
+    return Waveform(payload.astype(np.float64) / _WAV_SCALE, sample_rate)
+
+
 def read_wav(path) -> Waveform:
     """Read a 16-bit mono PCM RIFF file into a Waveform.
 
-    Raises FormatError for anything that is not plain 16-bit mono PCM
-    (8-bit or float encodings, multichannel files, malformed headers).
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 44 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise FormatError(f"{path}: not a RIFF/WAVE file")
-
-    fmt = None
-    payload = None
-    pos = 12
-    while pos + 8 <= len(data):
-        cid = data[pos:pos + 4]
-        (size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8:pos + 8 + size]
-        if cid == b"fmt ":
-            if size < 16:
-                raise FormatError(f"{path}: truncated fmt chunk")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
-        elif cid == b"data":
-            payload = body
-        pos += 8 + size + (size & 1)
-
-    if fmt is None or payload is None:
-        raise FormatError(f"{path}: missing fmt or data chunk")
-    audio_format, n_channels, sample_rate, _, _, bits = fmt
-    if audio_format != 1:
-        raise FormatError(f"{path}: unsupported WAV encoding {audio_format} (PCM only)")
-    if bits != 16:
-        raise FormatError(f"{path}: unsupported sample width {bits} bits (16-bit only)")
-    if n_channels != 1:
-        raise FormatError(f"{path}: {n_channels} channels unsupported (mono only)")
-    if len(payload) % 2 or not payload:
-        raise FormatError(f"{path}: data chunk is empty or has odd length")
-
-    ints = np.frombuffer(payload, dtype="<i2")
-    return Waveform(ints.astype(np.float64) / _WAV_SCALE, sample_rate)
+    Raises FormatError for anything that is not plain 16-bit mono PCM (8-bit
+    or float encodings, multichannel files, malformed or short chunks)."""
+    return read_file(path, _parse_wav)
 
 
 def write_wav(path, wav: Waveform) -> None:

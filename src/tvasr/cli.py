@@ -20,7 +20,7 @@ from .architectures import ARCH_KINDS, ArchSpec, parse_kv_config
 from .audio import read_wav
 from .corpus import (MANIFEST_NAME, build_parallel_corpus, corpus_digest,
                      read_corpus, split_sizes, write_corpus)
-from .errors import ConfigError, DivergenceError, FormatError
+from .errors import ConfigError, DivergenceError, FormatError, ShapeError
 from .evaluate import results_table
 from .features import (FeatureLayout, FeatureMatrix, SpliceSpec, append_deltas,
                        load_feature_matrix, logmel_filterbank, nmc_features,
@@ -317,31 +317,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "acoustic-model training")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, out_required=True):
-        p.add_argument("--config", help="key=value config file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", required=out_required, help="output directory")
-        p.add_argument("--scale", choices=("toy", "paper"), default="toy")
-        p.add_argument("--threads", type=int, default=1)
-
     p = sub.add_parser("corpus-gen", help="generate a synthetic parallel corpus")
-    common(p)
+    p.add_argument("--config", help="key=value config file")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--n-utts", type=int, default=None)
     p.set_defaults(func=cmd_corpus_gen)
 
     p = sub.add_parser("train-inversion", help="train the speech-inversion CNN")
-    common(p)
+    p.add_argument("--config", help="key=value config file")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--scale", choices=("toy", "paper"), default="toy")
     p.add_argument("--corpus", required=True, help="corpus manifest or directory")
     p.set_defaults(func=cmd_train_inversion)
 
     p = sub.add_parser("invert", help="predict tract variables for wav files")
-    common(p, out_required=False)
     p.add_argument("--model", required=True, help="inversion checkpoint")
     p.add_argument("wavs", nargs="*", help="input wav files")
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("extract-features", help="write feature files for a corpus")
-    common(p, out_required=False)
+    p.add_argument("--out", help="output directory (default: the corpus directory)")
     p.add_argument("--corpus", required=True)
     p.add_argument("--feature", choices=("logmel", "nmc"), default="logmel")
     p.add_argument("--splice", action="store_true",
@@ -349,7 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_extract_features)
 
     p = sub.add_parser("train", help="train an acoustic model")
-    common(p)
+    p.add_argument("--config", help="key=value config file")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--scale", choices=("toy", "paper"), default="toy")
     p.add_argument("--arch", choices=ARCH_KINDS, required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--tv-source", choices=TV_SOURCES, default="ground-truth")
@@ -357,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a trained acoustic model")
-    common(p)
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--split", choices=("train", "cv", "test"), default="test")
@@ -384,7 +385,7 @@ def main(argv=None) -> int:
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ShapeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

@@ -188,13 +188,20 @@ def read_corpus(manifest_path) -> ParallelCorpus:
         wav = read_wav(base / wav_name)
         tv_fm = load_feature_matrix(base / tv_name)
         with open(base / label_name, "r", encoding="utf-8") as fh:
-            labels = np.array([int(line) for line in fh if line.strip()],
-                              dtype=np.int64)
+            try:
+                labels = np.array([int(line) for line in fh if line.strip()],
+                                  dtype=np.int64)
+            except ValueError as exc:
+                raise FormatError(f"{base / label_name}: {exc}") from exc
+        if not len(labels):
+            raise FormatError(f"{base / label_name}: no labels")
         source_id = Path(tv_name).name.split(".")[0]
         utterances.append(Utterance(
             utt_id, split, wav, TVTrajectory(tv_fm.frames, tv_fm.frame_shift),
             labels, transcript.split(), source_id,
         ))
+    if not utterances:
+        raise FormatError(f"{manifest}: no utterances")
     n_classes = max(int(u.labels.max()) for u in utterances) + 1
     classes_file = base / CLASSES_NAME
     if classes_file.exists():

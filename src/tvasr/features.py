@@ -20,7 +20,8 @@ from scipy.fft import dct
 from scipy.signal import butter, sosfilt
 
 from .audio import Waveform
-from .errors import FormatError, ShapeError
+from .errors import ShapeError
+from .records import Reader, read_file
 
 LOG_FLOOR = 1e-10
 STD_FLOOR = 1e-8
@@ -262,17 +263,12 @@ def save_feature_matrix(path, fm: FeatureMatrix) -> None:
         fh.write(fm.frames.astype("<f4").tobytes())
 
 
-def load_feature_matrix(path) -> FeatureMatrix:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    head_size = struct.calcsize("<4sIIIIId")
-    if len(data) < head_size or data[:4] != _FMX_MAGIC:
-        raise FormatError(f"{path}: not a feature matrix file")
-    _, t, d, n_bands, n_streams, context, frame_shift = struct.unpack_from(
-        "<4sIIIIId", data, 0)
-    expected = head_size + 4 * t * d
-    if len(data) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, found {len(data)}")
-    frames = np.frombuffer(data, dtype="<f4", offset=head_size).reshape(t, d)
-    return FeatureMatrix(frames.astype(np.float64), frame_shift,
+def _parse_feature_matrix(r: Reader) -> FeatureMatrix:
+    r.magic(_FMX_MAGIC)
+    t, d, n_bands, n_streams, context, frame_shift = r.take("<IIIIId")
+    return FeatureMatrix(r.array("<f4", (t, d)).astype(np.float64), frame_shift,
                          FeatureLayout(n_bands, n_streams, context))
+
+
+def load_feature_matrix(path) -> FeatureMatrix:
+    return read_file(path, _parse_feature_matrix)

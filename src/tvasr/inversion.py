@@ -22,6 +22,7 @@ from .features import (FeatureLayout, FeatureMatrix, NormStats, SpliceSpec,
                        nmc_features, z_normalize)
 from .nn import (Activation, Conv1d, Dense, MaxPool1d, NetworkGraph, Stream,
                  forward, network_from_bytes, network_to_bytes)
+from .records import Reader, read_file
 from .synth import N_TVS, TVTrajectory
 from .training import (FrameDataset, TrainConfig, TrainResult, run_training,
                        stack_utterances)
@@ -177,22 +178,18 @@ def save_inversion_model(path, model: InversionModel) -> None:
         fh.write(stats_rec)
 
 
-def load_inversion_model(path) -> InversionModel:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    net, offset = network_from_bytes(buf)
-    if buf[offset:offset + 4] != _STATS_MAGIC:
-        raise FormatError(f"{path}: missing inversion stats record")
-    offset += 4
-    try:
-        n_coeffs, left, right, d = struct.unpack_from("<IIII", buf, offset)
-    except struct.error as exc:
-        raise FormatError(f"{path}: truncated stats record") from exc
-    offset += 16
-    need = offset + 16 * d
-    if len(buf) < need:
-        raise FormatError(f"{path}: truncated stats arrays")
-    mean = np.frombuffer(buf, dtype="<f8", count=d, offset=offset).copy()
-    std = np.frombuffer(buf, dtype="<f8", count=d, offset=offset + 8 * d).copy()
+def _parse_inversion_model(r: Reader) -> InversionModel:
+    net = network_from_bytes(r)
+    r.magic(_STATS_MAGIC)
+    n_coeffs, left, right, d = r.take("<IIII")
     cfg = InversionConfig(n_coeffs=n_coeffs, splice=SpliceSpec(left, right))
+    found = (net.input_dims(), net.output_dim(), d)
+    if found != ({"acoustic": n_coeffs * cfg.splice.width}, N_TVS, n_coeffs):
+        raise FormatError(f"network inputs, output width and stats width "
+                          f"{found} do not match {n_coeffs} coefficients")
+    mean, std = r.array("<f8", (2, d)).copy()
     return InversionModel(net, NormStats(mean, std), cfg)
+
+
+def load_inversion_model(path) -> InversionModel:
+    return read_file(path, _parse_inversion_model)

@@ -25,6 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
 from .errors import ConfigError, DivergenceError, FormatError, ShapeError, StateError
+from .records import Reader, read_file
 
 # When enabled, forward/backward assert every intermediate tensor is finite.
 DEBUG_CHECK_FINITE = False
@@ -117,6 +118,8 @@ class Conv1d:
             view_perm = tuple(int(p) for p in view_perm) if view_perm else None
             if int(np.prod(view_shape)) != n_positions * in_channels:
                 raise ConfigError("view shape does not match layer dimensions")
+            if view_perm and sorted(view_perm) != list(range(len(view_shape))):
+                raise ConfigError(f"view_perm {view_perm} is not a permutation")
         self.axis = axis
         self.n_filters = n_filters
         self.filter_width = filter_width
@@ -423,7 +426,8 @@ class NetworkGraph:
         return ledger
 
     def output_dim(self) -> int:
-        return self.shape_ledger()[-1][3]
+        ledger = self.shape_ledger()
+        return ledger[-1][3] if ledger else int(sum(self.stream_out_dims()))
 
     def cached_logits(self):
         """Input of the final softmax layer from the last train-mode forward."""
@@ -536,17 +540,14 @@ def backward(net: NetworkGraph, loss_grad, at_logits: bool = False) -> Gradients
     return Gradients(by_layer, input_grads)
 
 
-def sgd_step(net: NetworkGraph, grads: Gradients, lr: float,
-             batch_size: int = 1) -> None:
-    """Plain SGD update: p <- p - lr * g / batch_size.
+def sgd_step(net: NetworkGraph, grads: Gradients, lr: float) -> None:
+    """Plain SGD update: p <- p - lr * g.
 
-    Pass batch_size=1 when the loss gradient was already normalized by the
-    number of frames (the convention of this module's loss functions);
-    batch_size=N when the gradients are per-batch sums.
+    The loss functions of this module already normalize their gradients by
+    the number of frames.
     """
     if lr < 0:
         raise ValueError("learning rate must be non-negative")
-    scale = lr / batch_size
     for layer, pgrads in zip(net.all_layers(), grads.by_layer):
         params = layer.param_arrays()
         if len(params) != len(pgrads):
@@ -554,7 +555,7 @@ def sgd_step(net: NetworkGraph, grads: Gradients, lr: float,
         for p, g in zip(params, pgrads):
             if not np.all(np.isfinite(g)):
                 raise DivergenceError(f"non-finite gradient in {layer.kind} layer")
-            p -= (scale * g).astype(p.dtype)
+            p -= (lr * g).astype(p.dtype)
 
 
 def softmax_cross_entropy(logits, labels):
@@ -623,54 +624,27 @@ def _pack_layer_spec(layer) -> bytes:
     return out
 
 
-class _Reader:
-    def __init__(self, buf: bytes, offset: int):
-        self.buf = buf
-        self.offset = offset
-
-    def take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.offset + size > len(self.buf):
-            raise FormatError("truncated network checkpoint")
-        vals = struct.unpack_from(fmt, self.buf, self.offset)
-        self.offset += size
-        return vals
-
-    def take_bytes(self, n: int) -> bytes:
-        if self.offset + n > len(self.buf):
-            raise FormatError("truncated network checkpoint")
-        out = self.buf[self.offset:self.offset + n]
-        self.offset += n
-        return out
-
-
-def _unpack_layer_spec(r: _Reader):
-    (code,) = r.take("<B")
-    kinds = {v: k for k, v in _KIND_CODES.items()}
-    if code not in kinds:
-        raise FormatError(f"unknown layer kind code {code}")
-    kind = kinds[code]
+def _unpack_layer_spec(r: Reader):
+    """One layer spec as (constructor, args, parameter shapes)."""
+    kind = r.code(_KIND_CODES, "layer kind")
     if kind == "dense":
         n_in, n_out = r.take("<II")
-        return Dense(n_in, n_out)
+        return Dense, (n_in, n_out), [(n_in, n_out), (n_out,)]
     if kind == "conv1d":
-        axis_code, n_filters, width, channels, positions = r.take("<BIIII")
+        axis = r.code(_AXIS_CODES, "convolution axis")
+        n_filters, width, channels, positions = r.take("<IIII")
         (rank,) = r.take("<B")
         view_shape = view_perm = None
         if rank:
             view_shape = r.take(f"<{rank}I")
             view_perm = r.take(f"<{rank}B")
-        axis = {v: k for k, v in _AXIS_CODES.items()}[axis_code]
-        return Conv1d(axis, n_filters, width, channels, positions,
-                      view_shape, view_perm)
+        args = (axis, n_filters, width, channels, positions, view_shape, view_perm)
+        return Conv1d, args, [(width * channels, n_filters), (n_filters,)]
     if kind == "maxpool1d":
-        pool, positions, channels = r.take("<III")
-        return MaxPool1d(pool, positions, channels)
+        return MaxPool1d, r.take("<III"), []
     if kind == "activation":
-        (fn_code,) = r.take("<B")
-        fn = {v: k for k, v in _ACT_CODES.items()}[fn_code]
-        return Activation(fn)
-    return Softmax()
+        return Activation, (r.code(_ACT_CODES, "activation"),), []
+    return Softmax, (), []
 
 
 def network_to_bytes(net: NetworkGraph) -> bytes:
@@ -689,34 +663,24 @@ def network_to_bytes(net: NetworkGraph) -> bytes:
     return b"".join(parts)
 
 
-def network_from_bytes(buf: bytes, offset: int = 0):
-    """Parse one serialized network; returns (net, offset past the record)."""
-    r = _Reader(buf, offset)
-    if r.take_bytes(4) != _NNG_MAGIC:
-        raise FormatError("bad network checkpoint magic")
-    (n_layers,) = r.take("<I")
-    (n_streams,) = r.take("<I")
-    stream_meta = []
-    for _ in range(n_streams):
-        (name_len,) = r.take("<H")
-        name = r.take_bytes(name_len).decode("utf-8")
-        input_dim, n_stream_layers = r.take("<II")
-        stream_meta.append((name, input_dim, n_stream_layers))
+def network_from_bytes(r: Reader) -> NetworkGraph:
+    """Parse one NNG1 network record from the reader."""
+    r.magic(_NNG_MAGIC)
+    n_layers, n_streams = r.take("<II")
+    stream_meta = [(r.text("<H"),) + r.take("<II") for _ in range(n_streams)]
     (n_trunk,) = r.take("<I")
     if sum(m[2] for m in stream_meta) + n_trunk != n_layers:
         raise FormatError("inconsistent layer counts in checkpoint")
-    layers = [_unpack_layer_spec(r) for _ in range(n_layers)]
-    for layer in layers:
-        for p in layer.param_arrays():
-            raw = r.take_bytes(4 * p.size)
-            p[...] = np.frombuffer(raw, dtype="<f4").reshape(p.shape)
-    streams = []
-    pos = 0
-    for name, input_dim, count in stream_meta:
-        streams.append(Stream(name, input_dim, layers[pos:pos + count]))
-        pos += count
-    net = NetworkGraph(streams, layers[pos:], np.float32)
-    return net, r.offset
+    specs = [_unpack_layer_spec(r) for _ in range(n_layers)]
+    # Every parameter array is read before any layer allocates its own.
+    params = [[r.array("<f4", s) for s in shapes] for _, _, shapes in specs]
+    layers = [make(*args) for make, args, _ in specs]
+    for layer, arrays in zip(layers, params):
+        for p, raw in zip(layer.param_arrays(), arrays):
+            p[...] = raw
+    streams = [Stream(name, input_dim, [layers.pop(0) for _ in range(count)])
+               for name, input_dim, count in stream_meta]
+    return NetworkGraph(streams, layers, np.float32)
 
 
 def save_network(path, net: NetworkGraph) -> None:
@@ -725,9 +689,4 @@ def save_network(path, net: NetworkGraph) -> None:
 
 
 def load_network(path) -> NetworkGraph:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    net, offset = network_from_bytes(buf)
-    if offset != len(buf):
-        raise FormatError(f"{path}: trailing bytes after network record")
-    return net
+    return read_file(path, network_from_bytes)

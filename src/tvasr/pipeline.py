@@ -24,6 +24,7 @@ from .features import (FeatureLayout, FeatureMatrix, NormStats, SpliceSpec,
                        append_deltas, logmel_filterbank, z_normalize)
 from .inversion import InversionModel, invert
 from .nn import NetworkGraph, forward, network_from_bytes, network_to_bytes
+from .records import Reader, read_file
 from .synth import default_inventory
 from .training import (FrameDataset, TrainConfig, TrainResult, TrainState,
                        run_training, stack_utterances, train_state_from_bytes,
@@ -198,26 +199,28 @@ def save_acoustic_bundle(path, bundle: AcousticModelBundle) -> None:
         fh.write(bundle.stats.std.astype("<f8").tobytes())
 
 
-def load_acoustic_bundle(path) -> AcousticModelBundle:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    net, offset = network_from_bytes(buf)
-    state, offset = train_state_from_bytes(buf, offset)
-    if buf[offset:offset + 4] != _META_MAGIC:
-        raise FormatError(f"{path}: missing model meta record")
-    (meta_len,) = struct.unpack_from("<I", buf, offset + 4)
-    offset += 8
-    meta = buf[offset:offset + meta_len].decode("utf-8")
-    offset += meta_len
-    mapping = dict(line.split("=", 1) for line in meta.splitlines() if line)
-    tv_source = mapping.pop("tv_source")
+def _parse_acoustic_bundle(r: Reader) -> AcousticModelBundle:
+    net = network_from_bytes(r)
+    state = train_state_from_bytes(r)
+    r.magic(_META_MAGIC)
+    mapping = dict(line.split("=", 1)
+                   for line in r.text("<I").splitlines() if line)
+    tv_source = mapping.pop("tv_source", None)
+    if tv_source not in TV_SOURCES:
+        raise FormatError(f"unknown tv_source {tv_source!r}")
     spec = arch_spec_from_config(mapping)
-    if buf[offset:offset + 4] != _ASTATS_MAGIC:
-        raise FormatError(f"{path}: missing feature stats record")
-    (d,) = struct.unpack_from("<I", buf, offset + 4)
-    offset += 8
-    if len(buf) < offset + 16 * d:
-        raise FormatError(f"{path}: truncated feature stats")
-    mean = np.frombuffer(buf, dtype="<f8", count=d, offset=offset).copy()
-    std = np.frombuffer(buf, dtype="<f8", count=d, offset=offset + 8 * d).copy()
+    r.magic(_ASTATS_MAGIC)
+    (d,) = r.take("<I")
+    inputs = {"acoustic": spec.acoustic_dim}
+    if spec.kind == "fcnn":
+        inputs["tv"] = spec.tv_dim
+    found = (net.input_dims(), net.output_dim(), d)
+    if found != (inputs, spec.n_classes, spec.n_bands * spec.n_feature_streams):
+        raise FormatError(f"network inputs, output width and stats width "
+                          f"{found} do not match the {spec.kind} spec")
+    mean, std = r.array("<f8", (2, d)).copy()
     return AcousticModelBundle(net, state, spec, NormStats(mean, std), tv_source)
+
+
+def load_acoustic_bundle(path) -> AcousticModelBundle:
+    return read_file(path, _parse_acoustic_bundle)

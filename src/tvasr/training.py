@@ -18,11 +18,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DivergenceError, FormatError, ShapeError, StateError
+from .errors import DivergenceError, ShapeError, StateError
 from .features import SpliceSpec, splice_indices
 from .nn import (NetworkGraph, backward, forward, mse_loss,
                  network_from_bytes, network_to_bytes, sgd_step,
                  softmax_cross_entropy)
+from .records import Reader, read_file
 
 _TRS_MAGIC = b"TRS1"
 _PHASE_CODES = {"constant": 0, "halving": 1, "stopped": 2}
@@ -256,33 +257,16 @@ def train_state_to_bytes(state: TrainState) -> bytes:
     return b"".join(parts)
 
 
-def train_state_from_bytes(buf: bytes, offset: int):
-    if buf[offset:offset + 4] != _TRS_MAGIC:
-        raise FormatError("bad train-state magic")
-    offset += 4
-    try:
-        epoch, lr, phase_code, best_epoch, best_cv = struct.unpack_from(
-            "<IdBId", buf, offset)
-        offset += struct.calcsize("<IdBId")
-        (n_hist,) = struct.unpack_from("<I", buf, offset)
-        offset += 4
-        history = list(struct.unpack_from(f"<{n_hist}d", buf, offset))
-        offset += 8 * n_hist
-        (ref_len,) = struct.unpack_from("<H", buf, offset)
-        offset += 2
-        ref = buf[offset:offset + ref_len].decode("utf-8")
-        if len(ref.encode("utf-8")) != ref_len:
-            raise FormatError("truncated checkpoint ref")
-        offset += ref_len
-    except struct.error as exc:
-        raise FormatError("truncated train-state record") from exc
-    phases = {v: k for k, v in _PHASE_CODES.items()}
-    if phase_code not in phases:
-        raise FormatError(f"unknown phase code {phase_code}")
-    state = TrainState(lr=lr, epoch=epoch, cv_error_history=history,
-                       phase=phases[phase_code], best_epoch=best_epoch,
-                       best_cv_error=best_cv, best_checkpoint=ref)
-    return state, offset
+def train_state_from_bytes(r: Reader) -> TrainState:
+    """Parse one TRS1 train-state record from the reader."""
+    r.magic(_TRS_MAGIC)
+    epoch, lr = r.take("<Id")
+    phase = r.code(_PHASE_CODES, "phase")
+    best_epoch, best_cv, n_hist = r.take("<IdI")
+    history = list(r.take(f"<{n_hist}d"))
+    return TrainState(lr=lr, epoch=epoch, cv_error_history=history,
+                      phase=phase, best_epoch=best_epoch,
+                      best_cv_error=best_cv, best_checkpoint=r.text("<H"))
 
 
 def save_checkpoint(path, net: NetworkGraph, state: TrainState) -> None:
@@ -293,10 +277,5 @@ def save_checkpoint(path, net: NetworkGraph, state: TrainState) -> None:
 
 def load_checkpoint(path):
     """Read back (net, state); raises FormatError on corrupt content."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    net, offset = network_from_bytes(buf)
-    state, offset = train_state_from_bytes(buf, offset)
-    if offset != len(buf):
-        raise FormatError(f"{path}: trailing bytes after checkpoint records")
-    return net, state
+    return read_file(path, lambda r: (network_from_bytes(r),
+                                      train_state_from_bytes(r)))

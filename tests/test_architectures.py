@@ -5,8 +5,7 @@ from helpers import draw_smooth_gradcheck_case, max_relative_gradient_error
 
 from tvasr.architectures import (ArchSpec, arch_spec_from_config, build_cnn,
                                  build_dnn, build_fcnn, build_network,
-                                 build_tfcnn, fuse_feature_maps,
-                                 parse_kv_config)
+                                 build_tfcnn, parse_kv_config)
 from tvasr.errors import ConfigError, ShapeError
 from tvasr.nn import count_parameters, forward
 
@@ -214,31 +213,6 @@ class TestBuildFcnn:
                 d = spec.hidden_width
             total += d * spec.n_classes + spec.n_classes
             assert count_parameters(net) == total, kind
-
-
-class TestFuseFeatureMaps:
-    def test_dims_add(self):
-        fused, layout = fuse_feature_maps(np.zeros((5, 2200)), np.zeros((5, 150)))
-        assert fused.shape == (5, 2350)
-        assert layout.freq_stream_dims == 2200
-        assert layout.fused_dims == 2350
-
-    def test_empty_time_stream_is_identity(self):
-        freq = RNG.standard_normal((4, 9))
-        fused, layout = fuse_feature_maps(freq, np.zeros((4, 0)))
-        assert np.array_equal(fused, freq)
-        assert layout.time_stream_dims == 0
-
-    def test_order_freq_first(self):
-        freq = RNG.standard_normal((3, 4))
-        time = RNG.standard_normal((3, 2))
-        fused, _ = fuse_feature_maps(freq, time)
-        assert np.array_equal(fused[:, :4], freq)
-        assert np.array_equal(fused[:, 4:], time)
-
-    def test_frame_count_mismatch(self):
-        with pytest.raises(ShapeError):
-            fuse_feature_maps(np.zeros((3, 4)), np.zeros((2, 4)))
 
 
 class TestArchSpecValidation:

@@ -136,6 +136,13 @@ class TestTrain:
                     "--out", tmp_path, "--config", config,
                     "--tv-source", "inverted"]) == 0
 
+    def test_shape_mismatch_exit_2(self, corpus_dir, tmp_path, capsys):
+        config = tmp_path / "t.conf"
+        config.write_text("n_feature_streams = 1\nmax_epochs = 1\n")
+        assert run(["train", "--arch", "cnn", "--corpus", corpus_dir,
+                    "--out", tmp_path, "--config", config]) == 2
+        assert "expected (T, 680)" in capsys.readouterr().err
+
     def test_unknown_config_key_exit_2(self, corpus_dir, tmp_path):
         config = tmp_path / "bad.conf"
         config.write_text("momentum = 0.9\n")
@@ -189,6 +196,11 @@ class TestEvaluate:
             texts.append((tmp_path / "eval-fcnn-test.txt").read_text())
         assert texts[0] == texts[1]
 
+    def test_unreadable_corpus_exit_1(self, trained_dir, tmp_path):
+        (tmp_path / "manifest.tsv").write_text("\n")
+        assert run(["evaluate", "--checkpoint", trained_dir / "fcnn.ckpt",
+                    "--corpus", tmp_path, "--out", tmp_path]) == 1
+
     def test_missing_checkpoint_exit_1(self, corpus_dir, tmp_path):
         assert run(["evaluate", "--checkpoint", tmp_path / "missing.ckpt",
                     "--corpus", corpus_dir, "--out", tmp_path]) == 1
@@ -241,3 +253,30 @@ class TestInvertCommand:
 
 def test_unknown_subcommand_exit_2():
     assert run(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["corpus-gen", "--out", "o", "--scale", "toy"],
+    ["train-inversion", "--corpus", "c", "--out", "o", "--threads", "2"],
+    ["invert", "--model", "m", "--config", "x"],
+    ["invert", "--model", "m", "--seed", "1"],
+    ["invert", "--model", "m", "--out", "o"],
+    ["invert", "--model", "m", "--scale", "toy"],
+    ["invert", "--model", "m", "--threads", "2"],
+    ["extract-features", "--corpus", "c", "--config", "x"],
+    ["extract-features", "--corpus", "c", "--seed", "1"],
+    ["extract-features", "--corpus", "c", "--scale", "toy"],
+    ["extract-features", "--corpus", "c", "--threads", "2"],
+    ["train", "--arch", "cnn", "--corpus", "c", "--out", "o", "--threads", "2"],
+    ["evaluate", "--checkpoint", "k", "--corpus", "c", "--out", "o",
+     "--config", "x"],
+    ["evaluate", "--checkpoint", "k", "--corpus", "c", "--out", "o",
+     "--seed", "1"],
+    ["evaluate", "--checkpoint", "k", "--corpus", "c", "--out", "o",
+     "--scale", "paper"],
+    ["evaluate", "--checkpoint", "k", "--corpus", "c", "--out", "o",
+     "--threads", "2"],
+])
+def test_flags_a_subcommand_does_not_read_are_rejected(argv, capsys):
+    assert run(argv) == 2
+    assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err

@@ -119,6 +119,19 @@ class TestDiskRoundtrip:
         with pytest.raises(FormatError):
             read_corpus(manifest)
 
+    def test_non_integer_label_rejected(self, small_corpus, tmp_path):
+        manifest = write_corpus(small_corpus, tmp_path)
+        label_file = tmp_path / manifest.read_text().split("\t")[4]
+        label_file.write_text(label_file.read_text().replace("0", "zero", 1))
+        with pytest.raises(FormatError, match="zero"):
+            read_corpus(manifest)
+
+    def test_empty_manifest_rejected(self, tmp_path):
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("\n")
+        with pytest.raises(FormatError, match="no utterances"):
+            read_corpus(manifest)
+
     def test_unknown_split_rejected(self, small_corpus, tmp_path):
         manifest = write_corpus(small_corpus, tmp_path)
         rows = manifest.read_text().splitlines()

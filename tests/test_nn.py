@@ -98,6 +98,11 @@ class TestForward:
         with pytest.raises(ShapeError, match="tv"):
             forward(net, {"acoustic": np.zeros((2, 32))})
 
+    def test_stream_frame_counts_must_agree(self):
+        net = two_stream_net()
+        with pytest.raises(ShapeError, match="frame count"):
+            forward(net, {"acoustic": np.zeros((3, 32)), "tv": np.zeros((2, 15))})
+
     def test_single_array_rejected_for_two_inputs(self):
         net = two_stream_net()
         with pytest.raises(ShapeError):
@@ -233,7 +238,7 @@ class TestSgdStep:
         layer.weight[0, 0] = 1.0
         net = NetworkGraph([Stream("acoustic", 1, [layer])], [], np.float64)
         grads = Gradients([[np.array([[2.0]]), np.array([0.0])]], {})
-        sgd_step(net, grads, lr=0.5, batch_size=1)
+        sgd_step(net, grads, lr=0.5)
         assert layer.weight[0, 0] == 0.0
 
     def test_two_steps_equal_one_double_lr(self):
@@ -339,6 +344,10 @@ class TestSpecValidation:
     def test_bad_view_shape(self):
         with pytest.raises(ConfigError):
             Conv1d("frequency", 4, 3, 3, 10, view_shape=(7, 3))
+
+    def test_view_perm_must_be_a_permutation(self):
+        with pytest.raises(ConfigError, match="permutation"):
+            Conv1d("frequency", 4, 3, 3, 10, view_shape=(10, 3), view_perm=(0, 0))
 
     def test_pool_larger_than_positions(self):
         with pytest.raises(ConfigError):
