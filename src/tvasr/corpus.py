@@ -171,6 +171,20 @@ def write_corpus(corpus: ParallelCorpus, out_dir) -> Path:
     return manifest
 
 
+def _read_targets(tv_path: Path, label_path: Path):
+    """One utterance's TV trajectory and frame labels."""
+    tv_fm = load_feature_matrix(tv_path)
+    with open(label_path, "r", encoding="utf-8") as fh:
+        try:
+            labels = np.array([int(line) for line in fh if line.strip()],
+                              dtype=np.int64)
+        except ValueError as exc:
+            raise FormatError(f"{label_path}: {exc}") from exc
+    if not len(labels):
+        raise FormatError(f"{label_path}: no labels")
+    return TVTrajectory(tv_fm.frames, tv_fm.frame_shift), labels
+
+
 def read_corpus(manifest_path) -> ParallelCorpus:
     """Load a corpus written by write_corpus back into memory."""
     manifest = Path(manifest_path)
@@ -178,6 +192,9 @@ def read_corpus(manifest_path) -> ParallelCorpus:
     utterances = []
     with open(manifest, "r", encoding="utf-8") as fh:
         rows = [line.rstrip("\n") for line in fh if line.strip()]
+    # clean and noisy entries name the same TV and label files: load each
+    # pair once and share it, as build_parallel_corpus does
+    shared = {}
     for row in rows:
         parts = row.split("\t")
         if len(parts) != 6:
@@ -186,20 +203,13 @@ def read_corpus(manifest_path) -> ParallelCorpus:
         if split not in SPLITS:
             raise FormatError(f"{manifest}: unknown split {split!r}")
         wav = read_wav(base / wav_name)
-        tv_fm = load_feature_matrix(base / tv_name)
-        with open(base / label_name, "r", encoding="utf-8") as fh:
-            try:
-                labels = np.array([int(line) for line in fh if line.strip()],
-                                  dtype=np.int64)
-            except ValueError as exc:
-                raise FormatError(f"{base / label_name}: {exc}") from exc
-        if not len(labels):
-            raise FormatError(f"{base / label_name}: no labels")
+        if (tv_name, label_name) not in shared:
+            shared[tv_name, label_name] = _read_targets(base / tv_name,
+                                                        base / label_name)
+        tvs, labels = shared[tv_name, label_name]
         source_id = Path(tv_name).name.split(".")[0]
-        utterances.append(Utterance(
-            utt_id, split, wav, TVTrajectory(tv_fm.frames, tv_fm.frame_shift),
-            labels, transcript.split(), source_id,
-        ))
+        utterances.append(Utterance(utt_id, split, wav, tvs, labels,
+                                    transcript.split(), source_id))
     if not utterances:
         raise FormatError(f"{manifest}: no utterances")
     n_classes = max(int(u.labels.max()) for u in utterances) + 1

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct
 from scipy.signal import butter, sosfilt
 
@@ -126,9 +128,19 @@ def mel_band_edges(n_bands: int, sample_rate: int, fmin: float = 0.0,
     return mel_to_hz(mels)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
 def mel_filterbank_weights(n_bands: int, sample_rate: int,
                            n_fft: int = FFT_SIZE) -> np.ndarray:
-    """Triangular mel filter weights, shape (n_bands, n_fft//2 + 1)."""
+    """Triangular mel filter weights, shape (n_bands, n_fft//2 + 1).
+
+    Designed once per (n_bands, sample_rate, n_fft) and process; the
+    returned array is shared by every caller and read-only.
+    """
     edges = mel_band_edges(n_bands, sample_rate)
     fft_freqs = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
     weights = np.zeros((n_bands, len(fft_freqs)))
@@ -137,7 +149,7 @@ def mel_filterbank_weights(n_bands: int, sample_rate: int,
         up = (fft_freqs - lo) / (center - lo)
         down = (hi - fft_freqs) / (hi - center)
         weights[b] = np.maximum(0.0, np.minimum(up, down))
-    return weights
+    return _frozen(weights)
 
 
 def logmel_filterbank(wav: Waveform, n_bands: int = 40, win: float = 0.025,
@@ -178,8 +190,13 @@ def append_deltas(fm: FeatureMatrix) -> FeatureMatrix:
     return FeatureMatrix(feats, fm.frame_shift, layout)
 
 
+@lru_cache(maxsize=None)
 def _am_subband_bank(n_bands: int, sample_rate: int):
-    """Fourth-order mel-spaced bandpass filters plus a 30 Hz envelope lowpass."""
+    """Fourth-order mel-spaced bandpass filters plus a 30 Hz envelope lowpass.
+
+    Designed once per (n_bands, sample_rate) and process: a tuple of
+    read-only bandpass SOS arrays and the read-only lowpass SOS array.
+    """
     edges = mel_band_edges(n_bands, sample_rate, fmin=80.0,
                            fmax=0.99 * sample_rate / 2.0)
     nyq = sample_rate / 2.0
@@ -187,9 +204,9 @@ def _am_subband_bank(n_bands: int, sample_rate: int):
     for b in range(n_bands):
         lo = max(edges[b], 40.0) / nyq
         hi = min(edges[b + 2], 0.999 * nyq) / nyq
-        bandpasses.append(butter(2, [lo, hi], btype="band", output="sos"))
-    envelope_lp = butter(2, 30.0 / nyq, btype="low", output="sos")
-    return bandpasses, envelope_lp
+        bandpasses.append(_frozen(butter(2, [lo, hi], btype="band", output="sos")))
+    envelope_lp = _frozen(butter(2, 30.0 / nyq, btype="low", output="sos"))
+    return tuple(bandpasses), envelope_lp
 
 
 def nmc_features(wav: Waveform, n_coeffs: int = 40, win: float = 0.025,
@@ -207,13 +224,20 @@ def nmc_features(wav: Waveform, n_coeffs: int = 40, win: float = 0.025,
         raise ValueError("waveform shorter than one analysis window")
     bandpasses, envelope_lp = _am_subband_bank(n_coeffs, wav.sample_rate)
 
-    energies = []
-    for sos in bandpasses:
-        sub = sosfilt(sos, wav.samples)
-        envelope = sosfilt(envelope_lp, np.maximum(sub, 0.0))
-        envelope /= np.sqrt(np.mean(np.square(sub)) + 1e-12)
-        energies.append(np.mean(np.square(frame_signal(envelope, win_n, shift_n)), axis=1))
-    modulation = np.log(np.maximum(np.stack(energies, axis=1), LOG_FLOOR))
+    # All subbands as one (n_bands, n_samples) array. Every reduction runs
+    # along the contiguous sample axis, so each band gets the same
+    # arithmetic, in the same order, as a one-band-at-a-time loop.
+    subs = np.empty((len(bandpasses), len(wav.samples)))
+    # sosfilt accepts only writable coefficients: filter with copies
+    for b, sos in enumerate(np.array(bandpasses)):
+        subs[b] = sosfilt(sos, wav.samples)
+    power = np.mean(np.square(subs), axis=1)
+    envelopes = sosfilt(envelope_lp.copy(), np.maximum(subs, 0.0, out=subs), axis=-1)
+    envelopes /= np.sqrt(power + 1e-12)[:, None]
+    np.square(envelopes, out=envelopes)
+    windows = sliding_window_view(envelopes, win_n, axis=1)[:, ::shift_n]
+    energies = np.mean(windows, axis=2)
+    modulation = np.log(np.maximum(energies.T, LOG_FLOOR))
     coeffs = dct(modulation, type=2, norm="ortho", axis=1)[:, :n_coeffs]
     return FeatureMatrix(coeffs, shift, FeatureLayout(n_coeffs))
 

@@ -40,11 +40,14 @@ def acoustic_frames(utt: Utterance, n_bands: int = 40) -> np.ndarray:
 
 def acoustic_norm_stats(corpus: ParallelCorpus, n_bands: int = 40) -> NormStats:
     """Z-normalization statistics over the training split's acoustic frames."""
-    frames = np.concatenate(
-        [acoustic_frames(u, n_bands) for u in corpus.split_utts("train")], axis=0)
+    return _norm_stats(corpus, [acoustic_frames(u, n_bands)
+                                for u in corpus.split_utts("train")], n_bands)
+
+
+def _norm_stats(corpus: ParallelCorpus, frames: list, n_bands: int) -> NormStats:
     _, stats = z_normalize(
-        FeatureMatrix(frames, corpus.frame_shift, FeatureLayout(n_bands, 3)),
-        None)
+        FeatureMatrix(np.concatenate(frames, axis=0), corpus.frame_shift,
+                      FeatureLayout(n_bands, 3)), None)
     return stats
 
 
@@ -67,10 +70,19 @@ def make_acoustic_dataset(corpus: ParallelCorpus, utts, spec: ArchSpec,
 
     Always provides the "acoustic" stream; adds the "tv" stream for fcnn.
     """
+    frames = [acoustic_frames(u, spec.n_bands) for u in utts]
+    return _acoustic_dataset(utts, frames, spec, stats, tv_source,
+                             inversion_model)
+
+
+def _acoustic_dataset(utts, frames: list, spec: ArchSpec, stats: NormStats,
+                      tv_source: str, inversion_model: InversionModel | None
+                      ) -> FrameDataset:
+    """make_acoustic_dataset given each utterance's acoustic_frames."""
     splice = SpliceSpec((spec.context - 1) // 2, spec.context // 2)
     feats, tvs, labels = [], [], []
-    for utt in utts:
-        f = (acoustic_frames(utt, spec.n_bands) - stats.mean) / stats.std
+    for utt, frames_u in zip(utts, frames):
+        f = (frames_u - stats.mean) / stats.std
         t = min(f.shape[0], utt.tvs.n_frames, len(utt.labels))
         feats.append(f[:t])
         labels.append(utt.labels[:t])
@@ -88,9 +100,12 @@ def train_acoustic_model(corpus: ParallelCorpus, spec: ArchSpec,
                          inversion_model: InversionModel | None = None,
                          checkpoint_path=None, on_epoch=None):
     """Train one acoustic model; returns (TrainResult, NormStats)."""
-    stats = acoustic_norm_stats(corpus, spec.n_bands)
-    train_set = make_acoustic_dataset(corpus, corpus.split_utts("train"),
-                                      spec, stats, tv_source, inversion_model)
+    train_utts = corpus.split_utts("train")
+    train_frames = [acoustic_frames(u, spec.n_bands) for u in train_utts]
+    stats = _norm_stats(corpus, train_frames, spec.n_bands)
+    train_set = _acoustic_dataset(train_utts, train_frames, spec, stats,
+                                  tv_source, inversion_model)
+    del train_frames  # the dataset holds its own copy; free it before training
     cv_set = make_acoustic_dataset(corpus, corpus.split_utts("cv"),
                                    spec, stats, tv_source, inversion_model)
     net = build_network(spec, seed=cfg.rng_seed)

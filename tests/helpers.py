@@ -2,14 +2,17 @@
 
 These deliberately re-derive expected values through different mechanisms
 than the library code: central finite differences for gradients, a memoized
-recursive edit-distance for alignment counts. They must stay independent of
-the implementation paths they check.
+recursive edit-distance for alignment counts, and per-band, per-call filter
+design for the front ends. They must stay independent of the implementation
+paths they check.
 """
 
 import sys
 from functools import lru_cache
 
 import numpy as np
+from scipy.fft import dct
+from scipy.signal import butter, sosfilt
 
 from tvasr.nn import NetworkGraph, backward, forward, mse_loss, softmax_cross_entropy
 
@@ -144,3 +147,54 @@ def reference_edit_alignment(ref: tuple, hyp: tuple):
     result = solve(0, 0)
     solve.cache_clear()
     return result
+
+
+# ---------------------------------------------------------------------------
+# Front-end oracles: one band and one frame at a time, every filter designed
+# on every call. Same formulas, so the library's outputs must match bit for
+# bit; nothing here is shared with or cached by tvasr.features.
+# ---------------------------------------------------------------------------
+
+def _mel_edges(n_bands, fmin, fmax):
+    lo, hi = (2595.0 * np.log10(1.0 + np.float64(f) / 700.0) for f in (fmin, fmax))
+    mels = np.linspace(lo, hi, n_bands + 2)
+    return 700.0 * (10.0 ** (mels / 2595.0) - 1.0)
+
+
+def _frames(x, win, shift):
+    n = (len(x) - win) // shift + 1
+    return x[shift * np.arange(n)[:, None] + np.arange(win)[None, :]]
+
+
+def reference_logmel(samples, sample_rate, n_bands=40, n_fft=512):
+    """Log mel energies, shape (T, n_bands), with 25 ms / 10 ms framing."""
+    win, shift = int(round(0.025 * sample_rate)), int(round(0.010 * sample_rate))
+    edges = _mel_edges(n_bands, 0.0, sample_rate / 2.0)
+    fft_freqs = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
+    weights = np.zeros((n_bands, len(fft_freqs)))
+    for b in range(n_bands):
+        lo, center, hi = edges[b], edges[b + 1], edges[b + 2]
+        up = (fft_freqs - lo) / (center - lo)
+        down = (hi - fft_freqs) / (hi - center)
+        weights[b] = np.maximum(0.0, np.minimum(up, down))
+    frames = _frames(samples, win, shift) * np.hamming(win)
+    spectrum = np.abs(np.fft.rfft(frames, n_fft, axis=1)) ** 2
+    return np.log(np.maximum(spectrum @ weights.T, 1e-10))
+
+
+def reference_nmc(samples, sample_rate, n_coeffs=40):
+    """Subband AM coefficients, shape (T, n_coeffs), one band per pass."""
+    win, shift = int(round(0.025 * sample_rate)), int(round(0.010 * sample_rate))
+    nyq = sample_rate / 2.0
+    edges = _mel_edges(n_coeffs, 80.0, 0.99 * sample_rate / 2.0)
+    envelope_lp = butter(2, 30.0 / nyq, btype="low", output="sos")
+    energies = []
+    for b in range(n_coeffs):
+        lo = max(edges[b], 40.0) / nyq
+        hi = min(edges[b + 2], 0.999 * nyq) / nyq
+        sub = sosfilt(butter(2, [lo, hi], btype="band", output="sos"), samples)
+        envelope = sosfilt(envelope_lp, np.maximum(sub, 0.0))
+        envelope /= np.sqrt(np.mean(np.square(sub)) + 1e-12)
+        energies.append(np.mean(np.square(_frames(envelope, win, shift)), axis=1))
+    modulation = np.log(np.maximum(np.stack(energies, axis=1), 1e-10))
+    return dct(modulation, type=2, norm="ortho", axis=1)[:, :n_coeffs]

@@ -3,10 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
+from tvasr import corpus as corpus_module
 from tvasr.corpus import (build_parallel_corpus, corpus_digest, read_corpus,
                           split_sizes, write_corpus)
 from tvasr.errors import ConfigError, FormatError
-from tvasr.features import logmel_filterbank
+from tvasr.features import load_feature_matrix as load, logmel_filterbank
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +113,21 @@ class TestDiskRoundtrip:
         for path_a in sorted(dir_a.iterdir()):
             path_b = dir_b / path_a.name
             assert path_a.read_bytes() == path_b.read_bytes(), path_a.name
+
+    def test_shared_targets_loaded_once(self, tmp_path, monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            corpus = build_parallel_corpus(20, rng_seed=5)
+        manifest = write_corpus(corpus, tmp_path)
+        loads = []
+
+        def counting_load(path):
+            loads.append(path)
+            return load(path)
+
+        monkeypatch.setattr(corpus_module, "load_feature_matrix", counting_load)
+        assert len(read_corpus(manifest).utterances) == 40
+        assert len(loads) == len(set(loads)) == 20
 
     def test_malformed_manifest_row(self, tmp_path):
         manifest = tmp_path / "manifest.tsv"

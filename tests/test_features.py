@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from scipy.signal import butter, sosfilt
 
+from helpers import reference_logmel, reference_nmc
 from tvasr.audio import Waveform
 from tvasr.errors import FormatError, ShapeError
 from tvasr.features import (LOG_FLOOR, FeatureLayout, FeatureMatrix, NormStats,
-                            SpliceSpec, append_deltas, hz_to_mel,
-                            load_feature_matrix, logmel_filterbank,
-                            mel_band_edges, mel_to_hz, nmc_features,
-                            save_feature_matrix, splice_context, z_normalize)
+                            SpliceSpec, _am_subband_bank, append_deltas,
+                            hz_to_mel, load_feature_matrix, logmel_filterbank,
+                            mel_band_edges, mel_filterbank_weights, mel_to_hz,
+                            nmc_features, save_feature_matrix, splice_context,
+                            z_normalize)
 
 SR = 16000
 
@@ -122,6 +124,55 @@ class TestNmc:
         square = Waveform(np.sign(np.sin(2 * np.pi * 250 * np.arange(SR) / SR))
                           * (1.0 - 1e-12), SR)
         assert np.all(np.isfinite(nmc_features(square).frames))
+
+
+class TestFrontEndsMatchOracles:
+    # 400 and 200 samples are exactly one 25 ms window at 16 and 8 kHz; the
+    # rates and coefficient counts alternate so that every call switches
+    # cached filter designs
+    CASES = [(16000, 400, 40), (8000, 200, 13), (16000, 401, 13),
+             (8000, 201, 40), (16000, 1234, 40), (8000, 617, 13),
+             (16000, 16000, 13), (8000, 8000, 40), (16000, 5000, 13)]
+
+    @staticmethod
+    def utterance(sample_rate, n_samples, seed):
+        rng = np.random.default_rng(seed)
+        t = np.arange(n_samples) / sample_rate
+        swell = 0.5 * (1.0 + np.sin(2 * np.pi * 4.0 * t))
+        return Waveform(np.tanh(0.3 * swell * rng.standard_normal(n_samples)),
+                        sample_rate)
+
+    def test_nmc_bit_identical_to_per_band_oracle(self):
+        for seed, (rate, n, n_coeffs) in enumerate(self.CASES):
+            wav = self.utterance(rate, n, seed)
+            assert np.array_equal(nmc_features(wav, n_coeffs).frames,
+                                  reference_nmc(wav.samples, rate, n_coeffs))
+
+    def test_logmel_bit_identical_to_oracle(self):
+        for seed, (rate, n, n_bands) in enumerate(self.CASES):
+            wav = self.utterance(rate, n, seed)
+            assert np.array_equal(logmel_filterbank(wav, n_bands).frames,
+                                  reference_logmel(wav.samples, rate, n_bands))
+
+
+class TestCachedFilterDesigns:
+    def test_designs_are_read_only(self):
+        bandpasses, envelope_lp = _am_subband_bank(40, SR)
+        for design in (mel_filterbank_weights(40, SR), bandpasses[0],
+                       bandpasses[-1], envelope_lp):
+            with pytest.raises(ValueError):
+                design[0, 0] = 1.0
+
+    def test_designed_once_per_key(self):
+        wav = TestFrontEndsMatchOracles.utterance(SR, 800, 0)
+        _am_subband_bank.cache_clear()
+        mel_filterbank_weights.cache_clear()
+        for _ in range(50):
+            nmc_features(wav)
+            logmel_filterbank(wav)
+        assert _am_subband_bank.cache_info().misses == 1
+        assert _am_subband_bank.cache_info().hits == 49
+        assert mel_filterbank_weights.cache_info().misses == 1
 
 
 class TestZNormalize:

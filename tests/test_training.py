@@ -1,6 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from tvasr import pipeline
+from tvasr.architectures import ArchSpec
+from tvasr.corpus import build_parallel_corpus
 from tvasr.errors import FormatError, StateError
 from tvasr.features import SpliceSpec
 from tvasr.nn import (Activation, Dense, NetworkGraph, Softmax, Stream,
@@ -245,3 +250,27 @@ class TestCheckpoints:
         assert (part.state.cv_error_history
                 + [r.cv_error for r in resumed.records]
                 == full.state.cv_error_history)
+
+
+def test_train_acoustic_model_computes_logmel_once(monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        corpus = build_parallel_corpus(10, rng_seed=3)
+    expected = pipeline.acoustic_norm_stats(corpus)
+    spec = pipeline.scale_arch_spec(
+        ArchSpec(kind="dnn", n_classes=corpus.n_classes, n_hidden_layers=1,
+                 hidden_activation="relu"), "toy")
+    computed = []
+    logmel = pipeline.logmel_filterbank
+
+    def counting_logmel(wav, n_bands):
+        computed.append(wav)
+        return logmel(wav, n_bands)
+
+    monkeypatch.setattr(pipeline, "logmel_filterbank", counting_logmel)
+    _, stats = pipeline.train_acoustic_model(
+        corpus, spec, TrainConfig(max_epochs=1, rng_seed=0))
+    n_used = len(corpus.split_utts("train")) + len(corpus.split_utts("cv"))
+    assert len(computed) == n_used
+    assert np.array_equal(stats.mean, expected.mean)
+    assert np.array_equal(stats.std, expected.std)
