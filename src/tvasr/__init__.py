@@ -7,8 +7,7 @@ constant-then-halving SGD schedule, and scores models with greedy decoding
 and token error rates.
 """
 
-from .architectures import (ArchSpec, arch_spec_from_config, build_cnn,
-                            build_dnn, build_fcnn, build_network, build_tfcnn,
+from .architectures import (ArchSpec, arch_spec_from_config, build_network,
                             parse_kv_config)
 from .audio import Waveform, mix_noise_at_snr, read_wav, write_wav
 from .corpus import (ParallelCorpus, Utterance, build_parallel_corpus,

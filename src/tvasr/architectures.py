@@ -106,63 +106,36 @@ def _time_conv_stream(rng, spec: ArchSpec, input_name: str, n_positions: int,
                   [conv, Activation(spec.hidden_activation), pool])
 
 
-def build_dnn(spec: ArchSpec, seed: int = 0, dtype=np.float32) -> NetworkGraph:
-    """Fully connected stack on the spliced acoustic input.
-
-    n_hidden_layers=0 degenerates to multinomial logistic regression.
-    """
-    if spec.kind != "dnn":
-        raise ConfigError(f"build_dnn got kind {spec.kind!r}")
-    rng = np.random.default_rng(seed)
-    stream = Stream(ACOUSTIC_INPUT, spec.acoustic_dim, [])
-    return NetworkGraph([stream], _dense_stack(rng, spec.acoustic_dim, spec, dtype),
-                        dtype)
-
-
-def build_cnn(spec: ArchSpec, seed: int = 0, dtype=np.float32) -> NetworkGraph:
-    """Frequency-convolution CNN on the spliced acoustic input."""
-    if spec.kind != "cnn":
-        raise ConfigError(f"build_cnn got kind {spec.kind!r}")
-    rng = np.random.default_rng(seed)
-    stream = _freq_conv_stream(rng, spec, dtype)
-    fused = stream.layers[-1].out_dim(None)
-    return NetworkGraph([stream], _dense_stack(rng, fused, spec, dtype), dtype)
-
-
-def build_tfcnn(spec: ArchSpec, seed: int = 0, dtype=np.float32) -> NetworkGraph:
-    """Parallel frequency and time convolutions over the same acoustic input."""
-    if spec.kind != "tfcnn":
-        raise ConfigError(f"build_tfcnn got kind {spec.kind!r}")
-    rng = np.random.default_rng(seed)
-    freq = _freq_conv_stream(rng, spec, dtype)
-    time = _time_conv_stream(rng, spec, ACOUSTIC_INPUT, spec.context,
-                             spec.n_feature_streams * spec.n_bands, dtype)
-    fused = freq.layers[-1].out_dim(None) + time.layers[-1].out_dim(None)
-    return NetworkGraph([freq, time], _dense_stack(rng, fused, spec, dtype), dtype)
-
-
-def build_fcnn(spec: ArchSpec, seed: int = 0, dtype=np.float32) -> NetworkGraph:
-    """Frequency convolution on acoustics, time convolution on tract variables.
-
-    The two pooled feature maps are concatenated per frame and fed to the
-    shared dense stack; forward requires both "acoustic" and "tv" inputs.
-    """
-    if spec.kind != "fcnn":
-        raise ConfigError(f"build_fcnn got kind {spec.kind!r}")
-    rng = np.random.default_rng(seed)
-    freq = _freq_conv_stream(rng, spec, dtype)
-    time = _time_conv_stream(rng, spec, TV_INPUT, spec.tv_context, spec.n_tvs,
-                             dtype)
-    fused = freq.layers[-1].out_dim(None) + time.layers[-1].out_dim(None)
-    return NetworkGraph([freq, time], _dense_stack(rng, fused, spec, dtype), dtype)
-
-
-_BUILDERS = {"dnn": build_dnn, "cnn": build_cnn, "tfcnn": build_tfcnn,
-             "fcnn": build_fcnn}
+# Input streams per kind, built (and drawing from the RNG) in list order:
+# the frequency stream before the time stream. The dnn's one stream has no
+# layers; the tfcnn's time stream reads the acoustic input, the fcnn's the TVs.
+_STREAMS = {
+    "dnn": lambda rng, spec, dtype: [
+        Stream(ACOUSTIC_INPUT, spec.acoustic_dim, [])],
+    "cnn": lambda rng, spec, dtype: [_freq_conv_stream(rng, spec, dtype)],
+    "tfcnn": lambda rng, spec, dtype: [
+        _freq_conv_stream(rng, spec, dtype),
+        _time_conv_stream(rng, spec, ACOUSTIC_INPUT, spec.context,
+                          spec.n_feature_streams * spec.n_bands, dtype)],
+    "fcnn": lambda rng, spec, dtype: [
+        _freq_conv_stream(rng, spec, dtype),
+        _time_conv_stream(rng, spec, TV_INPUT, spec.tv_context, spec.n_tvs,
+                          dtype)],
+}
 
 
 def build_network(spec: ArchSpec, seed: int = 0, dtype=np.float32) -> NetworkGraph:
-    return _BUILDERS[spec.kind](spec, seed, dtype)
+    """The spec's input streams, concatenated per frame into the dense stack.
+
+    The stack draws its weights after the streams. A dnn with
+    n_hidden_layers=0 is multinomial logistic regression; an fcnn's forward
+    requires both "acoustic" and "tv" inputs.
+    """
+    rng = np.random.default_rng(seed)
+    streams = _STREAMS[spec.kind](rng, spec, dtype)
+    fused = sum(s.layers[-1].out_dim(None) if s.layers else s.input_dim
+                for s in streams)
+    return NetworkGraph(streams, _dense_stack(rng, fused, spec, dtype), dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -191,9 +191,17 @@ def cmd_extract_features(args) -> int:
     return 0
 
 
-def _load_inverted_tvs(corpus, manifest_dir: Path):
-    """Replace ground-truth TVs with precomputed <id>.inv.fmx files."""
-    for utt in corpus.utterances:
+def _use_inverted_tvs(utts, inversion_model, manifest_dir: Path) -> None:
+    """Set each utterance's `tvs` to inverted TVs, in place.
+
+    They come from the inversion model when one is given, else from the
+    precomputed <id>.inv.fmx next to the manifest.
+    """
+    model = load_inversion_model(inversion_model) if inversion_model else None
+    for utt in utts:
+        if model is not None:
+            utt.tvs = invert(model, utt.waveform)
+            continue
         inv_path = manifest_dir / f"{utt.utt_id}.inv.fmx"
         if not inv_path.exists():
             raise ConfigError(
@@ -201,7 +209,6 @@ def _load_inverted_tvs(corpus, manifest_dir: Path):
                 "(run the invert subcommand or pass --inversion-model)")
         fm = load_feature_matrix(inv_path)
         utt.tvs = TVTrajectory(np.clip(fm.frames, 0.0, 1.0), fm.frame_shift)
-    return corpus
 
 
 def cmd_train(args) -> int:
@@ -218,14 +225,9 @@ def cmd_train(args) -> int:
     spec = scale_arch_spec(ArchSpec(**arch_map), args.scale)
     train_cfg = _train_config(train_map, args.seed)
 
-    inversion_model = None
-    tv_source = args.tv_source
-    if spec.kind == "fcnn" and tv_source == "inverted":
-        if args.inversion_model:
-            inversion_model = load_inversion_model(args.inversion_model)
-        else:
-            corpus = _load_inverted_tvs(corpus, manifest.parent)
-            tv_source = "ground-truth"  # corpus now carries the inverted TVs
+    if spec.kind == "fcnn" and args.tv_source == "inverted":
+        _use_inverted_tvs(corpus.split_utts("train") + corpus.split_utts("cv"),
+                          args.inversion_model, manifest.parent)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -237,8 +239,8 @@ def cmd_train(args) -> int:
         log_lines.append(line)
         print(line)
 
-    result, stats = train_acoustic_model(
-        corpus, spec, train_cfg, tv_source, inversion_model, on_epoch=on_epoch)
+    result, stats = train_acoustic_model(corpus, spec, train_cfg,
+                                         on_epoch=on_epoch)
     with open(out / f"{spec.kind}-train.log", "w", encoding="utf-8") as fh:
         fh.write("\n".join(log_lines) + "\n")
     bundle = AcousticModelBundle(result.best_net, result.state, spec, stats,
@@ -255,21 +257,14 @@ def cmd_evaluate(args) -> int:
     bundle = load_acoustic_bundle(args.checkpoint)
     manifest = _resolve_manifest(args.corpus)
     corpus = read_corpus(manifest)
-    inversion_model = None
-    tv_source = bundle.tv_source
-    if bundle.spec.kind == "fcnn" and tv_source == "inverted":
-        if args.inversion_model:
-            inversion_model = load_inversion_model(args.inversion_model)
-        else:
-            corpus = _load_inverted_tvs(corpus, manifest.parent)
-            tv_source = "ground-truth"
-
     noisy = {"all": None, "noisy": True, "clean": False}[args.subset]
     utts = corpus.split_utts(args.split, noisy)
     if not utts:
         raise ConfigError(f"no utterances in split {args.split!r} ({args.subset})")
+    if bundle.spec.kind == "fcnn" and bundle.tv_source == "inverted":
+        _use_inverted_tvs(utts, args.inversion_model, manifest.parent)
     report = evaluate_acoustic_model(bundle.net, corpus, utts, bundle.spec,
-                                     bundle.stats, tv_source, inversion_model)
+                                     bundle.stats)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -242,18 +242,25 @@ def nmc_features(wav: Waveform, n_coeffs: int = 40, win: float = 0.025,
     return FeatureMatrix(coeffs, shift, FeatureLayout(n_coeffs))
 
 
+def norm_stats(per_utt_frames: list) -> NormStats:
+    """Per-dimension mean and population std over the stacked frames.
+
+    Stds below STD_FLOOR are floored, so constant columns normalize to zero.
+    """
+    frames = np.concatenate(per_utt_frames, axis=0)
+    return NormStats(frames.mean(axis=0),
+                     np.maximum(frames.std(axis=0), STD_FLOOR))
+
+
 def z_normalize(fm: FeatureMatrix, stats: NormStats | None = None):
     """Normalize each dimension to zero mean / unit std.
 
-    Without stats, mean and population std are estimated from `fm` (stds
-    below STD_FLOOR are floored, so constant columns map to zero) and the
-    estimated stats are returned for reuse. With stats, the frozen transform
-    is applied unchanged.
+    Without stats, they are estimated from `fm` with `norm_stats` and
+    returned for reuse. With stats, the frozen transform is applied
+    unchanged.
     """
     if stats is None:
-        mean = fm.frames.mean(axis=0)
-        std = np.maximum(fm.frames.std(axis=0), STD_FLOOR)
-        stats = NormStats(mean, std)
+        stats = norm_stats([fm.frames])
     elif stats.mean.shape != (fm.dim,):
         raise ShapeError("normalization stats dimension mismatch")
     normalized = (fm.frames - stats.mean) / stats.std

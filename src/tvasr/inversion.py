@@ -18,14 +18,14 @@ import numpy as np
 from .audio import Waveform
 from .corpus import ParallelCorpus
 from .errors import FormatError, StateError
-from .features import (FeatureLayout, FeatureMatrix, NormStats, SpliceSpec,
-                       nmc_features, z_normalize)
+from .features import (NormStats, SpliceSpec, nmc_features, norm_stats,
+                       splice_context, z_normalize)
 from .nn import (Activation, Conv1d, Dense, MaxPool1d, NetworkGraph, Stream,
                  forward, network_from_bytes, network_to_bytes)
 from .records import Reader, read_file
 from .synth import N_TVS, TVTrajectory
-from .training import (FrameDataset, TrainConfig, TrainResult, run_training,
-                       stack_utterances)
+from .training import (FrameDataset, TrainConfig, run_training,
+                       utterance_dataset)
 
 _STATS_MAGIC = b"IST1"
 
@@ -84,28 +84,20 @@ def build_inversion_net(cfg: InversionConfig, seed: int = 0,
     return NetworkGraph([stream], trunk, dtype)
 
 
-def _utterance_features(corpus: ParallelCorpus, utts, cfg: InversionConfig):
-    """Per-utterance (unnormalized NMC frames, TV targets), length-reconciled."""
-    feats, targets = [], []
-    for utt in utts:
-        fm = nmc_features(utt.waveform, cfg.n_coeffs)
-        t = min(fm.n_frames, utt.tvs.n_frames)
-        feats.append(fm.frames[:t])
-        targets.append(utt.tvs.frames[:t])
-    return feats, targets
-
-
-def _make_dataset(feats, targets, stats: NormStats, splice: SpliceSpec):
-    normalized = [(f - stats.mean) / stats.std for f in feats]
-    frames, indices = stack_utterances(normalized, splice)
-    y = np.concatenate(targets, axis=0).astype(np.float32)
-    return FrameDataset({"acoustic": (frames, indices)}, y)
-
-
 def inversion_dataset(corpus: ParallelCorpus, split: str,
                       cfg: InversionConfig, stats: NormStats) -> FrameDataset:
-    feats, targets = _utterance_features(corpus, corpus.split_utts(split), cfg)
-    return _make_dataset(feats, targets, stats, cfg.splice)
+    utts = corpus.split_utts(split)
+    return _inversion_dataset(utts, [nmc_features(u.waveform, cfg.n_coeffs).frames
+                                     for u in utts], cfg, stats)
+
+
+def _inversion_dataset(utts, feats: list, cfg: InversionConfig,
+                       stats: NormStats) -> FrameDataset:
+    """inversion_dataset given each utterance's unnormalized NMC frames."""
+    return utterance_dataset(
+        {"acoustic": [(f - stats.mean) / stats.std for f in feats]},
+        {"acoustic": cfg.splice},
+        [u.tvs.frames.astype(np.float32) for u in utts])
 
 
 def train_inversion_model(corpus: ParallelCorpus, cfg: InversionConfig):
@@ -114,12 +106,11 @@ def train_inversion_model(corpus: ParallelCorpus, cfg: InversionConfig):
     Returns (InversionModel, TrainResult). The Z-normalization statistics
     are estimated on the training split only and frozen into the model.
     """
-    train_feats, train_targets = _utterance_features(
-        corpus, corpus.split_utts("train"), cfg)
-    stacked = np.concatenate(train_feats, axis=0)
-    _, stats = z_normalize(FeatureMatrix(stacked, corpus.frame_shift,
-                                         FeatureLayout(cfg.n_coeffs)), None)
-    train_set = _make_dataset(train_feats, train_targets, stats, cfg.splice)
+    train_utts = corpus.split_utts("train")
+    train_feats = [nmc_features(u.waveform, cfg.n_coeffs).frames
+                   for u in train_utts]
+    stats = norm_stats(train_feats)
+    train_set = _inversion_dataset(train_utts, train_feats, cfg, stats)
     cv_set = inversion_dataset(corpus, "cv", cfg, stats)
 
     net = build_inversion_net(cfg, seed=cfg.train.rng_seed)
@@ -138,10 +129,8 @@ def invert(model: InversionModel, audio: Waveform) -> TVTrajectory:
             "resampling is out of scope)")
     fm = nmc_features(audio, model.config.n_coeffs)
     normalized, _ = z_normalize(fm, model.stats)
-    frames, indices = stack_utterances([normalized.frames],
-                                       model.config.splice)
-    spliced = frames[indices].reshape(fm.n_frames, -1)
-    pred = forward(model.net, {"acoustic": spliced}, mode="eval")
+    spliced = splice_context(normalized, model.config.splice)
+    pred = forward(model.net, {"acoustic": spliced.frames}, mode="eval")
     return TVTrajectory(np.clip(pred.astype(np.float64), 0.0, 1.0),
                         fm.frame_shift)
 

@@ -27,9 +27,6 @@ from scipy.special import expit
 from .errors import ConfigError, DivergenceError, FormatError, ShapeError, StateError
 from .records import Reader, read_file
 
-# When enabled, forward/backward assert every intermediate tensor is finite.
-DEBUG_CHECK_FINITE = False
-
 _NNG_MAGIC = b"NNG1"
 
 _KIND_CODES = {"dense": 0, "conv1d": 1, "maxpool1d": 2, "activation": 3, "softmax": 4}
@@ -41,11 +38,6 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
                    dtype) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
-
-
-def _check_finite(name: str, arr: np.ndarray) -> None:
-    if DEBUG_CHECK_FINITE and not np.all(np.isfinite(arr)):
-        raise DivergenceError(f"non-finite values after {name}")
 
 
 class Dense:
@@ -475,7 +467,7 @@ def forward(net: NetworkGraph, inputs, mode: str = "eval"):
 
     outputs = []
     n_frames = None
-    for s, stream in enumerate(net.streams):
+    for stream in net.streams:
         x = np.asarray(tensors[stream.input_name], dtype=net.dtype)
         if x.ndim != 2 or x.shape[1] != dims[stream.input_name]:
             raise ShapeError(
@@ -485,15 +477,13 @@ def forward(net: NetworkGraph, inputs, mode: str = "eval"):
             n_frames = x.shape[0]
         elif x.shape[0] != n_frames:
             raise ShapeError("input streams disagree on frame count")
-        for i, layer in enumerate(stream.layers):
+        for layer in stream.layers:
             x = layer.forward(x, train)
-            _check_finite(f"stream {s} layer {i} ({layer.kind})", x)
         outputs.append(x)
 
     h = outputs[0] if len(outputs) == 1 else np.concatenate(outputs, axis=1)
-    for i, layer in enumerate(net.trunk):
+    for layer in net.trunk:
         h = layer.forward(h, train)
-        _check_finite(f"trunk layer {i} ({layer.kind})", h)
     net._train_ready = train
     return h
 
@@ -518,7 +508,6 @@ def backward(net: NetworkGraph, loss_grad, at_logits: bool = False) -> Gradients
     for layer in reversed(trunk):
         dy, pgrads = layer.backward(dy)
         grads_by_id[id(layer)] = pgrads
-        _check_finite(f"backward {layer.kind}", dy)
     if at_logits:
         grads_by_id[id(net.trunk[-1])] = []
 
@@ -530,7 +519,6 @@ def backward(net: NetworkGraph, loss_grad, at_logits: bool = False) -> Gradients
         for layer in reversed(stream.layers):
             dx, pgrads = layer.backward(dx)
             grads_by_id[id(layer)] = pgrads
-            _check_finite(f"backward {layer.kind}", dx)
         if stream.input_name in input_grads:
             input_grads[stream.input_name] = input_grads[stream.input_name] + dx
         else:

@@ -3,9 +3,11 @@
 Acoustic models consume 40-band log-mel features with deltas and
 delta-deltas (120 per frame), Z-normalized with training-split statistics
 and spliced over 17 frames at batch time. The fCNN additionally consumes
-spliced tract variables, either ground truth from the corpus or predictions
-from an inversion model. Feature frame counts are reconciled with the TV
-frame count by truncation to the shorter.
+spliced tract variables, always read from each utterance's `tvs`: ground
+truth as loaded from the corpus, or inverted TVs that the caller put there
+(the CLI's `--tv-source inverted` does so, from an inversion model or from
+`<id>.inv.fmx` files). Each utterance is cut to the shortest of the arrays
+its dataset reads: acoustic frames, labels and, for the fCNN, TVs.
 """
 
 from __future__ import annotations
@@ -20,15 +22,14 @@ from .corpus import ParallelCorpus, Utterance
 from .errors import ConfigError, FormatError
 from .evaluate import (WerReport, collapse_labels, combine_reports,
                        greedy_decode, levenshtein_wer)
-from .features import (FeatureLayout, FeatureMatrix, NormStats, SpliceSpec,
-                       append_deltas, logmel_filterbank, z_normalize)
-from .inversion import InversionModel, invert
+from .features import (NormStats, SpliceSpec, append_deltas, logmel_filterbank,
+                       norm_stats)
 from .nn import NetworkGraph, forward, network_from_bytes, network_to_bytes
 from .records import Reader, read_file
 from .synth import default_inventory
-from .training import (FrameDataset, TrainConfig, TrainResult, TrainState,
-                       run_training, stack_utterances, train_state_from_bytes,
-                       train_state_to_bytes)
+from .training import (FrameDataset, TrainConfig, TrainState, run_training,
+                       train_state_from_bytes, train_state_to_bytes,
+                       utterance_dataset)
 
 TV_SOURCES = ("ground-truth", "inverted")
 
@@ -40,74 +41,41 @@ def acoustic_frames(utt: Utterance, n_bands: int = 40) -> np.ndarray:
 
 def acoustic_norm_stats(corpus: ParallelCorpus, n_bands: int = 40) -> NormStats:
     """Z-normalization statistics over the training split's acoustic frames."""
-    return _norm_stats(corpus, [acoustic_frames(u, n_bands)
-                                for u in corpus.split_utts("train")], n_bands)
-
-
-def _norm_stats(corpus: ParallelCorpus, frames: list, n_bands: int) -> NormStats:
-    _, stats = z_normalize(
-        FeatureMatrix(np.concatenate(frames, axis=0), corpus.frame_shift,
-                      FeatureLayout(n_bands, 3)), None)
-    return stats
-
-
-def _tv_frames(utt: Utterance, tv_source: str,
-               inversion_model: InversionModel | None) -> np.ndarray:
-    if tv_source == "ground-truth":
-        return utt.tvs.frames
-    if tv_source == "inverted":
-        if inversion_model is None:
-            raise ConfigError("tv_source=inverted requires an inversion model")
-        return invert(inversion_model, utt.waveform).frames
-    raise ConfigError(f"unknown tv source {tv_source!r}")
+    return norm_stats([acoustic_frames(u, n_bands)
+                       for u in corpus.split_utts("train")])
 
 
 def make_acoustic_dataset(corpus: ParallelCorpus, utts, spec: ArchSpec,
-                          stats: NormStats, tv_source: str = "ground-truth",
-                          inversion_model: InversionModel | None = None
-                          ) -> FrameDataset:
+                          stats: NormStats) -> FrameDataset:
     """Frame dataset over `utts` for one architecture.
 
-    Always provides the "acoustic" stream; adds the "tv" stream for fcnn.
+    Always provides the "acoustic" stream; adds the "tv" stream, spliced
+    from each utterance's `tvs`, for fcnn.
     """
     frames = [acoustic_frames(u, spec.n_bands) for u in utts]
-    return _acoustic_dataset(utts, frames, spec, stats, tv_source,
-                             inversion_model)
+    return _acoustic_dataset(utts, frames, spec, stats)
 
 
-def _acoustic_dataset(utts, frames: list, spec: ArchSpec, stats: NormStats,
-                      tv_source: str, inversion_model: InversionModel | None
-                      ) -> FrameDataset:
+def _acoustic_dataset(utts, frames: list, spec: ArchSpec,
+                      stats: NormStats) -> FrameDataset:
     """make_acoustic_dataset given each utterance's acoustic_frames."""
-    splice = SpliceSpec((spec.context - 1) // 2, spec.context // 2)
-    feats, tvs, labels = [], [], []
-    for utt, frames_u in zip(utts, frames):
-        f = (frames_u - stats.mean) / stats.std
-        t = min(f.shape[0], utt.tvs.n_frames, len(utt.labels))
-        feats.append(f[:t])
-        labels.append(utt.labels[:t])
-        if spec.kind == "fcnn":
-            tvs.append(_tv_frames(utt, tv_source, inversion_model)[:t])
-    streams = {"acoustic": stack_utterances(feats, splice)}
+    streams = {"acoustic": [(f - stats.mean) / stats.std for f in frames]}
+    splices = {"acoustic": SpliceSpec((spec.context - 1) // 2, spec.context // 2)}
     if spec.kind == "fcnn":
-        tv_splice = SpliceSpec((spec.tv_context - 1) // 2, spec.tv_context // 2)
-        streams["tv"] = stack_utterances(tvs, tv_splice)
-    return FrameDataset(streams, np.concatenate(labels, axis=0))
+        streams["tv"] = [u.tvs.frames for u in utts]
+        splices["tv"] = SpliceSpec((spec.tv_context - 1) // 2, spec.tv_context // 2)
+    return utterance_dataset(streams, splices, [u.labels for u in utts])
 
 
 def train_acoustic_model(corpus: ParallelCorpus, spec: ArchSpec,
-                         cfg: TrainConfig, tv_source: str = "ground-truth",
-                         inversion_model: InversionModel | None = None,
-                         checkpoint_path=None, on_epoch=None):
+                         cfg: TrainConfig, checkpoint_path=None, on_epoch=None):
     """Train one acoustic model; returns (TrainResult, NormStats)."""
     train_utts = corpus.split_utts("train")
     train_frames = [acoustic_frames(u, spec.n_bands) for u in train_utts]
-    stats = _norm_stats(corpus, train_frames, spec.n_bands)
-    train_set = _acoustic_dataset(train_utts, train_frames, spec, stats,
-                                  tv_source, inversion_model)
+    stats = norm_stats(train_frames)
+    train_set = _acoustic_dataset(train_utts, train_frames, spec, stats)
     del train_frames  # the dataset holds its own copy; free it before training
-    cv_set = make_acoustic_dataset(corpus, corpus.split_utts("cv"),
-                                   spec, stats, tv_source, inversion_model)
+    cv_set = make_acoustic_dataset(corpus, corpus.split_utts("cv"), spec, stats)
     net = build_network(spec, seed=cfg.rng_seed)
     result = run_training(net, train_set, cv_set, cfg, loss="ce",
                           cv_metric="frame_error",
@@ -134,17 +102,13 @@ class EvalReport:
 
 
 def evaluate_acoustic_model(net: NetworkGraph, corpus: ParallelCorpus, utts,
-                            spec: ArchSpec, stats: NormStats,
-                            tv_source: str = "ground-truth",
-                            inversion_model: InversionModel | None = None
-                            ) -> EvalReport:
+                            spec: ArchSpec, stats: NormStats) -> EvalReport:
     """Frame accuracy plus token error rate over the given utterances."""
     tokens = class_token_map(corpus.n_classes)
     reports = []
     correct = total = 0
     for utt in utts:
-        dataset = make_acoustic_dataset(corpus, [utt], spec, stats,
-                                        tv_source, inversion_model)
+        dataset = make_acoustic_dataset(corpus, [utt], spec, stats)
         inputs, labels = dataset.gather(np.arange(len(dataset)))
         posteriors = forward(net, inputs, mode="eval")
         predicted = posteriors.argmax(axis=1)

@@ -133,6 +133,24 @@ def stack_utterances(per_utt: list, splice: SpliceSpec):
     return frames, np.concatenate(indices, axis=0)
 
 
+def utterance_dataset(streams: dict, splices: dict,
+                      targets: list) -> FrameDataset:
+    """FrameDataset from per-utterance arrays: the one frames -> dataset path.
+
+    `streams` maps each input name to one (T_u, D) array per utterance and
+    `splices` gives its SpliceSpec; `targets` holds one array per utterance.
+    Each utterance is cut to its shortest array before stacking, so every
+    stream and the targets agree frame for frame.
+    """
+    lengths = [min(len(a) for a in arrays)
+               for arrays in zip(targets, *streams.values())]
+    stacked = {name: stack_utterances([a[:t] for a, t in zip(arrays, lengths)],
+                                      splices[name])
+               for name, arrays in streams.items()}
+    return FrameDataset(stacked, np.concatenate(
+        [a[:t] for a, t in zip(targets, lengths)], axis=0))
+
+
 def train_epoch(net: NetworkGraph, dataset: FrameDataset, lr: float,
                 batch_size: int, rng_seed, loss: str = "ce") -> float:
     """One shuffled pass of mini-batch SGD; returns the mean training loss.

@@ -198,3 +198,40 @@ def reference_nmc(samples, sample_rate, n_coeffs=40):
         energies.append(np.mean(np.square(_frames(envelope, win, shift)), axis=1))
     modulation = np.log(np.maximum(np.stack(energies, axis=1), 1e-10))
     return dct(modulation, type=2, norm="ortho", axis=1)[:, :n_coeffs]
+
+
+# ---------------------------------------------------------------------------
+# Frame-dataset oracle: one utterance, one frame, one context offset at a
+# time, with its own edge clamping; nothing here comes from tvasr.training.
+# ---------------------------------------------------------------------------
+
+def reference_frame_dataset(streams, targets):
+    """Spliced inputs and targets of a frame dataset, built frame by frame.
+
+    `streams` maps an input name to (per-utterance arrays, left, right).
+    Each utterance is first cut to the shortest of its arrays (every stream
+    and its targets); context frames past either end of the cut utterance
+    repeat its first or last frame.
+    """
+    lengths = []
+    for u, target in enumerate(targets):
+        lengths.append(min([len(target)] + [len(arrays[u]) for arrays, _, _
+                                            in streams.values()]))
+    inputs = {}
+    for name, (arrays, left, right) in streams.items():
+        rows = []
+        for arr, t in zip(arrays, lengths):
+            for i in range(t):
+                row = []
+                for k in range(-left, right + 1):
+                    j = i + k
+                    if j < 0:
+                        j = 0
+                    if j > t - 1:
+                        j = t - 1
+                    row.extend(arr[j])
+                rows.append(row)
+        inputs[name] = np.array(rows, dtype=np.float32)
+    flat_targets = [target[i] for target, t in zip(targets, lengths)
+                    for i in range(t)]
+    return inputs, np.array(flat_targets)

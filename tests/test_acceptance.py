@@ -14,11 +14,11 @@ import pytest
 from helpers import (draw_smooth_gradcheck_case, max_relative_gradient_error,
                      reference_edit_alignment)
 
-from tvasr.architectures import ArchSpec, build_fcnn, build_network
+from tvasr.architectures import ArchSpec, build_network
 from tvasr.cli import main as cli_main
 from tvasr.evaluate import levenshtein_wer, results_table
+from tvasr.features import nmc_features
 from tvasr.inversion import inversion_dataset, pearson_per_tv
-from tvasr.inversion import _utterance_features as inversion_features
 from tvasr.pipeline import (acoustic_norm_stats, evaluate_acoustic_model,
                             make_acoustic_dataset, scale_arch_spec)
 from tvasr.synth import TV_CHANNELS
@@ -80,7 +80,7 @@ def test_criterion_2_paper_scale_shape_ledger():
     """Full-size fCNN dimensions match the reference arithmetic, untrained."""
     spec = ArchSpec(kind="fcnn", n_classes=42, n_hidden_layers=6,
                     hidden_width=2048)
-    net = build_fcnn(spec)
+    net = build_network(spec)
 
     freq_conv, _, freq_pool = net.streams[0].layers
     assert freq_conv.n_positions == 40
@@ -169,11 +169,21 @@ def test_criterion_4_fcnn_vs_cnn_ordering(acoustic_setup):
               f"CNN {np.mean(accuracies['cnn']):.3f}; {elapsed:.0f}s)")
 
 
+def _nmc_and_tvs(corpus, split, cfg):
+    """Per-utterance unnormalized NMC frames and TVs, cut to equal length."""
+    feats, tvs = [], []
+    for utt in corpus.split_utts(split):
+        frames = nmc_features(utt.waveform, cfg.n_coeffs).frames
+        t = min(len(frames), utt.tvs.n_frames)
+        feats.append(frames[:t])
+        tvs.append(utt.tvs.frames[:t])
+    return feats, tvs
+
+
 def _frame_wise_linear_predictions(corpus, cfg):
     """Closed-form least squares from single-frame features to TVs."""
-    train_x, train_y = inversion_features(corpus, corpus.split_utts("train"),
-                                          cfg)
-    test_x, test_y = inversion_features(corpus, corpus.split_utts("test"), cfg)
+    train_x, train_y = _nmc_and_tvs(corpus, "train", cfg)
+    test_x, test_y = _nmc_and_tvs(corpus, "test", cfg)
     x = np.concatenate(train_x, axis=0)
     y = np.concatenate(train_y, axis=0)
     x1 = np.concatenate([x, np.ones((len(x), 1))], axis=1)

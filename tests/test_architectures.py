@@ -3,9 +3,8 @@ import pytest
 
 from helpers import draw_smooth_gradcheck_case, max_relative_gradient_error
 
-from tvasr.architectures import (ArchSpec, arch_spec_from_config, build_cnn,
-                                 build_dnn, build_fcnn, build_network,
-                                 build_tfcnn, parse_kv_config)
+from tvasr.architectures import (ArchSpec, arch_spec_from_config, build_network,
+                                 parse_kv_config)
 from tvasr.errors import ConfigError, ShapeError
 from tvasr.nn import count_parameters, forward
 
@@ -24,14 +23,14 @@ def toy_spec(kind, **overrides):
 class TestBuildDnn:
     def test_parameter_count_closed_form(self):
         spec = ArchSpec(kind="dnn", n_classes=42)
-        net = build_dnn(spec)
+        net = build_network(spec)
         expected = (2040 * 1024 + 3 * 1024 * 1024 + 1024 * 42
                     + 4 * 1024 + 42)
         assert count_parameters(net) == expected
 
     def test_zero_hidden_layers_is_logistic_regression(self):
         spec = toy_spec("dnn", n_hidden_layers=0)
-        net = build_dnn(spec)
+        net = build_network(spec)
         kinds = [l.kind for l in net.all_layers()]
         assert kinds == ["dense", "softmax"]
         out = forward(net, RNG.standard_normal((3, spec.acoustic_dim)))
@@ -39,7 +38,7 @@ class TestBuildDnn:
 
     def test_forward_shape_contract(self):
         spec = toy_spec("dnn")
-        out = forward(build_dnn(spec),
+        out = forward(build_network(spec),
                       RNG.standard_normal((9, spec.acoustic_dim)))
         assert out.shape == (9, 6)
 
@@ -47,7 +46,7 @@ class TestBuildDnn:
 class TestBuildCnn:
     def test_reference_dims(self):
         spec = ArchSpec(kind="cnn", n_classes=42)
-        net = build_cnn(spec)
+        net = build_network(spec)
         ledger = {(kind, din): dout for _, kind, din, dout in net.shape_ledger()}
         assert ledger[("conv1d", 2040)] == 33 * 200
         assert ledger[("maxpool1d", 33 * 200)] == 2200
@@ -56,14 +55,14 @@ class TestBuildCnn:
     def test_full_span_filter(self):
         spec = ArchSpec(kind="cnn", n_classes=5, freq_filter_width=40,
                         freq_pool=1, n_hidden_layers=1, hidden_width=8)
-        net = build_cnn(spec)
+        net = build_network(spec)
         conv = net.streams[0].layers[0]
         assert conv.out_positions == 1
         assert net.streams[0].layers[-1].out_dim(None) == 200
 
     def test_gradient_check_scaled_down(self):
         spec = toy_spec("cnn")
-        net = build_cnn(spec, seed=4, dtype=np.float64)
+        net = build_network(spec, seed=4, dtype=np.float64)
         x = draw_smooth_gradcheck_case(
             net, RNG, lambda r: r.standard_normal((4, spec.acoustic_dim)))
         y = RNG.integers(0, 6, 4)
@@ -71,7 +70,7 @@ class TestBuildCnn:
 
     def test_parameter_count_closed_form(self):
         spec = toy_spec("cnn")
-        net = build_cnn(spec)
+        net = build_network(spec)
         conv = 6 * (4 * 2 * 5) + 6  # filters * (width * channels) + bias
         pooled = ((12 - 4 + 1) // 3) * 6
         dense = pooled * 16 + 16 + 16 * 16 + 16 + 16 * 6 + 6
@@ -81,7 +80,7 @@ class TestBuildCnn:
 class TestBuildTfcnn:
     def test_reference_dims(self):
         spec = ArchSpec(kind="tfcnn", n_classes=42)
-        net = build_tfcnn(spec)
+        net = build_network(spec)
         freq_out = net.streams[0].layers[-1].out_dim(None)
         time_out = net.streams[1].layers[-1].out_dim(None)
         assert freq_out == 2200
@@ -91,14 +90,14 @@ class TestBuildTfcnn:
 
     def test_both_streams_consume_acoustic_input(self):
         spec = toy_spec("tfcnn")
-        net = build_tfcnn(spec)
+        net = build_network(spec)
         assert [s.input_name for s in net.streams] == ["acoustic", "acoustic"]
         out = forward(net, RNG.standard_normal((4, spec.acoustic_dim)))
         assert out.shape == (4, 6)
 
     def test_zeroed_time_stream_ignores_input_variation(self):
         spec = toy_spec("tfcnn")
-        net = build_tfcnn(spec, seed=3)
+        net = build_network(spec, seed=3)
         for layer in net.streams[1].layers:
             for p in layer.param_arrays():
                 p[...] = 0.0
@@ -118,20 +117,20 @@ class TestBuildTfcnn:
 class TestBuildFcnn:
     def test_fused_dimension(self):
         spec = ArchSpec(kind="fcnn", n_classes=42)
-        net = build_fcnn(spec)
+        net = build_network(spec)
         assert net.fusion.freq_stream_dims == 2200
         assert net.fusion.time_stream_dims == 150
         assert net.fusion.fused_dims == 2350
 
     def test_missing_tv_input_is_an_error(self):
         spec = toy_spec("fcnn")
-        net = build_fcnn(spec)
+        net = build_network(spec)
         with pytest.raises(ShapeError, match="tv"):
             forward(net, {"acoustic": np.zeros((2, spec.acoustic_dim))})
 
     def test_zero_tv_input_flows_through_bias_path_only(self):
         spec = toy_spec("fcnn")
-        net = build_fcnn(spec, seed=9)
+        net = build_network(spec, seed=9)
         xa = RNG.standard_normal((4, spec.acoustic_dim))
         zero_tv = np.zeros((4, spec.tv_dim))
         out1 = forward(net, {"acoustic": xa, "tv": zero_tv})
@@ -143,7 +142,7 @@ class TestBuildFcnn:
 
     def test_gradient_check_scaled_down(self):
         spec = toy_spec("fcnn")
-        net = build_fcnn(spec, seed=5, dtype=np.float64)
+        net = build_network(spec, seed=5, dtype=np.float64)
         inputs = draw_smooth_gradcheck_case(
             net, RNG,
             lambda r: {"acoustic": r.standard_normal((4, spec.acoustic_dim)),
@@ -155,8 +154,8 @@ class TestBuildFcnn:
         """Zeroed TV path plus copied acoustic path reproduces CNN logits."""
         cnn_spec = toy_spec("cnn")
         fcnn_spec = toy_spec("fcnn")
-        cnn = build_cnn(cnn_spec, seed=7, dtype=np.float64)
-        fcnn = build_fcnn(fcnn_spec, seed=8, dtype=np.float64)
+        cnn = build_network(cnn_spec, seed=7, dtype=np.float64)
+        fcnn = build_network(fcnn_spec, seed=8, dtype=np.float64)
 
         for src, dst in zip(cnn.streams[0].layers, fcnn.streams[0].layers):
             for ps, pd in zip(src.param_arrays(), dst.param_arrays()):
@@ -223,10 +222,6 @@ class TestArchSpecValidation:
     def test_too_few_classes(self):
         with pytest.raises(ConfigError):
             ArchSpec(kind="dnn", n_classes=1)
-
-    def test_builder_kind_mismatch(self):
-        with pytest.raises(ConfigError):
-            build_cnn(ArchSpec(kind="dnn", n_classes=5))
 
 
 class TestConfigFile:

@@ -1,4 +1,5 @@
 import hashlib
+import shutil
 import warnings
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 
 from tvasr.audio import Waveform, write_wav
 from tvasr.cli import main
-from tvasr.corpus import build_parallel_corpus, write_corpus
-from tvasr.features import load_feature_matrix
+from tvasr.corpus import build_parallel_corpus, read_corpus, write_corpus
+from tvasr.features import (FeatureLayout, FeatureMatrix, load_feature_matrix,
+                            save_feature_matrix)
 from tvasr.inversion import InversionConfig, InversionModel, build_inversion_net, save_inversion_model
 from tvasr.features import NormStats
 from tvasr.pipeline import (AcousticModelBundle, acoustic_norm_stats,
@@ -213,6 +215,52 @@ class TestEvaluate:
         results = tmp_path / "results.tsv"
         assert results.exists()
         assert run(["report", "--results", results]) == 0
+
+
+class TestInvertedTvFiles:
+    """--tv-source inverted needs <id>.inv.fmx only for the utterances read."""
+
+    def copy_with_inv_files(self, corpus_dir, tmp_path, wanted):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus,
+                        ignore=shutil.ignore_patterns("*.inv.fmx"))
+        for utt in read_corpus(corpus / "manifest.tsv").utterances:
+            if wanted(utt):
+                save_feature_matrix(corpus / f"{utt.utt_id}.inv.fmx",
+                                    FeatureMatrix(utt.tvs.frames, 0.01,
+                                                  FeatureLayout(8)))
+        return corpus
+
+    def test_train_reads_train_and_cv_only(self, corpus_dir, tmp_path):
+        corpus = self.copy_with_inv_files(
+            corpus_dir, tmp_path, lambda u: u.split in ("train", "cv"))
+        config = tmp_path / "t.conf"
+        config.write_text("n_hidden_layers = 0\nmax_epochs = 1\n")
+        assert run(["train", "--arch", "fcnn", "--corpus", corpus,
+                    "--out", tmp_path, "--config", config,
+                    "--tv-source", "inverted"]) == 0
+
+    def test_evaluate_reads_scored_subset_only(self, corpus_dir, tmp_path,
+                                               capsys):
+        corpus = self.copy_with_inv_files(
+            corpus_dir, tmp_path, lambda u: u.split == "test" and u.is_noisy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            built = build_parallel_corpus(12, rng_seed=7)
+        spec = scale_arch_spec(
+            ArchSpec(kind="fcnn", n_classes=built.n_classes,
+                     n_hidden_layers=1, hidden_activation="relu"), "toy")
+        ckpt = tmp_path / "inverted.ckpt"
+        save_acoustic_bundle(ckpt, AcousticModelBundle(
+            build_network(spec, seed=0), TrainState(lr=0.008), spec,
+            acoustic_norm_stats(built), "inverted"))
+        assert run(["evaluate", "--checkpoint", ckpt, "--corpus", corpus,
+                    "--out", tmp_path, "--subset", "noisy"]) == 0
+        capsys.readouterr()
+        # the clean test utterances have no .inv.fmx: scoring them fails
+        assert run(["evaluate", "--checkpoint", ckpt, "--corpus", corpus,
+                    "--out", tmp_path, "--subset", "all"]) == 2
+        assert "missing inverted TV file" in capsys.readouterr().err
 
 
 class TestInvertCommand:

@@ -1,19 +1,26 @@
+import re
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helpers import reference_frame_dataset
+
 from tvasr import pipeline
 from tvasr.architectures import ArchSpec
-from tvasr.corpus import build_parallel_corpus
+from tvasr.corpus import ParallelCorpus, build_parallel_corpus
 from tvasr.errors import FormatError, StateError
-from tvasr.features import SpliceSpec
+from tvasr.features import SpliceSpec, nmc_features, norm_stats
+from tvasr.inversion import InversionConfig, inversion_dataset
 from tvasr.nn import (Activation, Dense, NetworkGraph, Softmax, Stream,
                       forward, softmax_cross_entropy)
 from tvasr.training import (EpochRecord, FrameDataset, TrainConfig, TrainState,
                             evaluate_dataset, load_checkpoint, run_training,
                             save_checkpoint, schedule_update,
                             stack_utterances, train_epoch)
+from tvasr.synth import TVTrajectory
 
 RNG = np.random.default_rng(2718)
 
@@ -274,3 +281,69 @@ def test_train_acoustic_model_computes_logmel_once(monkeypatch):
     assert len(computed) == n_used
     assert np.array_equal(stats.mean, expected.mean)
     assert np.array_equal(stats.std, expected.std)
+
+
+@pytest.fixture(scope="module")
+def cut_corpus():
+    """10-utterance corpus whose first test utterance has labels and TVs
+    two frames shorter than its audio."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        corpus = build_parallel_corpus(10, rng_seed=5)
+    utts = list(corpus.utterances)
+    i = utts.index(corpus.split_utts("test")[0])
+    short = utts[i]
+    utts[i] = replace(short, labels=short.labels[:-2], tvs=TVTrajectory(
+        short.tvs.frames[:-2], short.tvs.frame_shift))
+    return ParallelCorpus(utts, corpus.n_classes, corpus.frame_shift)
+
+
+@pytest.mark.parametrize("kind", ["cnn", "tfcnn", "fcnn"])
+def test_acoustic_dataset_matches_frame_by_frame_oracle(cut_corpus, kind):
+    corpus = cut_corpus
+    utts = corpus.split_utts("test") + corpus.split_utts("cv")
+    spec = pipeline.scale_arch_spec(
+        ArchSpec(kind=kind, n_classes=corpus.n_classes, context=5,
+                 tv_context=7), "toy")
+    stats = pipeline.acoustic_norm_stats(corpus)
+    dataset = pipeline.make_acoustic_dataset(corpus, utts, spec, stats)
+    inputs, targets = dataset.gather(np.arange(len(dataset)))
+
+    streams = {"acoustic": ([(pipeline.acoustic_frames(u) - stats.mean)
+                             / stats.std for u in utts], 2, 2)}
+    if kind == "fcnn":
+        streams["tv"] = ([u.tvs.frames for u in utts], 3, 3)
+    expected, expected_targets = reference_frame_dataset(
+        streams, [u.labels for u in utts])
+    assert len(dataset) < sum(len(pipeline.acoustic_frames(u)) for u in utts)
+    assert inputs.keys() == expected.keys()
+    for name in expected:
+        assert inputs[name].dtype == expected[name].dtype
+        assert np.array_equal(inputs[name], expected[name]), name
+    assert np.array_equal(targets, expected_targets)
+
+
+def test_inversion_dataset_matches_frame_by_frame_oracle(cut_corpus):
+    cfg = InversionConfig.toy(splice=SpliceSpec(3, 2))
+    utts = cut_corpus.split_utts("test")
+    feats = [nmc_features(u.waveform).frames for u in utts]
+    stats = norm_stats(feats)
+    dataset = inversion_dataset(cut_corpus, "test", cfg, stats)
+    inputs, targets = dataset.gather(np.arange(len(dataset)))
+
+    expected, expected_targets = reference_frame_dataset(
+        {"acoustic": ([(f - stats.mean) / stats.std for f in feats], 3, 2)},
+        [u.tvs.frames for u in utts])
+    assert len(dataset) == sum(len(f) for f in feats) - 2
+    assert np.array_equal(inputs["acoustic"], expected["acoustic"])
+    assert targets.dtype == np.float32
+    assert np.array_equal(targets, expected_targets.astype(np.float32))
+
+
+def test_one_frame_dataset_path():
+    src = Path(__file__).resolve().parents[1] / "src" / "tvasr"
+    assert not re.search(r"^\s*(from|import)\s+\S*inversion\b",
+                         (src / "pipeline.py").read_text(), re.MULTILINE)
+    builders = [path.name for path in sorted(src.glob("*.py"))
+                if "FrameDataset(" in path.read_text()]
+    assert builders == ["training.py"]
