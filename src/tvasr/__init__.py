@@ -18,8 +18,7 @@ from .evaluate import (WerReport, greedy_decode, levenshtein_wer,
                        results_table)
 from .features import (FeatureLayout, FeatureMatrix, NormStats, SpliceSpec,
                        append_deltas, load_feature_matrix, logmel_filterbank,
-                       nmc_features, save_feature_matrix, splice_context,
-                       z_normalize)
+                       nmc_features, save_feature_matrix)
 from .inversion import (InversionConfig, InversionModel, invert,
                         load_inversion_model, save_inversion_model,
                         train_inversion_model)

@@ -1,7 +1,7 @@
 """Batch command-line interface.
 
-Subcommands: corpus-gen, train-inversion, invert, extract-features, train,
-evaluate, report. Every subcommand is deterministic given (config, seed).
+Subcommands: corpus-gen, train-inversion, invert, train, evaluate, report.
+Every subcommand is deterministic given (config, seed).
 
 Exit codes: 0 success, 1 I/O or file-format error, 2 configuration or
 precondition error, 3 numerical failure during training.
@@ -22,9 +22,8 @@ from .corpus import (MANIFEST_NAME, build_parallel_corpus, corpus_digest,
                      read_corpus, split_sizes, write_corpus)
 from .errors import ConfigError, DivergenceError, FormatError, ShapeError
 from .evaluate import results_table
-from .features import (FeatureLayout, FeatureMatrix, SpliceSpec, append_deltas,
-                       load_feature_matrix, logmel_filterbank, nmc_features,
-                       save_feature_matrix, splice_context)
+from .features import (FeatureLayout, FeatureMatrix, load_feature_matrix,
+                       save_feature_matrix)
 from .inversion import (InversionConfig, invert, load_inversion_model,
                         pearson_per_tv, save_inversion_model,
                         train_inversion_model)
@@ -35,6 +34,13 @@ from .pipeline import (AcousticModelBundle, TV_SOURCES, evaluate_acoustic_model,
 from .synth import NOISE_KINDS, TV_CHANNELS, TVTrajectory
 from .training import TrainConfig
 
+
+def _parse_bool(value: str) -> bool:
+    if value.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise ConfigError(f"{value!r} is not a boolean (1/true/yes or 0/false/no)")
+    return value.lower() in ("1", "true", "yes")
+
+
 _TRAIN_KEYS = {
     "initial_lr": float,
     "constant_lr_epochs": int,
@@ -42,7 +48,7 @@ _TRAIN_KEYS = {
     "halving_threshold": float,
     "stop_threshold": float,
     "max_epochs": int,
-    "halve_always_after_first": lambda v: v.lower() in ("1", "true", "yes"),
+    "halve_always_after_first": _parse_bool,
 }
 
 _CORPUS_KEYS = {
@@ -171,32 +177,16 @@ def cmd_invert(args) -> int:
     return 0
 
 
-def cmd_extract_features(args) -> int:
-    manifest = _resolve_manifest(args.corpus)
-    corpus = read_corpus(manifest)
-    out = Path(args.out) if args.out else manifest.parent
-    out.mkdir(parents=True, exist_ok=True)
-    splice = SpliceSpec() if args.splice else None
-    count = 0
-    for utt in corpus.utterances:
-        if args.feature == "logmel":
-            fm = append_deltas(logmel_filterbank(utt.waveform))
-        else:
-            fm = nmc_features(utt.waveform)
-        if splice is not None:
-            fm = splice_context(fm, splice)
-        save_feature_matrix(out / f"{utt.utt_id}.{args.feature}.fmx", fm)
-        count += 1
-    print(f"wrote {count} {args.feature} feature files to {out}")
-    return 0
-
-
-def _use_inverted_tvs(utts, inversion_model, manifest_dir: Path) -> None:
-    """Set each utterance's `tvs` to inverted TVs, in place.
+def _use_inverted_tvs(utts, inverted, inversion_model, manifest_dir) -> None:
+    """Set each utterance's `tvs` to inverted TVs, in place, if `inverted`.
 
     They come from the inversion model when one is given, else from the
     precomputed <id>.inv.fmx next to the manifest.
     """
+    if not inverted:
+        if inversion_model:
+            raise ConfigError("--inversion-model is read only for inverted TVs")
+        return
     model = load_inversion_model(inversion_model) if inversion_model else None
     for utt in utts:
         if model is not None:
@@ -214,6 +204,9 @@ def _use_inverted_tvs(utts, inversion_model, manifest_dir: Path) -> None:
 def cmd_train(args) -> int:
     cfg_map = _load_config(args.config)
     arch_map, train_map = _split_config(cfg_map, _arch_key_table(), _TRAIN_KEYS)
+    inverted = args.tv_source == "inverted"
+    if inverted and args.arch != "fcnn":
+        raise ConfigError("--tv-source inverted applies only to --arch fcnn")
     manifest = _resolve_manifest(args.corpus)
     corpus = read_corpus(manifest)
 
@@ -225,9 +218,8 @@ def cmd_train(args) -> int:
     spec = scale_arch_spec(ArchSpec(**arch_map), args.scale)
     train_cfg = _train_config(train_map, args.seed)
 
-    if spec.kind == "fcnn" and args.tv_source == "inverted":
-        _use_inverted_tvs(corpus.split_utts("train") + corpus.split_utts("cv"),
-                          args.inversion_model, manifest.parent)
+    _use_inverted_tvs(corpus.split_utts("train") + corpus.split_utts("cv"),
+                      inverted, args.inversion_model, manifest.parent)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -261,8 +253,8 @@ def cmd_evaluate(args) -> int:
     utts = corpus.split_utts(args.split, noisy)
     if not utts:
         raise ConfigError(f"no utterances in split {args.split!r} ({args.subset})")
-    if bundle.spec.kind == "fcnn" and bundle.tv_source == "inverted":
-        _use_inverted_tvs(utts, args.inversion_model, manifest.parent)
+    inverted = bundle.spec.kind == "fcnn" and bundle.tv_source == "inverted"
+    _use_inverted_tvs(utts, inverted, args.inversion_model, manifest.parent)
     report = evaluate_acoustic_model(bundle.net, corpus, utts, bundle.spec,
                                      bundle.stats)
 
@@ -286,8 +278,8 @@ def cmd_evaluate(args) -> int:
     tag = args.tag or manifest.parent.name
     with open(out / "results.tsv", "a", encoding="utf-8") as fh:
         fh.write("\t".join([bundle.spec.kind.upper(),
-                            features_label(bundle.spec.kind), tag,
-                            f"{wer.wer_percent:.1f}"]) + "\n")
+                            features_label(bundle.spec.kind, bundle.tv_source),
+                            tag, f"{wer.wer_percent:.1f}"]) + "\n")
     return 0
 
 
@@ -332,14 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="inversion checkpoint")
     p.add_argument("wavs", nargs="*", help="input wav files")
     p.set_defaults(func=cmd_invert)
-
-    p = sub.add_parser("extract-features", help="write feature files for a corpus")
-    p.add_argument("--out", help="output directory (default: the corpus directory)")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--feature", choices=("logmel", "nmc"), default="logmel")
-    p.add_argument("--splice", action="store_true",
-                   help="apply the default 17-frame context splicing")
-    p.set_defaults(func=cmd_extract_features)
 
     p = sub.add_parser("train", help="train an acoustic model")
     p.add_argument("--config", help="key=value config file")

@@ -19,7 +19,7 @@ class ShapeError(TvasrError):
 
 
 class StateError(TvasrError):
-    """Operation invoked in the wrong state (missing cache, stats, ...)."""
+    """Operation invoked in the wrong state (no cached activations, ...)."""
 
 
 class ConfigError(TvasrError):

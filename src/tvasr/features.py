@@ -1,9 +1,9 @@
 """Acoustic and articulatory front-end feature extraction.
 
 Provides log-mel filterbank energies, delta/delta-delta appending, subband
-amplitude-modulation coefficients for the inversion front end, per-dimension
-Z-normalization, frame context splicing, and a flat binary serialization for
-feature matrices.
+amplitude-modulation coefficients for the inversion front end, the
+Z-normalization statistics and splice indices that `training` applies, and
+flat binary serializations for feature matrices and normalization stats.
 
 Framing is shared by all extractors: 25 ms Hamming windows every 10 ms,
 T = floor((n_samples - win) / shift) + 1 frames. Log compression uses
@@ -22,7 +22,7 @@ from scipy.fft import dct
 from scipy.signal import butter, sosfilt
 
 from .audio import Waveform
-from .errors import ShapeError
+from .errors import FormatError, ShapeError
 from .records import Reader, read_file
 
 LOG_FLOOR = 1e-10
@@ -252,34 +252,23 @@ def norm_stats(per_utt_frames: list) -> NormStats:
                      np.maximum(frames.std(axis=0), STD_FLOOR))
 
 
-def z_normalize(fm: FeatureMatrix, stats: NormStats | None = None):
-    """Normalize each dimension to zero mean / unit std.
-
-    Without stats, they are estimated from `fm` with `norm_stats` and
-    returned for reuse. With stats, the frozen transform is applied
-    unchanged.
-    """
-    if stats is None:
-        stats = norm_stats([fm.frames])
-    elif stats.mean.shape != (fm.dim,):
-        raise ShapeError("normalization stats dimension mismatch")
-    normalized = (fm.frames - stats.mean) / stats.std
-    return FeatureMatrix(normalized, fm.frame_shift, fm.layout), stats
-
-
 def splice_indices(n_frames: int, spec: SpliceSpec) -> np.ndarray:
     """Frame indices for splicing: shape (n_frames, width), edges replicated."""
     offsets = np.arange(-spec.left, spec.right + 1)
     return np.clip(np.arange(n_frames)[:, None] + offsets[None, :], 0, n_frames - 1)
 
 
-def splice_context(fm: FeatureMatrix, spec: SpliceSpec) -> FeatureMatrix:
-    """Concatenate each frame with its neighbours: row t is f[t-left .. t+right]."""
-    idx = splice_indices(fm.n_frames, spec)
-    spliced = fm.frames[idx].reshape(fm.n_frames, spec.width * fm.dim)
-    layout = FeatureLayout(fm.layout.n_bands, fm.layout.n_streams,
-                           fm.layout.context_width * spec.width)
-    return FeatureMatrix(spliced, fm.frame_shift, layout)
+def norm_stats_to_bytes(stats: NormStats) -> bytes:
+    """The mean then the std, each as little-endian float64."""
+    return stats.mean.astype("<f8").tobytes() + stats.std.astype("<f8").tobytes()
+
+
+def read_norm_stats(r: Reader, d: int) -> NormStats:
+    """Read d-wide stats; FormatError unless norm_stats could have made them."""
+    mean, std = r.array("<f8", (2, d)).copy()
+    if not (np.isfinite(mean).all() and (np.isfinite(std) & (std >= STD_FLOOR)).all()):
+        raise FormatError(f"stats need a finite mean and finite stds >= {STD_FLOOR}")
+    return NormStats(mean, std)
 
 
 def save_feature_matrix(path, fm: FeatureMatrix) -> None:

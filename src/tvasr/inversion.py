@@ -4,8 +4,8 @@ The inversion network convolves across the coefficient axis of spliced
 subband-AM features (200 filters of width 8, max-pooled by 3 at full scale),
 followed by three dense layers and a linear 8-unit output trained with mean
 squared error. Input features are Z-normalized with statistics frozen from
-the training split; those statistics travel with the trained network so that
-`invert` can reproduce the exact front end.
+the training split; those statistics, the coefficient count and the splice
+travel with the network so that `invert` reproduces the exact front end.
 """
 
 from __future__ import annotations
@@ -17,15 +17,15 @@ import numpy as np
 
 from .audio import Waveform
 from .corpus import ParallelCorpus
-from .errors import FormatError, StateError
+from .errors import FormatError
 from .features import (NormStats, SpliceSpec, nmc_features, norm_stats,
-                       splice_context, z_normalize)
+                       norm_stats_to_bytes, read_norm_stats)
 from .nn import (Activation, Conv1d, Dense, MaxPool1d, NetworkGraph, Stream,
                  forward, network_from_bytes, network_to_bytes)
 from .records import Reader, read_file
 from .synth import N_TVS, TVTrajectory
 from .training import (FrameDataset, TrainConfig, run_training,
-                       utterance_dataset)
+                       stack_utterances, utterance_dataset)
 
 _STATS_MAGIC = b"IST1"
 
@@ -56,11 +56,12 @@ class InversionConfig:
 
 @dataclass
 class InversionModel:
-    """Trained inversion network plus its frozen input normalization."""
+    """Trained inversion network plus the front end it was trained on."""
 
     net: NetworkGraph
-    stats: NormStats | None
-    config: InversionConfig
+    stats: NormStats
+    n_coeffs: int
+    splice: SpliceSpec
 
 
 def build_inversion_net(cfg: InversionConfig, seed: int = 0,
@@ -116,21 +117,20 @@ def train_inversion_model(corpus: ParallelCorpus, cfg: InversionConfig):
     net = build_inversion_net(cfg, seed=cfg.train.rng_seed)
     result = run_training(net, train_set, cv_set, cfg.train, loss="mse",
                           cv_metric="mse")
-    return InversionModel(result.best_net, stats, cfg), result
+    return InversionModel(result.best_net, stats, cfg.n_coeffs, cfg.splice), result
 
 
 def invert(model: InversionModel, audio: Waveform) -> TVTrajectory:
     """Predict tract variables for one utterance, clamped to [0, 1]."""
-    if model.stats is None:
-        raise StateError("inversion model has no frozen normalization stats")
     if audio.sample_rate != 16000:
         raise ValueError(
             f"{audio.sample_rate} Hz input unsupported (expected 16000; "
             "resampling is out of scope)")
-    fm = nmc_features(audio, model.config.n_coeffs)
-    normalized, _ = z_normalize(fm, model.stats)
-    spliced = splice_context(normalized, model.config.splice)
-    pred = forward(model.net, {"acoustic": spliced.frames}, mode="eval")
+    fm = nmc_features(audio, model.n_coeffs)
+    frames, indices = stack_utterances(
+        [(fm.frames - model.stats.mean) / model.stats.std], model.splice)
+    spliced = frames[indices].reshape(fm.n_frames, -1)
+    pred = forward(model.net, {"acoustic": spliced}, mode="eval")
     return TVTrajectory(np.clip(pred.astype(np.float64), 0.0, 1.0),
                         fm.frame_shift)
 
@@ -152,15 +152,11 @@ def pearson_per_tv(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def save_inversion_model(path, model: InversionModel) -> None:
-    if model.stats is None:
-        raise StateError("refusing to save an inversion model without stats")
-    cfg = model.config
-    d = len(model.stats.mean)
     stats_rec = b"".join([
         _STATS_MAGIC,
-        struct.pack("<IIII", cfg.n_coeffs, cfg.splice.left, cfg.splice.right, d),
-        model.stats.mean.astype("<f8").tobytes(),
-        model.stats.std.astype("<f8").tobytes(),
+        struct.pack("<IIII", model.n_coeffs, model.splice.left,
+                    model.splice.right, len(model.stats.mean)),
+        norm_stats_to_bytes(model.stats),
     ])
     with open(path, "wb") as fh:
         fh.write(network_to_bytes(model.net))
@@ -171,13 +167,12 @@ def _parse_inversion_model(r: Reader) -> InversionModel:
     net = network_from_bytes(r)
     r.magic(_STATS_MAGIC)
     n_coeffs, left, right, d = r.take("<IIII")
-    cfg = InversionConfig(n_coeffs=n_coeffs, splice=SpliceSpec(left, right))
+    splice = SpliceSpec(left, right)
     found = (net.input_dims(), net.output_dim(), d)
-    if found != ({"acoustic": n_coeffs * cfg.splice.width}, N_TVS, n_coeffs):
+    if found != ({"acoustic": n_coeffs * splice.width}, N_TVS, n_coeffs):
         raise FormatError(f"network inputs, output width and stats width "
                           f"{found} do not match {n_coeffs} coefficients")
-    mean, std = r.array("<f8", (2, d)).copy()
-    return InversionModel(net, NormStats(mean, std), cfg)
+    return InversionModel(net, read_norm_stats(r, d), n_coeffs, splice)
 
 
 def load_inversion_model(path) -> InversionModel:

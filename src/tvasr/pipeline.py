@@ -23,7 +23,7 @@ from .errors import ConfigError, FormatError
 from .evaluate import (WerReport, collapse_labels, combine_reports,
                        greedy_decode, levenshtein_wer)
 from .features import (NormStats, SpliceSpec, append_deltas, logmel_filterbank,
-                       norm_stats)
+                       norm_stats, norm_stats_to_bytes, read_norm_stats)
 from .nn import NetworkGraph, forward, network_from_bytes, network_to_bytes
 from .records import Reader, read_file
 from .synth import default_inventory
@@ -142,8 +142,10 @@ def scale_arch_spec(spec: ArchSpec, scale: str) -> ArchSpec:
     return replace(spec, **kwargs)
 
 
-def features_label(kind: str) -> str:
-    return "FB + TV" if kind == "fcnn" else "FB"
+def features_label(kind: str, tv_source: str) -> str:
+    if kind != "fcnn":
+        return "FB"
+    return "FB + TV" if tv_source == "inverted" else "FB + TV (ground truth)"
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +176,7 @@ def save_acoustic_bundle(path, bundle: AcousticModelBundle) -> None:
         fh.write(train_state_to_bytes(bundle.state))
         fh.write(_META_MAGIC + struct.pack("<I", len(meta)) + meta)
         fh.write(_ASTATS_MAGIC + struct.pack("<I", d))
-        fh.write(bundle.stats.mean.astype("<f8").tobytes())
-        fh.write(bundle.stats.std.astype("<f8").tobytes())
+        fh.write(norm_stats_to_bytes(bundle.stats))
 
 
 def _parse_acoustic_bundle(r: Reader) -> AcousticModelBundle:
@@ -197,8 +198,7 @@ def _parse_acoustic_bundle(r: Reader) -> AcousticModelBundle:
     if found != (inputs, spec.n_classes, spec.n_bands * spec.n_feature_streams):
         raise FormatError(f"network inputs, output width and stats width "
                           f"{found} do not match the {spec.kind} spec")
-    mean, std = r.array("<f8", (2, d)).copy()
-    return AcousticModelBundle(net, state, spec, NormStats(mean, std), tv_source)
+    return AcousticModelBundle(net, state, spec, read_norm_stats(r, d), tv_source)
 
 
 def load_acoustic_bundle(path) -> AcousticModelBundle:

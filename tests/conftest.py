@@ -26,10 +26,15 @@ def acceptance_corpus():
 
 
 @pytest.fixture(scope="session")
-def trained_inversion(acceptance_corpus):
-    """Inversion model trained on the shared corpus (toy widths, ReLU)."""
-    cfg = InversionConfig.toy(train=TrainConfig(
+def inversion_config():
+    """Toy widths, ReLU hidden units."""
+    return InversionConfig.toy(train=TrainConfig(
         initial_lr=0.1, batch_size=64, constant_lr_epochs=8, max_epochs=24,
         rng_seed=0))
-    model, result = train_inversion_model(acceptance_corpus, cfg)
+
+
+@pytest.fixture(scope="session")
+def trained_inversion(acceptance_corpus, inversion_config):
+    """Inversion model trained on the shared corpus with inversion_config."""
+    model, result = train_inversion_model(acceptance_corpus, inversion_config)
     return model, result

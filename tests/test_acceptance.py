@@ -194,16 +194,17 @@ def _frame_wise_linear_predictions(corpus, cfg):
 
 
 def test_criterion_5_inversion_beats_linear_oracle(acceptance_corpus,
-                                                   trained_inversion):
+                                                   trained_inversion,
+                                                   inversion_config):
     """Inversion CNN beats frame-wise linear regression on >=6 of 8 TVs."""
     model, _ = trained_inversion
-    test_set = inversion_dataset(acceptance_corpus, "test", model.config,
+    test_set = inversion_dataset(acceptance_corpus, "test", inversion_config,
                                  model.stats)
     cnn_pred = np.clip(predict_dataset(model.net, test_set), 0.0, 1.0)
     r_cnn = pearson_per_tv(cnn_pred, test_set.targets)
 
     lin_pred, lin_truth = _frame_wise_linear_predictions(acceptance_corpus,
-                                                         model.config)
+                                                         inversion_config)
     r_lin = pearson_per_tv(lin_pred, lin_truth)
 
     wins = int(np.sum(r_cnn > r_lin))

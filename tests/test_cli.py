@@ -1,4 +1,5 @@
 import hashlib
+import re
 import shutil
 import warnings
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from tvasr.audio import Waveform, write_wav
+from tvasr import cli
 from tvasr.cli import main
 from tvasr.corpus import build_parallel_corpus, read_corpus, write_corpus
 from tvasr.features import (FeatureLayout, FeatureMatrix, load_feature_matrix,
@@ -72,22 +74,6 @@ class TestCorpusGen:
         config = tmp_path / "c.conf"
         config.write_text("n_utterances = 50\n")
         assert run(["corpus-gen", "--out", tmp_path, "--config", config]) == 2
-
-
-class TestExtractFeatures:
-    def test_writes_loadable_features(self, corpus_dir, tmp_path):
-        assert run(["extract-features", "--corpus", corpus_dir,
-                    "--out", tmp_path, "--feature", "logmel"]) == 0
-        files = sorted(tmp_path.glob("*.logmel.fmx"))
-        assert len(files) == 24
-        fm = load_feature_matrix(files[0])
-        assert fm.dim == 120
-
-    def test_spliced_nmc(self, corpus_dir, tmp_path):
-        assert run(["extract-features", "--corpus", corpus_dir,
-                    "--out", tmp_path, "--feature", "nmc", "--splice"]) == 0
-        fm = load_feature_matrix(sorted(tmp_path.glob("*.nmc.fmx"))[0])
-        assert fm.dim == 40 * 17
 
 
 class TestTrain:
@@ -213,7 +199,7 @@ class TestEvaluate:
         assert run(["evaluate", "--checkpoint", ckpt, "--corpus", corpus_dir,
                     "--out", tmp_path, "--tag", "toy"]) == 0
         results = tmp_path / "results.tsv"
-        assert results.exists()
+        assert results.read_text().split("\t")[1] == "FB + TV (ground truth)"
         assert run(["report", "--results", results]) == 0
 
 
@@ -256,6 +242,7 @@ class TestInvertedTvFiles:
             acoustic_norm_stats(built), "inverted"))
         assert run(["evaluate", "--checkpoint", ckpt, "--corpus", corpus,
                     "--out", tmp_path, "--subset", "noisy"]) == 0
+        assert (tmp_path / "results.tsv").read_text().split("\t")[1] == "FB + TV"
         capsys.readouterr()
         # the clean test utterances have no .inv.fmx: scoring them fails
         assert run(["evaluate", "--checkpoint", ckpt, "--corpus", corpus,
@@ -267,7 +254,8 @@ class TestInvertCommand:
     def make_model(self, path):
         cfg = InversionConfig.toy()
         model = InversionModel(build_inversion_net(cfg, seed=0),
-                               NormStats(np.zeros(40), np.ones(40)), cfg)
+                               NormStats(np.zeros(40), np.ones(40)),
+                               cfg.n_coeffs, cfg.splice)
         save_inversion_model(path, model)
         return path
 
@@ -299,6 +287,88 @@ class TestInvertCommand:
         assert "glottis" in out
 
 
+class TestFlagsThatWouldDoNothing:
+    """Flag combinations that nothing reads exit 2 instead of being ignored."""
+
+    def test_inverted_tvs_for_a_cnn(self, corpus_dir, tmp_path, capsys):
+        assert run(["train", "--arch", "cnn", "--corpus", corpus_dir,
+                    "--out", tmp_path, "--tv-source", "inverted"]) == 2
+        assert "only to --arch fcnn" in capsys.readouterr().err
+
+    def test_train_inversion_model_without_inverted_tvs(self, corpus_dir,
+                                                        tmp_path, capsys):
+        assert run(["train", "--arch", "fcnn", "--corpus", corpus_dir,
+                    "--out", tmp_path, "--inversion-model",
+                    tmp_path / "missing.ckpt"]) == 2
+        assert "--inversion-model" in capsys.readouterr().err
+
+    def test_evaluate_inversion_model_for_ground_truth_fcnn(
+            self, trained_dir, corpus_dir, tmp_path, capsys):
+        assert run(["evaluate", "--checkpoint", trained_dir / "fcnn.ckpt",
+                    "--corpus", corpus_dir, "--out", tmp_path,
+                    "--inversion-model", tmp_path / "missing.ckpt"]) == 2
+        assert "--inversion-model" in capsys.readouterr().err
+        assert not (tmp_path / "results.tsv").exists()
+
+
+class TestBooleanConfigValues:
+    @pytest.mark.parametrize("value,expected", [
+        ("1", True), ("true", True), ("YES", True),
+        ("0", False), ("False", False), ("no", False)])
+    def test_accepted_words(self, value, expected):
+        (parsed,) = cli._split_config({"halve_always_after_first": value},
+                                      cli._TRAIN_KEYS)
+        assert parsed == {"halve_always_after_first": expected}
+
+    def test_other_value_exit_2(self, corpus_dir, tmp_path, capsys):
+        config = tmp_path / "t.conf"
+        config.write_text("halve_always_after_first = banana\n")
+        assert run(["train", "--arch", "dnn", "--corpus", corpus_dir,
+                    "--out", tmp_path, "--config", config]) == 2
+        assert "'banana' is not a boolean" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_std", [np.nan, 0.0, -1.0])
+class TestUnusableStatsRecord:
+    """A stats record norm_stats cannot have written makes the CLI exit 1."""
+
+    def test_acoustic_bundle(self, bad_std, corpus_dir, tmp_path, capsys):
+        spec = scale_arch_spec(ArchSpec(kind="dnn", n_classes=21,
+                                        n_hidden_layers=0), "toy")
+        std = np.ones(120)
+        std[7] = bad_std
+        ckpt = tmp_path / "bad.ckpt"
+        save_acoustic_bundle(ckpt, AcousticModelBundle(
+            build_network(spec, seed=0), TrainState(lr=0.008), spec,
+            NormStats(np.zeros(120), std), "ground-truth"))
+        assert run(["evaluate", "--checkpoint", ckpt, "--corpus", corpus_dir,
+                    "--out", tmp_path]) == 1
+        assert "finite stds" in capsys.readouterr().err
+        assert not (tmp_path / "results.tsv").exists()
+
+    def test_inversion_model(self, bad_std, tmp_path, capsys):
+        cfg = InversionConfig.toy()
+        std = np.ones(40)
+        std[7] = bad_std
+        path = tmp_path / "inv.ckpt"
+        save_inversion_model(path, InversionModel(
+            build_inversion_net(cfg, seed=0), NormStats(np.zeros(40), std),
+            cfg.n_coeffs, cfg.splice))
+        wav = tmp_path / "a.wav"
+        write_wav(wav, Waveform(np.zeros(8000), 16000))
+        assert run(["invert", "--model", path, wav]) == 1
+        assert "finite stds" in capsys.readouterr().err
+        assert not (tmp_path / "a.inv.fmx").exists()
+
+
+def test_docstring_names_every_subcommand():
+    doc = re.search(r"Subcommands: ([^.]*)\.", cli.__doc__).group(1)
+    named = [name.strip() for name in doc.split(",")]
+    registered = [action for action in cli.build_parser()._actions
+                  if action.dest == "subcommand"][0].choices
+    assert sorted(named) == sorted(registered)
+
+
 def test_unknown_subcommand_exit_2():
     assert run(["frobnicate"]) == 2
 
@@ -311,10 +381,10 @@ def test_unknown_subcommand_exit_2():
     ["invert", "--model", "m", "--out", "o"],
     ["invert", "--model", "m", "--scale", "toy"],
     ["invert", "--model", "m", "--threads", "2"],
-    ["extract-features", "--corpus", "c", "--config", "x"],
-    ["extract-features", "--corpus", "c", "--seed", "1"],
-    ["extract-features", "--corpus", "c", "--scale", "toy"],
-    ["extract-features", "--corpus", "c", "--threads", "2"],
+    ["report", "--results", "r", "--config", "x"],
+    ["report", "--results", "r", "--seed", "1"],
+    ["report", "--results", "r", "--out", "o"],
+    ["report", "--results", "r", "--scale", "toy"],
     ["train", "--arch", "cnn", "--corpus", "c", "--out", "o", "--threads", "2"],
     ["evaluate", "--checkpoint", "k", "--corpus", "c", "--out", "o",
      "--config", "x"],

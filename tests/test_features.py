@@ -5,12 +5,13 @@ from scipy.signal import butter, sosfilt
 from helpers import reference_logmel, reference_nmc
 from tvasr.audio import Waveform
 from tvasr.errors import FormatError, ShapeError
-from tvasr.features import (LOG_FLOOR, FeatureLayout, FeatureMatrix, NormStats,
+from tvasr.features import (LOG_FLOOR, FeatureLayout, FeatureMatrix,
                             SpliceSpec, _am_subband_bank, append_deltas,
                             hz_to_mel, load_feature_matrix, logmel_filterbank,
                             mel_band_edges, mel_filterbank_weights, mel_to_hz,
-                            nmc_features, save_feature_matrix, splice_context,
-                            z_normalize)
+                            nmc_features, norm_stats, save_feature_matrix,
+                            splice_indices)
+from tvasr.training import stack_utterances
 
 SR = 16000
 
@@ -175,70 +176,75 @@ class TestCachedFilterDesigns:
         assert mel_filterbank_weights.cache_info().misses == 1
 
 
+def z_normalized(frames, stats):
+    """The transform every dataset and `invert` apply with frozen stats."""
+    return (frames - stats.mean) / stats.std
+
+
+def spliced(per_utt, spec):
+    """Spliced rows of stacked utterances, as FrameDataset.gather builds them."""
+    frames, indices = stack_utterances(per_utt, spec)
+    return frames[indices].reshape(len(indices), -1)
+
+
 class TestZNormalize:
     def test_normalizes_to_zero_mean_unit_std(self):
         rng = np.random.default_rng(2)
-        fm = FeatureMatrix(rng.standard_normal((50, 6)) * 3 + 1, 0.01,
-                           FeatureLayout(6))
-        out, stats = z_normalize(fm)
-        assert np.all(np.abs(out.frames.mean(axis=0)) < 1e-9)
-        assert np.all(np.abs(out.frames.std(axis=0) - 1.0) < 1e-9)
-        assert stats.mean.shape == (6,)
+        frames = rng.standard_normal((50, 6)) * 3 + 1
+        stats = norm_stats([frames[:20], frames[20:]])
+        out = z_normalized(frames, stats)
+        assert np.all(np.abs(out.mean(axis=0)) < 1e-9)
+        assert np.all(np.abs(out.std(axis=0) - 1.0) < 1e-9)
+        assert stats.mean.shape == stats.std.shape == (6,)
 
     def test_constant_column_zeroed(self):
         frames = np.column_stack([np.full(10, 7.0), np.arange(10.0)])
-        out, _ = z_normalize(FeatureMatrix(frames, 0.01, FeatureLayout(2)))
-        assert np.allclose(out.frames[:, 0], 0.0)
+        out = z_normalized(frames, norm_stats([frames]))
+        assert np.allclose(out[:, 0], 0.0)
 
     def test_frozen_stats_do_not_leak(self):
         rng = np.random.default_rng(3)
-        train = FeatureMatrix(rng.standard_normal((50, 4)), 0.01, FeatureLayout(4))
-        held = FeatureMatrix(rng.standard_normal((50, 4)) + 2.0, 0.01,
-                             FeatureLayout(4))
-        _, stats = z_normalize(train)
-        out, _ = z_normalize(held, stats)
-        assert np.all(np.abs(out.frames.mean(axis=0)) > 0.5)
+        train = rng.standard_normal((50, 4))
+        held = rng.standard_normal((50, 4)) + 2.0
+        out = z_normalized(held, norm_stats([train]))
+        assert np.all(np.abs(out.mean(axis=0)) > 0.5)
 
     def test_idempotent(self):
         rng = np.random.default_rng(4)
-        fm = FeatureMatrix(rng.standard_normal((64, 5)), 0.01, FeatureLayout(5))
-        once, _ = z_normalize(fm)
-        twice, _ = z_normalize(once)
-        assert np.max(np.abs(twice.frames - once.frames)) <= 1e-9
-
-    def test_stats_dim_mismatch(self):
-        fm = FeatureMatrix(np.zeros((5, 3)), 0.01, FeatureLayout(3))
-        with pytest.raises(ShapeError):
-            z_normalize(fm, NormStats(np.zeros(4), np.ones(4)))
+        frames = rng.standard_normal((64, 5))
+        once = z_normalized(frames, norm_stats([frames]))
+        twice = z_normalized(once, norm_stats([once]))
+        assert np.max(np.abs(twice - once)) <= 1e-9
 
 
 class TestSplice:
     def test_default_dims_triple_stream(self):
-        fm = FeatureMatrix(np.zeros((30, 120)), 0.01, FeatureLayout(40, 3))
-        out = splice_context(fm, SpliceSpec())
-        assert out.dim == 2040  # 120 * 17
-        assert out.layout.context_width == 17
+        out = spliced([np.zeros((30, 120)), np.zeros((5, 120))], SpliceSpec())
+        assert out.shape == (35, 2040)  # 120 * 17
+        assert splice_indices(30, SpliceSpec()).shape == (30, 17)
 
     def test_unit_window_identity(self):
         rng = np.random.default_rng(5)
-        fm = FeatureMatrix(rng.standard_normal((12, 7)), 0.01, FeatureLayout(7))
-        out = splice_context(fm, SpliceSpec(0, 0))
-        assert np.array_equal(out.frames, fm.frames)
+        frames = rng.standard_normal((12, 7))
+        out = spliced([frames], SpliceSpec(0, 0))
+        assert np.array_equal(out, frames.astype(np.float32))
 
     def test_edge_replication_by_hand(self):
-        fm = FeatureMatrix(np.array([[1.0], [2.0], [3.0]]), 0.01,
-                           FeatureLayout(1))
-        out = splice_context(fm, SpliceSpec(1, 1))
-        assert np.array_equal(out.frames,
-                              [[1, 1, 2], [1, 2, 3], [2, 3, 3]])
+        assert np.array_equal(splice_indices(3, SpliceSpec(1, 1)),
+                              [[0, 0, 1], [0, 1, 2], [1, 2, 2]])
+        # utterance boundaries clamp like the ends of the stack
+        out = spliced([np.array([[1.0], [2.0], [3.0]]),
+                       np.array([[4.0], [5.0]])], SpliceSpec(1, 1))
+        assert np.array_equal(out, [[1, 1, 2], [1, 2, 3], [2, 3, 3],
+                                    [4, 4, 5], [4, 5, 5]])
 
     def test_splice_after_unit_window_matches_plain_splice(self):
         rng = np.random.default_rng(6)
-        fm = FeatureMatrix(rng.standard_normal((9, 4)), 0.01, FeatureLayout(4))
+        frames = rng.standard_normal((9, 4))
         spec = SpliceSpec(2, 3)
-        direct = splice_context(fm, spec)
-        via_unit = splice_context(splice_context(fm, SpliceSpec(0, 0)), spec)
-        assert np.array_equal(direct.frames, via_unit.frames)
+        direct = spliced([frames], spec)
+        via_unit = spliced([spliced([frames], SpliceSpec(0, 0))], spec)
+        assert np.array_equal(direct, via_unit)
 
     def test_negative_extent_rejected(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from helpers import reference_frame_dataset
 from tvasr.audio import Waveform
-from tvasr.errors import FormatError, StateError
-from tvasr.features import NormStats, SpliceSpec
+from tvasr.errors import FormatError
+from tvasr.features import NormStats, SpliceSpec, nmc_features
 from tvasr.inversion import (InversionConfig, InversionModel,
                              build_inversion_net, invert,
                              load_inversion_model, pearson_per_tv,
@@ -15,7 +16,7 @@ def untrained_model(seed=0):
     cfg = InversionConfig.toy()
     net = build_inversion_net(cfg, seed=seed)
     stats = NormStats(np.zeros(cfg.n_coeffs), np.ones(cfg.n_coeffs))
-    return InversionModel(net, stats, cfg)
+    return InversionModel(net, stats, cfg.n_coeffs, cfg.splice)
 
 
 class TestBuildInversionNet:
@@ -63,11 +64,24 @@ class TestInvert:
         b = invert(model, wav)
         assert np.array_equal(a.frames, b.frames)
 
-    def test_missing_stats_is_state_error(self):
-        model = untrained_model()
-        model.stats = None
-        with pytest.raises(StateError):
-            invert(model, Waveform(np.zeros(8000), 16000))
+    def test_matches_forward_on_reference_spliced_frames(self):
+        """invert == forward on NMC frames normalized and spliced by hand."""
+        model = untrained_model(seed=4)
+        rng = np.random.default_rng(5)
+        model.stats = NormStats(rng.standard_normal(40),
+                                rng.uniform(0.5, 2.0, 40))
+        model.splice = SpliceSpec(3, 2)
+        model.net = build_inversion_net(
+            InversionConfig.toy(splice=model.splice), seed=4)
+        for n in (400, 2400, 9000):  # 1, 13 and 55 frames
+            wav = Waveform((0.2 * rng.standard_normal(n)).clip(-1, 1), 16000)
+            frames = nmc_features(wav).frames
+            inputs, _ = reference_frame_dataset(
+                {"acoustic": ([(frames - model.stats.mean) / model.stats.std],
+                              3, 2)}, [np.zeros(len(frames))])
+            expected = np.clip(forward(model.net, inputs, mode="eval")
+                               .astype(np.float64), 0.0, 1.0)
+            assert np.array_equal(invert(model, wav).frames, expected)
 
     def test_non_16k_audio_rejected(self):
         model = untrained_model()
@@ -79,23 +93,16 @@ class TestModelFile:
     def test_roundtrip(self, tmp_path):
         model = untrained_model(seed=3)
         model.stats = NormStats(np.arange(40.0), np.arange(1.0, 41.0))
-        model.config.splice = SpliceSpec(8, 8)
         path = tmp_path / "inv.ckpt"
         save_inversion_model(path, model)
         back = load_inversion_model(path)
         assert np.array_equal(back.stats.mean, model.stats.mean)
         assert np.array_equal(back.stats.std, model.stats.std)
-        assert back.config.n_coeffs == 40
-        assert back.config.splice == SpliceSpec(8, 8)
+        assert back.n_coeffs == 40
+        assert back.splice == SpliceSpec(8, 8)
         for a, b in zip(model.net.all_layers(), back.net.all_layers()):
             for pa, pb in zip(a.param_arrays(), b.param_arrays()):
                 assert np.array_equal(pa, pb)
-
-    def test_refuses_saving_without_stats(self, tmp_path):
-        model = untrained_model()
-        model.stats = None
-        with pytest.raises(StateError):
-            save_inversion_model(tmp_path / "x.ckpt", model)
 
     def test_missing_stats_record_rejected(self, tmp_path):
         from tvasr.nn import save_network

@@ -63,7 +63,8 @@ def tiny_inversion_model():
                           filter_width=2, pool=1, n_dense=1, dense_width=3,
                           activation="relu")
     return InversionModel(build_inversion_net(cfg, seed=2),
-                          NormStats(np.zeros(4), np.ones(4)), cfg)
+                          NormStats(np.zeros(4), np.ones(4)), cfg.n_coeffs,
+                          cfg.splice)
 
 
 def no_check(loaded):
@@ -83,7 +84,7 @@ def check_bundle(bundle):
 
 
 def check_inversion_model(model):
-    n, width = model.config.n_coeffs, model.config.splice.width
+    n, width = model.n_coeffs, model.splice.width
     assert model.stats.mean.shape == model.stats.std.shape == (n,)
     assert model.net.input_dims() == {"acoustic": n * width}
     assert model.net.output_dim() == N_TVS

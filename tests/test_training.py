@@ -347,3 +347,10 @@ def test_one_frame_dataset_path():
     builders = [path.name for path in sorted(src.glob("*.py"))
                 if "FrameDataset(" in path.read_text()]
     assert builders == ["training.py"]
+
+
+def test_one_splicing_path():
+    src = Path(__file__).resolve().parents[1] / "src" / "tvasr"
+    callers = [path.name for path in sorted(src.glob("*.py"))
+               if re.search(r"(?<!def )splice_indices\(", path.read_text())]
+    assert callers == ["training.py"]
