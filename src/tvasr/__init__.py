@@ -16,9 +16,9 @@ from .errors import (ConfigError, DivergenceError, FormatError, ShapeError,
                      StateError, TvasrError)
 from .evaluate import (WerReport, greedy_decode, levenshtein_wer,
                        results_table)
-from .features import (FeatureLayout, FeatureMatrix, NormStats, SpliceSpec,
-                       append_deltas, load_feature_matrix, logmel_filterbank,
-                       nmc_features, save_feature_matrix)
+from .features import (NormStats, SpliceSpec, append_deltas,
+                       load_feature_matrix, logmel_filterbank, nmc_features,
+                       save_feature_matrix)
 from .inversion import (InversionConfig, InversionModel, invert,
                         load_inversion_model, save_inversion_model,
                         train_inversion_model)

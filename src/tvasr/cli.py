@@ -16,14 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .architectures import ARCH_KINDS, ArchSpec, parse_kv_config
+from .architectures import (ARCH_KINDS, ArchSpec, arch_spec_from_config,
+                            parse_kv_config)
 from .audio import read_wav
 from .corpus import (MANIFEST_NAME, build_parallel_corpus, corpus_digest,
                      read_corpus, split_sizes, write_corpus)
 from .errors import ConfigError, DivergenceError, FormatError, ShapeError
 from .evaluate import results_table
-from .features import (FeatureLayout, FeatureMatrix, load_feature_matrix,
-                       save_feature_matrix)
+from .features import load_feature_matrix, save_feature_matrix
 from .inversion import (InversionConfig, invert, load_inversion_model,
                         pearson_per_tv, save_inversion_model,
                         train_inversion_model)
@@ -31,7 +31,7 @@ from .pipeline import (AcousticModelBundle, TV_SOURCES, evaluate_acoustic_model,
                        features_label, load_acoustic_bundle,
                        save_acoustic_bundle, scale_arch_spec,
                        train_acoustic_model)
-from .synth import NOISE_KINDS, TV_CHANNELS, TVTrajectory
+from .synth import NOISE_KINDS, TV_CHANNELS
 from .training import TrainConfig
 
 
@@ -83,14 +83,14 @@ def _train_config(mapping: dict, seed: int) -> TrainConfig:
     return TrainConfig(rng_seed=seed, **mapping)
 
 
+def _epoch_line(rec) -> str:
+    return (f"epoch={rec.epoch} lr={rec.lr:.6g} "
+            f"train_loss={rec.train_loss:.6f} cv_error={rec.cv_error:.6f}")
+
+
 def _resolve_manifest(corpus_arg) -> Path:
     path = Path(corpus_arg)
     return path / MANIFEST_NAME if path.is_dir() else path
-
-
-def _arch_key_table():
-    return {f.name: (str if f.name in ("kind", "hidden_activation") else int)
-            for f in dataclass_fields(ArchSpec)}
 
 
 def cmd_corpus_gen(args) -> int:
@@ -139,8 +139,7 @@ def cmd_train_inversion(args) -> int:
     log_path = out / "inversion-train.log"
     with open(log_path, "w", encoding="utf-8") as fh:
         for rec in result.records:
-            line = (f"epoch={rec.epoch} lr={rec.lr:.6g} "
-                    f"train_loss={rec.train_loss:.6f} cv_error={rec.cv_error:.6f}")
+            line = _epoch_line(rec)
             fh.write(line + "\n")
             print(line)
     model_path = out / "inversion.ckpt"
@@ -160,8 +159,7 @@ def cmd_invert(args) -> int:
         wav_path = Path(wav_path)
         tvs = invert(model, read_wav(wav_path))
         out_path = wav_path.parent / (wav_path.stem + ".inv.fmx")
-        save_feature_matrix(out_path, FeatureMatrix(
-            tvs.frames, tvs.frame_shift, FeatureLayout(tvs.frames.shape[1])))
+        save_feature_matrix(out_path, tvs)
         print(f"{wav_path} -> {out_path}")
         truth_path = wav_path.parent / (wav_path.stem + ".tv.fmx")
         if truth_path.exists():
@@ -197,13 +195,13 @@ def _use_inverted_tvs(utts, inverted, inversion_model, manifest_dir) -> None:
             raise ConfigError(
                 f"missing inverted TV file {inv_path} "
                 "(run the invert subcommand or pass --inversion-model)")
-        fm = load_feature_matrix(inv_path)
-        utt.tvs = TVTrajectory(np.clip(fm.frames, 0.0, 1.0), fm.frame_shift)
+        utt.tvs = load_feature_matrix(inv_path)
 
 
 def cmd_train(args) -> int:
     cfg_map = _load_config(args.config)
-    arch_map, train_map = _split_config(cfg_map, _arch_key_table(), _TRAIN_KEYS)
+    arch_map, train_map = _split_config(
+        cfg_map, {f.name: str for f in dataclass_fields(ArchSpec)}, _TRAIN_KEYS)
     inverted = args.tv_source == "inverted"
     if inverted and args.arch != "fcnn":
         raise ConfigError("--tv-source inverted applies only to --arch fcnn")
@@ -214,8 +212,8 @@ def cmd_train(args) -> int:
     if arch_map["kind"] != args.arch:
         raise ConfigError(
             f"--arch {args.arch} conflicts with config kind={arch_map['kind']}")
-    arch_map.setdefault("n_classes", corpus.n_classes)
-    spec = scale_arch_spec(ArchSpec(**arch_map), args.scale)
+    arch_map.setdefault("n_classes", str(corpus.n_classes))
+    spec = scale_arch_spec(arch_spec_from_config(arch_map), args.scale)
     train_cfg = _train_config(train_map, args.seed)
 
     _use_inverted_tvs(corpus.split_utts("train") + corpus.split_utts("cv"),
@@ -226,8 +224,7 @@ def cmd_train(args) -> int:
     log_lines = []
 
     def on_epoch(rec):
-        line = (f"epoch={rec.epoch} lr={rec.lr:.6g} "
-                f"train_loss={rec.train_loss:.6f} cv_error={rec.cv_error:.6f}")
+        line = _epoch_line(rec)
         log_lines.append(line)
         print(line)
 

@@ -21,8 +21,7 @@ import numpy as np
 
 from .audio import Waveform, mix_noise_at_snr, read_wav, write_wav
 from .errors import ConfigError, FormatError
-from .features import (FeatureLayout, FeatureMatrix, load_feature_matrix,
-                       save_feature_matrix)
+from .features import load_feature_matrix, save_feature_matrix
 from .synth import (NOISE_KINDS, TVTrajectory, default_inventory,
                     default_vocabulary, frame_labels, generate_gestural_score,
                     generate_noise, n_gesture_classes, render_tvs,
@@ -51,7 +50,6 @@ class Utterance:
 class ParallelCorpus:
     utterances: list
     n_classes: int
-    frame_shift: float = 0.010
 
     def split_utts(self, split: str, noisy: bool | None = None):
         out = []
@@ -154,9 +152,7 @@ def write_corpus(corpus: ParallelCorpus, out_dir) -> Path:
         label_name = f"{utt.source_id}.labels"
         write_wav(out / wav_name, utt.waveform)
         if not utt.is_noisy:
-            tv_fm = FeatureMatrix(utt.tvs.frames, corpus.frame_shift,
-                                  FeatureLayout(utt.tvs.frames.shape[1]))
-            save_feature_matrix(out / tv_name, tv_fm)
+            save_feature_matrix(out / tv_name, utt.tvs)
             with open(out / label_name, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(str(int(c)) for c in utt.labels) + "\n")
         lines.append("\t".join([utt.utt_id, utt.split, wav_name, tv_name,
@@ -173,7 +169,7 @@ def write_corpus(corpus: ParallelCorpus, out_dir) -> Path:
 
 def _read_targets(tv_path: Path, label_path: Path):
     """One utterance's TV trajectory and frame labels."""
-    tv_fm = load_feature_matrix(tv_path)
+    tvs = load_feature_matrix(tv_path)
     with open(label_path, "r", encoding="utf-8") as fh:
         try:
             labels = np.array([int(line) for line in fh if line.strip()],
@@ -182,7 +178,7 @@ def _read_targets(tv_path: Path, label_path: Path):
             raise FormatError(f"{label_path}: {exc}") from exc
     if not len(labels):
         raise FormatError(f"{label_path}: no labels")
-    return TVTrajectory(tv_fm.frames, tv_fm.frame_shift), labels
+    return tvs, labels
 
 
 def read_corpus(manifest_path) -> ParallelCorpus:

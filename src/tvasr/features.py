@@ -1,9 +1,10 @@
-"""Acoustic and articulatory front-end feature extraction.
+"""Acoustic front ends and the TV trajectory file.
 
-Provides log-mel filterbank energies, delta/delta-delta appending, subband
-amplitude-modulation coefficients for the inversion front end, the
-Z-normalization statistics and splice indices that `training` applies, and
-flat binary serializations for feature matrices and normalization stats.
+Provides log-mel filterbank energies, delta/delta-delta appending and
+subband amplitude-modulation coefficients for the inversion front end, each
+as a plain (T, D) array; the Z-normalization statistics and splice indices
+that `training` applies; and flat binary serializations for TV trajectories
+(FMX1) and normalization stats.
 
 Framing is shared by all extractors: 25 ms Hamming windows every 10 ms,
 T = floor((n_samples - win) / shift) + 1 frames. Log compression uses
@@ -22,60 +23,17 @@ from scipy.fft import dct
 from scipy.signal import butter, sosfilt
 
 from .audio import Waveform
-from .errors import FormatError, ShapeError
+from .errors import FormatError
 from .records import Reader, read_file
+from .synth import N_TVS, TVTrajectory
 
 LOG_FLOOR = 1e-10
 STD_FLOOR = 1e-8
 FFT_SIZE = 512
+FRAME_WIN = 0.025  # seconds
+FRAME_SHIFT = 0.010
 
 _FMX_MAGIC = b"FMX1"
-
-
-@dataclass(frozen=True)
-class FeatureLayout:
-    """Structure of a feature vector: n_bands x n_streams x context_width."""
-
-    n_bands: int
-    n_streams: int = 1
-    context_width: int = 1
-
-    @property
-    def dim(self) -> int:
-        return self.n_bands * self.n_streams * self.context_width
-
-
-@dataclass
-class FeatureMatrix:
-    """Time-major matrix of per-frame feature vectors.
-
-    Rows are frames, columns follow the layout: the slowest index is the
-    context frame, then the stream (static/delta/delta-delta), then the band.
-    """
-
-    frames: np.ndarray
-    frame_shift: float
-    layout: FeatureLayout
-
-    def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float64)
-        if self.frames.ndim != 2 or self.frames.shape[0] < 1:
-            raise ShapeError("feature matrix must be 2-D with at least one frame")
-        if self.frames.shape[1] != self.layout.dim:
-            raise ShapeError(
-                f"feature dimension {self.frames.shape[1]} does not match "
-                f"layout {self.layout}"
-            )
-        if not np.all(np.isfinite(self.frames)):
-            raise ShapeError("feature matrix contains non-finite entries")
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.frames.shape[1]
 
 
 @dataclass(frozen=True)
@@ -152,17 +110,15 @@ def mel_filterbank_weights(n_bands: int, sample_rate: int,
     return _frozen(weights)
 
 
-def logmel_filterbank(wav: Waveform, n_bands: int = 40, win: float = 0.025,
-                      shift: float = 0.010) -> FeatureMatrix:
-    """Log mel filterbank energies, one n_bands vector per frame."""
-    win_n = int(round(win * wav.sample_rate))
-    shift_n = int(round(shift * wav.sample_rate))
+def logmel_filterbank(wav: Waveform, n_bands: int = 40) -> np.ndarray:
+    """Log mel filterbank energies, shape (T, n_bands)."""
+    win_n = int(round(FRAME_WIN * wav.sample_rate))
+    shift_n = int(round(FRAME_SHIFT * wav.sample_rate))
     frames = frame_signal(wav.samples, win_n, shift_n) * np.hamming(win_n)
     spectrum = np.abs(np.fft.rfft(frames, FFT_SIZE, axis=1)) ** 2
     weights = mel_filterbank_weights(n_bands, wav.sample_rate)
     energies = spectrum @ weights.T
-    feats = np.log(np.maximum(energies, LOG_FLOOR))
-    return FeatureMatrix(feats, shift, FeatureLayout(n_bands))
+    return np.log(np.maximum(energies, LOG_FLOOR))
 
 
 _DELTA_WINDOW = 2
@@ -179,15 +135,10 @@ def _delta(feats: np.ndarray) -> np.ndarray:
     return out / _DELTA_DENOM
 
 
-def append_deltas(fm: FeatureMatrix) -> FeatureMatrix:
-    """Append delta and delta-delta streams, tripling the feature dimension."""
-    if fm.layout.n_streams != 1:
-        raise ShapeError("append_deltas expects single-stream features")
-    d1 = _delta(fm.frames)
-    d2 = _delta(d1)
-    feats = np.concatenate([fm.frames, d1, d2], axis=1)
-    layout = FeatureLayout(fm.layout.n_bands, 3, fm.layout.context_width)
-    return FeatureMatrix(feats, fm.frame_shift, layout)
+def append_deltas(frames: np.ndarray) -> np.ndarray:
+    """Append delta and delta-delta streams: (T, D) -> (T, 3 * D)."""
+    d1 = _delta(frames)
+    return np.concatenate([frames, d1, _delta(d1)], axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -209,17 +160,16 @@ def _am_subband_bank(n_bands: int, sample_rate: int):
     return tuple(bandpasses), envelope_lp
 
 
-def nmc_features(wav: Waveform, n_coeffs: int = 40, win: float = 0.025,
-                 shift: float = 0.010) -> FeatureMatrix:
-    """Subband amplitude-modulation coefficients.
+def nmc_features(wav: Waveform, n_coeffs: int = 40) -> np.ndarray:
+    """Subband amplitude-modulation coefficients, shape (T, n_coeffs).
 
     Each mel-spaced subband is half-wave rectified and lowpassed at 30 Hz to
     obtain an AM envelope, which is normalized by the utterance-level subband
     power. Per frame, the log envelope energies across bands are compressed
     with a DCT to n_coeffs coefficients.
     """
-    win_n = int(round(win * wav.sample_rate))
-    shift_n = int(round(shift * wav.sample_rate))
+    win_n = int(round(FRAME_WIN * wav.sample_rate))
+    shift_n = int(round(FRAME_SHIFT * wav.sample_rate))
     if len(wav.samples) < win_n:
         raise ValueError("waveform shorter than one analysis window")
     bandpasses, envelope_lp = _am_subband_bank(n_coeffs, wav.sample_rate)
@@ -238,8 +188,7 @@ def nmc_features(wav: Waveform, n_coeffs: int = 40, win: float = 0.025,
     windows = sliding_window_view(envelopes, win_n, axis=1)[:, ::shift_n]
     energies = np.mean(windows, axis=2)
     modulation = np.log(np.maximum(energies.T, LOG_FLOOR))
-    coeffs = dct(modulation, type=2, norm="ortho", axis=1)[:, :n_coeffs]
-    return FeatureMatrix(coeffs, shift, FeatureLayout(n_coeffs))
+    return dct(modulation, type=2, norm="ortho", axis=1)[:, :n_coeffs]
 
 
 def norm_stats(per_utt_frames: list) -> NormStats:
@@ -271,24 +220,25 @@ def read_norm_stats(r: Reader, d: int) -> NormStats:
     return NormStats(mean, std)
 
 
-def save_feature_matrix(path, fm: FeatureMatrix) -> None:
-    """Write the flat binary format: FMX1 header + row-major float32 data."""
-    header = struct.pack(
-        "<4sIIIIId", _FMX_MAGIC, fm.n_frames, fm.dim,
-        fm.layout.n_bands, fm.layout.n_streams, fm.layout.context_width,
-        fm.frame_shift,
-    )
+def save_feature_matrix(path, tvs: TVTrajectory) -> None:
+    """Write FMX1: T, D = 8, layout (8, 1, 1), shift, then float32 frames."""
+    header = struct.pack("<4sIIIIId", _FMX_MAGIC, tvs.n_frames, N_TVS,
+                         N_TVS, 1, 1, tvs.frame_shift)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(fm.frames.astype("<f4").tobytes())
+        fh.write(tvs.frames.astype("<f4").tobytes())
 
 
-def _parse_feature_matrix(r: Reader) -> FeatureMatrix:
+def _parse_feature_matrix(r: Reader) -> TVTrajectory:
     r.magic(_FMX_MAGIC)
-    t, d, n_bands, n_streams, context, frame_shift = r.take("<IIIIId")
-    return FeatureMatrix(r.array("<f4", (t, d)).astype(np.float64), frame_shift,
-                         FeatureLayout(n_bands, n_streams, context))
+    t, *layout, frame_shift = r.take("<IIIIId")
+    if layout != [N_TVS, N_TVS, 1, 1]:
+        raise FormatError(f"dimension and layout {layout} are not a TV "
+                          f"trajectory's [{N_TVS}, {N_TVS}, 1, 1]")
+    return TVTrajectory(r.array("<f4", (t, N_TVS)).astype(np.float64),
+                        frame_shift)
 
 
-def load_feature_matrix(path) -> FeatureMatrix:
+def load_feature_matrix(path) -> TVTrajectory:
+    """A checked TV trajectory; FormatError on any other FMX1 content."""
     return read_file(path, _parse_feature_matrix)

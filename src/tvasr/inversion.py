@@ -18,8 +18,8 @@ import numpy as np
 from .audio import Waveform
 from .corpus import ParallelCorpus
 from .errors import FormatError
-from .features import (NormStats, SpliceSpec, nmc_features, norm_stats,
-                       norm_stats_to_bytes, read_norm_stats)
+from .features import (FRAME_SHIFT, NormStats, SpliceSpec, nmc_features,
+                       norm_stats, norm_stats_to_bytes, read_norm_stats)
 from .nn import (Activation, Conv1d, Dense, MaxPool1d, NetworkGraph, Stream,
                  forward, network_from_bytes, network_to_bytes)
 from .records import Reader, read_file
@@ -88,7 +88,7 @@ def build_inversion_net(cfg: InversionConfig, seed: int = 0,
 def inversion_dataset(corpus: ParallelCorpus, split: str,
                       cfg: InversionConfig, stats: NormStats) -> FrameDataset:
     utts = corpus.split_utts(split)
-    return _inversion_dataset(utts, [nmc_features(u.waveform, cfg.n_coeffs).frames
+    return _inversion_dataset(utts, [nmc_features(u.waveform, cfg.n_coeffs)
                                      for u in utts], cfg, stats)
 
 
@@ -108,8 +108,7 @@ def train_inversion_model(corpus: ParallelCorpus, cfg: InversionConfig):
     are estimated on the training split only and frozen into the model.
     """
     train_utts = corpus.split_utts("train")
-    train_feats = [nmc_features(u.waveform, cfg.n_coeffs).frames
-                   for u in train_utts]
+    train_feats = [nmc_features(u.waveform, cfg.n_coeffs) for u in train_utts]
     stats = norm_stats(train_feats)
     train_set = _inversion_dataset(train_utts, train_feats, cfg, stats)
     cv_set = inversion_dataset(corpus, "cv", cfg, stats)
@@ -126,13 +125,13 @@ def invert(model: InversionModel, audio: Waveform) -> TVTrajectory:
         raise ValueError(
             f"{audio.sample_rate} Hz input unsupported (expected 16000; "
             "resampling is out of scope)")
-    fm = nmc_features(audio, model.n_coeffs)
+    feats = nmc_features(audio, model.n_coeffs)
     frames, indices = stack_utterances(
-        [(fm.frames - model.stats.mean) / model.stats.std], model.splice)
-    spliced = frames[indices].reshape(fm.n_frames, -1)
+        [(feats - model.stats.mean) / model.stats.std], model.splice)
+    spliced = frames[indices].reshape(len(feats), -1)
     pred = forward(model.net, {"acoustic": spliced}, mode="eval")
     return TVTrajectory(np.clip(pred.astype(np.float64), 0.0, 1.0),
-                        fm.frame_shift)
+                        FRAME_SHIFT)
 
 
 def pearson_per_tv(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:

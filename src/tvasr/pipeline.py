@@ -36,7 +36,7 @@ TV_SOURCES = ("ground-truth", "inverted")
 
 def acoustic_frames(utt: Utterance, n_bands: int = 40) -> np.ndarray:
     """Unspliced log-mel + deltas + delta-deltas, shape (T, 3 * n_bands)."""
-    return append_deltas(logmel_filterbank(utt.waveform, n_bands)).frames
+    return append_deltas(logmel_filterbank(utt.waveform, n_bands))
 
 
 def acoustic_norm_stats(corpus: ParallelCorpus, n_bands: int = 40) -> NormStats:
@@ -68,7 +68,7 @@ def _acoustic_dataset(utts, frames: list, spec: ArchSpec,
 
 
 def train_acoustic_model(corpus: ParallelCorpus, spec: ArchSpec,
-                         cfg: TrainConfig, checkpoint_path=None, on_epoch=None):
+                         cfg: TrainConfig, on_epoch=None):
     """Train one acoustic model; returns (TrainResult, NormStats)."""
     train_utts = corpus.split_utts("train")
     train_frames = [acoustic_frames(u, spec.n_bands) for u in train_utts]
@@ -78,8 +78,7 @@ def train_acoustic_model(corpus: ParallelCorpus, spec: ArchSpec,
     cv_set = make_acoustic_dataset(corpus, corpus.split_utts("cv"), spec, stats)
     net = build_network(spec, seed=cfg.rng_seed)
     result = run_training(net, train_set, cv_set, cfg, loss="ce",
-                          cv_metric="frame_error",
-                          checkpoint_path=checkpoint_path, on_epoch=on_epoch)
+                          cv_metric="frame_error", on_epoch=on_epoch)
     return result, stats
 
 

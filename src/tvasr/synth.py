@@ -63,6 +63,9 @@ class TVTrajectory:
             raise ValueError("TV trajectory contains non-finite values")
         if self.frames.min() < -1e-9 or self.frames.max() > 1.0 + 1e-9:
             raise ValueError("TV values must lie in [0, 1]")
+        if not 0.0 < self.frame_shift < np.inf:
+            raise ValueError(f"frame shift {self.frame_shift} is not finite "
+                             "and positive")
 
     @property
     def n_frames(self) -> int:

@@ -41,10 +41,16 @@ class TrainConfig:
     halve_always_after_first: bool = False
 
     def __post_init__(self):
-        if self.initial_lr <= 0:
-            raise ValueError("initial_lr must be positive")
-        if self.halving_threshold < 0 or self.stop_threshold < 0:
-            raise ValueError("schedule thresholds must be non-negative")
+        # each test is written so that NaN fails it
+        if not 0 < self.initial_lr < np.inf:
+            raise ValueError("initial_lr must be finite and positive")
+        for name in ("halving_threshold", "stop_threshold"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
+        for name, low in (("batch_size", 1), ("max_epochs", 1),
+                          ("constant_lr_epochs", 0)):
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{name} must be at least {low}")
 
 
 @dataclass
@@ -224,7 +230,7 @@ class TrainResult:
 
 def run_training(net: NetworkGraph, train_set: FrameDataset,
                  cv_set: FrameDataset, cfg: TrainConfig, loss: str = "ce",
-                 cv_metric: str = "frame_error", checkpoint_path=None,
+                 cv_metric: str = "frame_error",
                  state: TrainState | None = None,
                  on_epoch=None) -> TrainResult:
     """Drive train_epoch under the halving schedule until it stops.
@@ -248,9 +254,6 @@ def run_training(net: NetworkGraph, train_set: FrameDataset,
         state = schedule_update(state, cv_error, cfg)
         if improved:
             best_net = net.copy()
-            if checkpoint_path is not None:
-                state = replace(state, best_checkpoint=str(checkpoint_path))
-                save_checkpoint(checkpoint_path, net, state)
         records.append(EpochRecord(epoch, lr, train_loss, cv_error))
         if on_epoch is not None:
             on_epoch(records[-1])

@@ -173,7 +173,7 @@ def _nmc_and_tvs(corpus, split, cfg):
     """Per-utterance unnormalized NMC frames and TVs, cut to equal length."""
     feats, tvs = [], []
     for utt in corpus.split_utts(split):
-        frames = nmc_features(utt.waveform, cfg.n_coeffs).frames
+        frames = nmc_features(utt.waveform, cfg.n_coeffs)
         t = min(len(frames), utt.tvs.n_frames)
         feats.append(frames[:t])
         tvs.append(utt.tvs.frames[:t])

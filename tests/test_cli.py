@@ -1,6 +1,7 @@
 import hashlib
 import re
 import shutil
+import struct
 import warnings
 
 import numpy as np
@@ -10,18 +11,30 @@ from tvasr.audio import Waveform, write_wav
 from tvasr import cli
 from tvasr.cli import main
 from tvasr.corpus import build_parallel_corpus, read_corpus, write_corpus
-from tvasr.features import (FeatureLayout, FeatureMatrix, load_feature_matrix,
-                            save_feature_matrix)
+from tvasr.features import load_feature_matrix, save_feature_matrix
 from tvasr.inversion import InversionConfig, InversionModel, build_inversion_net, save_inversion_model
 from tvasr.features import NormStats
 from tvasr.pipeline import (AcousticModelBundle, acoustic_norm_stats,
-                            save_acoustic_bundle, scale_arch_spec)
+                            load_acoustic_bundle, save_acoustic_bundle,
+                            scale_arch_spec)
 from tvasr.architectures import ArchSpec, build_network
 from tvasr.training import TrainState
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def copy_with_inv_files(corpus_dir, tmp_path, wanted):
+    """A copy of the corpus with <id>.inv.fmx, ground truth as stand-in
+    inverted TVs, for the utterances `wanted` selects."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus,
+                    ignore=shutil.ignore_patterns("*.inv.fmx"))
+    for utt in read_corpus(corpus / "manifest.tsv").utterances:
+        if wanted(utt):
+            save_feature_matrix(corpus / f"{utt.utt_id}.inv.fmx", utt.tvs)
+    return corpus
 
 
 @pytest.fixture(scope="module")
@@ -206,19 +219,8 @@ class TestEvaluate:
 class TestInvertedTvFiles:
     """--tv-source inverted needs <id>.inv.fmx only for the utterances read."""
 
-    def copy_with_inv_files(self, corpus_dir, tmp_path, wanted):
-        corpus = tmp_path / "corpus"
-        shutil.copytree(corpus_dir, corpus,
-                        ignore=shutil.ignore_patterns("*.inv.fmx"))
-        for utt in read_corpus(corpus / "manifest.tsv").utterances:
-            if wanted(utt):
-                save_feature_matrix(corpus / f"{utt.utt_id}.inv.fmx",
-                                    FeatureMatrix(utt.tvs.frames, 0.01,
-                                                  FeatureLayout(8)))
-        return corpus
-
     def test_train_reads_train_and_cv_only(self, corpus_dir, tmp_path):
-        corpus = self.copy_with_inv_files(
+        corpus = copy_with_inv_files(
             corpus_dir, tmp_path, lambda u: u.split in ("train", "cv"))
         config = tmp_path / "t.conf"
         config.write_text("n_hidden_layers = 0\nmax_epochs = 1\n")
@@ -228,7 +230,7 @@ class TestInvertedTvFiles:
 
     def test_evaluate_reads_scored_subset_only(self, corpus_dir, tmp_path,
                                                capsys):
-        corpus = self.copy_with_inv_files(
+        corpus = copy_with_inv_files(
             corpus_dir, tmp_path, lambda u: u.split == "test" and u.is_noisy)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -268,8 +270,8 @@ class TestInvertCommand:
         wav = tmp_path / "a.wav"
         write_wav(wav, Waveform(np.zeros(8000), 16000))
         assert run(["invert", "--model", model, wav]) == 0
-        fm = load_feature_matrix(tmp_path / "a.inv.fmx")
-        assert fm.dim == 8
+        tvs = load_feature_matrix(tmp_path / "a.inv.fmx")
+        assert tvs.frames.shape == (48, 8)
 
     def test_non_16k_input_exit_2(self, tmp_path):
         model = self.make_model(tmp_path / "inv.ckpt")
@@ -309,6 +311,124 @@ class TestFlagsThatWouldDoNothing:
                     "--inversion-model", tmp_path / "missing.ckpt"]) == 2
         assert "--inversion-model" in capsys.readouterr().err
         assert not (tmp_path / "results.tsv").exists()
+
+
+def fmx_bytes(frames, shift=0.01):
+    """FMX1 bytes written field by field, whatever the frames hold."""
+    frames = np.asarray(frames, dtype="<f4")
+    d = frames.shape[1]
+    return (struct.pack("<4sIIIIId", b"FMX1", len(frames), d, d, 1, 1, shift)
+            + frames.tobytes())
+
+
+def with_first_value(frames, value):
+    out = frames.copy()
+    out[0, 0] = value
+    return out
+
+
+# Ways an FMX1 file can fail to be a TV trajectory, given the right frames.
+DAMAGED_TVS = {
+    "value-1.5": lambda f: fmx_bytes(with_first_value(f, 1.5)),
+    "value-nan": lambda f: fmx_bytes(with_first_value(f, np.nan)),
+    "all-7.0": lambda f: fmx_bytes(np.full_like(f, 7.0)),
+    "9-columns": lambda f: fmx_bytes(np.hstack([f, f[:, :1]])),
+    "2-columns": lambda f: fmx_bytes(f[:, :2]),
+    "zero-shift": lambda f: fmx_bytes(f, shift=0.0),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGED_TVS))
+class TestDamagedTvFiles:
+    """A .tv.fmx or .inv.fmx that is not a TV trajectory makes every command
+    that reads it exit 1, never 2 or a traceback."""
+
+    @staticmethod
+    def damage_file(path, damage):
+        path.write_bytes(DAMAGED_TVS[damage](load_feature_matrix(path).frames))
+        return path
+
+    @staticmethod
+    def assert_format_error(path, capsys):
+        captured = capsys.readouterr()
+        assert f"error: {path}: " in captured.err
+        return captured
+
+    def test_train_ground_truth(self, damage, corpus_dir, tmp_path, capsys):
+        corpus = copy_with_inv_files(corpus_dir, tmp_path, lambda u: False)
+        bad = self.damage_file(corpus / "utt00000.tv.fmx", damage)
+        config = tmp_path / "t.conf"
+        config.write_text("n_hidden_layers = 0\nmax_epochs = 1\n")
+        assert run(["train", "--arch", "dnn", "--corpus", corpus,
+                    "--out", tmp_path, "--config", config]) == 1
+        self.assert_format_error(bad, capsys)
+
+    def test_evaluate_ground_truth(self, damage, trained_dir, corpus_dir,
+                                   tmp_path, capsys):
+        corpus = copy_with_inv_files(corpus_dir, tmp_path, lambda u: False)
+        test_utt = read_corpus(corpus / "manifest.tsv").split_utts("test")[0]
+        bad = self.damage_file(corpus / f"{test_utt.source_id}.tv.fmx",
+                               damage)
+        assert run(["evaluate", "--checkpoint", trained_dir / "fcnn.ckpt",
+                    "--corpus", corpus, "--out", tmp_path]) == 1
+        self.assert_format_error(bad, capsys)
+        assert not (tmp_path / "results.tsv").exists()
+
+    def test_invert_truth(self, damage, corpus_dir, tmp_path, capsys):
+        model = TestInvertCommand().make_model(tmp_path / "inv.ckpt")
+        for name in ("utt00000.wav", "utt00000.tv.fmx"):
+            shutil.copy(corpus_dir / name, tmp_path / name)
+        bad = self.damage_file(tmp_path / "utt00000.tv.fmx", damage)
+        assert run(["invert", "--model", model, tmp_path / "utt00000.wav"]) == 1
+        assert "Pearson" not in self.assert_format_error(bad, capsys).out
+
+    def test_train_inverted(self, damage, corpus_dir, tmp_path, capsys):
+        corpus = copy_with_inv_files(corpus_dir, tmp_path,
+                                     lambda u: u.split in ("train", "cv"))
+        bad = self.damage_file(corpus / "utt00000n.inv.fmx", damage)
+        config = tmp_path / "t.conf"
+        config.write_text("n_hidden_layers = 0\nmax_epochs = 1\n")
+        assert run(["train", "--arch", "fcnn", "--corpus", corpus,
+                    "--out", tmp_path, "--config", config,
+                    "--tv-source", "inverted"]) == 1
+        self.assert_format_error(bad, capsys)
+
+    def test_evaluate_inverted(self, damage, trained_dir, corpus_dir,
+                               tmp_path, capsys):
+        corpus = copy_with_inv_files(corpus_dir, tmp_path,
+                                     lambda u: u.split == "test")
+        bundle = load_acoustic_bundle(trained_dir / "fcnn.ckpt")
+        bundle.tv_source = "inverted"
+        ckpt = tmp_path / "inverted.ckpt"
+        save_acoustic_bundle(ckpt, bundle)
+        test_utt = read_corpus(corpus / "manifest.tsv").split_utts("test")[-1]
+        bad = self.damage_file(corpus / f"{test_utt.utt_id}.inv.fmx", damage)
+        assert run(["evaluate", "--checkpoint", ckpt, "--corpus", corpus,
+                    "--out", tmp_path]) == 1
+        self.assert_format_error(bad, capsys)
+        assert not (tmp_path / "results.tsv").exists()
+
+
+class TestTrainConfigValues:
+    @pytest.mark.parametrize("line", [
+        "batch_size = -5", "batch_size = 0", "max_epochs = 0",
+        "constant_lr_epochs = -3", "initial_lr = nan", "initial_lr = inf",
+        "initial_lr = 0", "halving_threshold = nan", "halving_threshold = inf",
+        "stop_threshold = nan", "stop_threshold = -0.001"])
+    def test_bad_value_exit_2(self, line, corpus_dir, tmp_path, capsys):
+        config = tmp_path / "t.conf"
+        config.write_text(line + "\n")
+        assert run(["train", "--arch", "dnn", "--corpus", corpus_dir,
+                    "--out", tmp_path, "--config", config]) == 2
+        assert line.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "dnn.ckpt").exists()
+
+    def test_non_integer_arch_value_exit_2(self, corpus_dir, tmp_path, capsys):
+        config = tmp_path / "t.conf"
+        config.write_text("hidden_width = wide\n")
+        assert run(["train", "--arch", "dnn", "--corpus", corpus_dir,
+                    "--out", tmp_path, "--config", config]) == 2
+        assert "hidden_width='wide': not an integer" in capsys.readouterr().err
 
 
 class TestBooleanConfigValues:

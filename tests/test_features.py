@@ -1,16 +1,19 @@
+import struct
+
 import numpy as np
 import pytest
 from scipy.signal import butter, sosfilt
 
 from helpers import reference_logmel, reference_nmc
 from tvasr.audio import Waveform
-from tvasr.errors import FormatError, ShapeError
-from tvasr.features import (LOG_FLOOR, FeatureLayout, FeatureMatrix,
-                            SpliceSpec, _am_subband_bank, append_deltas,
+from tvasr.errors import FormatError
+from tvasr.features import (LOG_FLOOR, SpliceSpec, _am_subband_bank,
+                            append_deltas,
                             hz_to_mel, load_feature_matrix, logmel_filterbank,
                             mel_band_edges, mel_filterbank_weights, mel_to_hz,
                             nmc_features, norm_stats, save_feature_matrix,
                             splice_indices)
+from tvasr.synth import TVTrajectory
 from tvasr.training import stack_utterances
 
 SR = 16000
@@ -25,14 +28,12 @@ class TestLogmel:
     def test_frame_count_formula(self):
         rng = np.random.default_rng(0)
         wav = Waveform((0.1 * rng.standard_normal(SR)).clip(-1, 1), SR)
-        fm = logmel_filterbank(wav, n_bands=40)
         # floor((16000 - 400) / 160) + 1
-        assert fm.frames.shape == (98, 40)
-        assert fm.layout == FeatureLayout(40)
+        assert logmel_filterbank(wav, n_bands=40).shape == (98, 40)
 
     def test_silence_hits_log_floor(self):
-        fm = logmel_filterbank(Waveform(np.zeros(SR), SR))
-        assert np.all(fm.frames == np.log(LOG_FLOOR))
+        feats = logmel_filterbank(Waveform(np.zeros(SR), SR))
+        assert np.all(feats == np.log(LOG_FLOOR))
 
     def test_pure_tone_peaks_at_nearest_mel_band(self):
         # oracle: the band whose mel center is nearest 1 kHz, from the
@@ -40,8 +41,8 @@ class TestLogmel:
         edges_mel = np.linspace(hz_to_mel(0.0), hz_to_mel(SR / 2), 42)
         centers_hz = mel_to_hz(edges_mel[1:-1])
         expected = int(np.argmin(np.abs(centers_hz - 1000.0)))
-        fm = logmel_filterbank(tone(1000.0))
-        assert np.all(fm.frames.argmax(axis=1) == expected)
+        feats = logmel_filterbank(tone(1000.0))
+        assert np.all(feats.argmax(axis=1) == expected)
 
     def test_too_short_waveform(self):
         with pytest.raises(ValueError):
@@ -51,54 +52,45 @@ class TestLogmel:
         square = Waveform(np.sign(np.sin(2 * np.pi * 300 * np.arange(SR) / SR))
                           * (1.0 - 1e-12), SR)
         for wav in (square, Waveform(np.zeros(2000), SR)):
-            assert np.all(np.isfinite(logmel_filterbank(wav).frames))
+            assert np.all(np.isfinite(logmel_filterbank(wav)))
 
 
 class TestDeltas:
     def test_constant_gives_zero_deltas(self):
-        fm = FeatureMatrix(np.full((20, 4), 3.3), 0.01, FeatureLayout(4))
-        out = append_deltas(fm)
-        assert out.dim == 12
-        assert np.allclose(out.frames[:, 4:], 0.0)
+        out = append_deltas(np.full((20, 4), 3.3))
+        assert out.shape == (20, 12)
+        assert np.allclose(out[:, 4:], 0.0)
 
     def test_linear_ramp_interior_delta_is_one(self):
         # regression window +-2, denominator 10: (1*2 + 2*4) / 10 = 1
-        fm = FeatureMatrix(np.arange(30.0)[:, None], 0.01, FeatureLayout(1))
-        out = append_deltas(fm)
-        assert np.allclose(out.frames[2:-2, 1], 1.0)
-        assert np.allclose(out.frames[4:-4, 2], 0.0)
+        out = append_deltas(np.arange(30.0)[:, None])
+        assert np.allclose(out[2:-2, 1], 1.0)
+        assert np.allclose(out[4:-4, 2], 0.0)
 
     def test_single_frame_replication(self):
-        fm = FeatureMatrix(np.array([[5.0, -1.0]]), 0.01, FeatureLayout(2))
-        out = append_deltas(fm)
-        assert np.array_equal(out.frames, [[5.0, -1.0, 0, 0, 0, 0]])
+        out = append_deltas(np.array([[5.0, -1.0]]))
+        assert np.array_equal(out, [[5.0, -1.0, 0, 0, 0, 0]])
 
     def test_time_reversal_negates_delta_only(self):
         rng = np.random.default_rng(1)
-        fm = FeatureMatrix(rng.standard_normal((40, 3)), 0.01, FeatureLayout(3))
-        fwd = append_deltas(fm).frames
-        rev = append_deltas(FeatureMatrix(fm.frames[::-1], 0.01,
-                                          FeatureLayout(3))).frames
+        frames = rng.standard_normal((40, 3))
+        fwd = append_deltas(frames)
+        rev = append_deltas(frames[::-1])
         interior = slice(4, 36)
         assert np.allclose(rev[::-1][interior, 3:6], -fwd[interior, 3:6])
         assert np.allclose(rev[::-1][interior, 6:9], fwd[interior, 6:9])
 
-    def test_rejects_multistream(self):
-        fm = FeatureMatrix(np.zeros((5, 6)), 0.01, FeatureLayout(2, 3))
-        with pytest.raises(ShapeError):
-            append_deltas(fm)
-
 
 class TestNmc:
     def test_silence_constant_floor_vector(self):
-        fm = nmc_features(Waveform(np.zeros(SR), SR))
-        assert fm.frames.shape == (98, 40)
-        assert np.allclose(fm.frames, fm.frames[0])
+        feats = nmc_features(Waveform(np.zeros(SR), SR))
+        assert feats.shape == (98, 40)
+        assert np.allclose(feats, feats[0])
 
     def test_output_dims(self):
         rng = np.random.default_rng(0)
         wav = Waveform((0.1 * rng.standard_normal(SR)).clip(-1, 1), SR)
-        assert nmc_features(wav).frames.shape == (98, 40)
+        assert nmc_features(wav).shape == (98, 40)
 
     def test_am_tone_has_more_modulation_than_pure_tone(self):
         t = np.arange(2 * SR) / SR
@@ -118,13 +110,13 @@ class TestNmc:
 
         assert envelope_variance(am_wav) > 2.0 * envelope_variance(pure_wav)
         coeff_var = lambda wav: float(np.mean(np.var(
-            nmc_features(wav).frames, axis=0)))
+            nmc_features(wav), axis=0)))
         assert coeff_var(am_wav) > coeff_var(pure_wav)
 
     def test_finite_on_extremes(self):
         square = Waveform(np.sign(np.sin(2 * np.pi * 250 * np.arange(SR) / SR))
                           * (1.0 - 1e-12), SR)
-        assert np.all(np.isfinite(nmc_features(square).frames))
+        assert np.all(np.isfinite(nmc_features(square)))
 
 
 class TestFrontEndsMatchOracles:
@@ -146,13 +138,13 @@ class TestFrontEndsMatchOracles:
     def test_nmc_bit_identical_to_per_band_oracle(self):
         for seed, (rate, n, n_coeffs) in enumerate(self.CASES):
             wav = self.utterance(rate, n, seed)
-            assert np.array_equal(nmc_features(wav, n_coeffs).frames,
+            assert np.array_equal(nmc_features(wav, n_coeffs),
                                   reference_nmc(wav.samples, rate, n_coeffs))
 
     def test_logmel_bit_identical_to_oracle(self):
         for seed, (rate, n, n_bands) in enumerate(self.CASES):
             wav = self.utterance(rate, n, seed)
-            assert np.array_equal(logmel_filterbank(wav, n_bands).frames,
+            assert np.array_equal(logmel_filterbank(wav, n_bands),
                                   reference_logmel(wav.samples, rate, n_bands))
 
 
@@ -251,23 +243,31 @@ class TestSplice:
             SpliceSpec(-1, 0)
 
 
+def fmx_bytes(frames, layout=(8, 8, 1, 1), shift=0.01):
+    """An FMX1 file written field by field: T, D + layout, shift, float32."""
+    frames = np.asarray(frames, dtype="<f4")
+    return (struct.pack("<4sIIIIId", b"FMX1", len(frames), *layout, shift)
+            + frames.tobytes())
+
+
 class TestFeatureMatrixFile:
+    """FMX1 files hold TV trajectories: (T, 8), layout (8, 1, 1), in [0, 1]."""
+
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(7)
-        fm = FeatureMatrix(rng.standard_normal((13, 6)), 0.0125,
-                           FeatureLayout(2, 3, 1))
+        tvs = TVTrajectory(rng.uniform(size=(13, 8)), 0.0125)
         path = tmp_path / "feat.fmx"
-        save_feature_matrix(path, fm)
+        save_feature_matrix(path, tvs)
+        assert path.read_bytes() == fmx_bytes(tvs.frames, shift=0.0125)
         back = load_feature_matrix(path)
-        assert back.frame_shift == fm.frame_shift
-        assert back.layout == fm.layout
+        assert isinstance(back, TVTrajectory)
+        assert back.frame_shift == tvs.frame_shift
         assert np.array_equal(back.frames,
-                              fm.frames.astype(np.float32).astype(np.float64))
+                              tvs.frames.astype(np.float32).astype(np.float64))
 
     def test_truncated_rejected(self, tmp_path):
-        fm = FeatureMatrix(np.zeros((4, 2)), 0.01, FeatureLayout(2))
         path = tmp_path / "feat.fmx"
-        save_feature_matrix(path, fm)
+        save_feature_matrix(path, TVTrajectory(np.zeros((4, 8))))
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(FormatError):
             load_feature_matrix(path)
@@ -278,15 +278,31 @@ class TestFeatureMatrixFile:
         with pytest.raises(FormatError):
             load_feature_matrix(path)
 
-    def test_layout_dim_invariant(self):
-        with pytest.raises(ShapeError):
-            FeatureMatrix(np.zeros((3, 5)), 0.01, FeatureLayout(2, 3))
+    def test_layout_dim_invariant(self, tmp_path):
+        path = tmp_path / "feat.fmx"
+        for width, layout in [(6, (6, 2, 3, 1)), (9, (9, 9, 1, 1)),
+                              (2, (2, 2, 1, 1)), (8, (8, 2, 4, 1)),
+                              (8, (8, 8, 1, 2))]:
+            path.write_bytes(fmx_bytes(np.zeros((3, width)), layout))
+            with pytest.raises(FormatError, match="TV trajectory"):
+                load_feature_matrix(path)
 
-    def test_non_finite_rejected(self):
-        frames = np.zeros((3, 2))
-        frames[1, 1] = np.inf
-        with pytest.raises(ShapeError):
-            FeatureMatrix(frames, 0.01, FeatureLayout(2))
+    def test_non_finite_rejected(self, tmp_path):
+        """Non-finite values and values outside [0, 1] are not TVs."""
+        path = tmp_path / "feat.fmx"
+        for value in (np.inf, np.nan, 1.5, -0.25, 7.0):
+            frames = np.zeros((3, 8))
+            frames[1, 1] = value
+            path.write_bytes(fmx_bytes(frames))
+            with pytest.raises(FormatError):
+                load_feature_matrix(path)
+
+    @pytest.mark.parametrize("shift", [0.0, -0.01, np.inf, np.nan])
+    def test_unusable_frame_shift_rejected(self, tmp_path, shift):
+        path = tmp_path / "feat.fmx"
+        path.write_bytes(fmx_bytes(np.zeros((3, 8)), shift=shift))
+        with pytest.raises(FormatError, match="frame shift"):
+            load_feature_matrix(path)
 
 
 def test_mel_band_edges_monotone():

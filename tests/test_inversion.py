@@ -75,7 +75,7 @@ class TestInvert:
             InversionConfig.toy(splice=model.splice), seed=4)
         for n in (400, 2400, 9000):  # 1, 13 and 55 frames
             wav = Waveform((0.2 * rng.standard_normal(n)).clip(-1, 1), 16000)
-            frames = nmc_features(wav).frames
+            frames = nmc_features(wav)
             inputs, _ = reference_frame_dataset(
                 {"acoustic": ([(frames - model.stats.mean) / model.stats.std],
                               3, 2)}, [np.zeros(len(frames))])

@@ -17,8 +17,7 @@ from tvasr.architectures import ArchSpec, build_network
 from tvasr.audio import Waveform, read_wav, write_wav
 from tvasr.cli import main
 from tvasr.errors import FormatError
-from tvasr.features import (FeatureLayout, FeatureMatrix, NormStats,
-                            SpliceSpec, load_feature_matrix,
+from tvasr.features import (NormStats, SpliceSpec, load_feature_matrix,
                             save_feature_matrix)
 from tvasr.inversion import (InversionConfig, InversionModel,
                              build_inversion_net, load_inversion_model,
@@ -27,7 +26,7 @@ from tvasr.nn import load_network, save_network
 from tvasr.pipeline import (TV_SOURCES, AcousticModelBundle,
                             load_acoustic_bundle, save_acoustic_bundle)
 from tvasr.records import Reader
-from tvasr.synth import N_TVS
+from tvasr.synth import N_TVS, TVTrajectory
 from tvasr.training import TrainState, load_checkpoint, save_checkpoint
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tvasr"
@@ -71,6 +70,12 @@ def no_check(loaded):
     pass
 
 
+def check_tvs(tvs):
+    assert tvs.frames.shape == (3, N_TVS)
+    assert np.all((tvs.frames >= 0.0) & (tvs.frames <= 1.0))
+    assert 0.0 < tvs.frame_shift < np.inf
+
+
 def check_bundle(bundle):
     spec = bundle.spec
     inputs = {"acoustic": spec.n_bands * spec.n_feature_streams * spec.context}
@@ -103,9 +108,9 @@ def test_every_damaged_artifact_loads_or_raises_format_error(tmp_path):
     artifacts = {
         "wav.wav": (lambda p: write_wav(p, Waveform(np.arange(-10, 10) / 64.0)),
                     read_wav, no_check),
-        "speech.tv.fmx": (lambda p: save_feature_matrix(p, FeatureMatrix(
-            np.arange(6.0).reshape(3, 2), 0.01, FeatureLayout(2))),
-            load_feature_matrix, no_check),
+        "speech.tv.fmx": (lambda p: save_feature_matrix(p, TVTrajectory(
+            np.linspace(0.0, 1.0, 3 * N_TVS).reshape(3, N_TVS), 0.01)),
+            load_feature_matrix, check_tvs),
         "net.nng": (lambda p: save_network(p, bundle.net), load_network,
                     no_check),
         "train.ckpt": (lambda p: save_checkpoint(p, bundle.net, bundle.state),

@@ -145,7 +145,7 @@ class TestSynthesize:
         wav = synthesize_speech_from_tvs(self.constant_tvs(frames=60), 0)
         assert len(wav.samples) == 59 * 160 + 400
         # the standard front end then yields exactly 60 frames
-        assert logmel_filterbank(wav).n_frames == 60
+        assert len(logmel_filterbank(wav)) == 60
 
     def test_peak_normalized(self):
         wav = synthesize_speech_from_tvs(self.constant_tvs(), 1)
@@ -168,7 +168,7 @@ class TestSynthesize:
     def test_constant_tvs_give_stationary_spectrum(self):
         wav = synthesize_speech_from_tvs(
             self.constant_tvs(frames=100, values={7: 1.0}), 3)
-        feats = logmel_filterbank(wav).frames
+        feats = logmel_filterbank(wav)
         mid = feats[10:-10]
         norms = np.linalg.norm(mid, axis=1)
         cosine = (mid[:-1] * mid[1:]).sum(axis=1) / (norms[:-1] * norms[1:])

@@ -295,7 +295,7 @@ def cut_corpus():
     short = utts[i]
     utts[i] = replace(short, labels=short.labels[:-2], tvs=TVTrajectory(
         short.tvs.frames[:-2], short.tvs.frame_shift))
-    return ParallelCorpus(utts, corpus.n_classes, corpus.frame_shift)
+    return ParallelCorpus(utts, corpus.n_classes)
 
 
 @pytest.mark.parametrize("kind", ["cnn", "tfcnn", "fcnn"])
@@ -326,7 +326,7 @@ def test_acoustic_dataset_matches_frame_by_frame_oracle(cut_corpus, kind):
 def test_inversion_dataset_matches_frame_by_frame_oracle(cut_corpus):
     cfg = InversionConfig.toy(splice=SpliceSpec(3, 2))
     utts = cut_corpus.split_utts("test")
-    feats = [nmc_features(u.waveform).frames for u in utts]
+    feats = [nmc_features(u.waveform) for u in utts]
     stats = norm_stats(feats)
     dataset = inversion_dataset(cut_corpus, "test", cfg, stats)
     inputs, targets = dataset.gather(np.arange(len(dataset)))
