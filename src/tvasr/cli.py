@@ -41,15 +41,9 @@ def _parse_bool(value: str) -> bool:
     return value.lower() in ("1", "true", "yes")
 
 
-_TRAIN_KEYS = {
-    "initial_lr": float,
-    "constant_lr_epochs": int,
-    "batch_size": int,
-    "halving_threshold": float,
-    "stop_threshold": float,
-    "max_epochs": int,
-    "halve_always_after_first": _parse_bool,
-}
+# TrainConfig annotations are strings under `from __future__ import annotations`
+_TRAIN_KEYS = {f.name: {"int": int, "float": float, "bool": _parse_bool}[f.type]
+               for f in dataclass_fields(TrainConfig) if f.name != "rng_seed"}
 
 _CORPUS_KEYS = {
     "n_utts": int,
@@ -79,10 +73,6 @@ def _split_config(mapping: dict, *key_tables):
     return parts
 
 
-def _train_config(mapping: dict, seed: int) -> TrainConfig:
-    return TrainConfig(rng_seed=seed, **mapping)
-
-
 def _epoch_line(rec) -> str:
     return (f"epoch={rec.epoch} lr={rec.lr:.6g} "
             f"train_loss={rec.train_loss:.6f} cv_error={rec.cv_error:.6f}")
@@ -104,8 +94,7 @@ def cmd_corpus_gen(args) -> int:
 
     corpus = build_parallel_corpus(
         n_utts, severity_range=severity, noise_bank=NOISE_KINDS,
-        snr_range=snr, rng_seed=args.seed, n_words_range=words,
-        n_threads=args.threads)
+        snr_range=snr, rng_seed=args.seed, n_words_range=words)
     manifest = write_corpus(corpus, args.out)
 
     n_train, n_cv, n_test = split_sizes(n_utts)
@@ -126,7 +115,7 @@ def cmd_corpus_gen(args) -> int:
 def cmd_train_inversion(args) -> int:
     cfg_map = _load_config(args.config)
     (train_map,) = _split_config(cfg_map, _TRAIN_KEYS)
-    train_cfg = _train_config(train_map, args.seed)
+    train_cfg = TrainConfig(rng_seed=args.seed, **train_map)
     corpus = read_corpus(_resolve_manifest(args.corpus))
     if args.scale == "toy":
         inv_cfg = InversionConfig.toy(train=train_cfg)
@@ -154,16 +143,23 @@ def cmd_invert(args) -> int:
     if not args.wavs:
         print("no input files")
         return 0
+    # check every input before writing anything, so a bad file leaves no
+    # output; each wav is read again when inverted, to hold one at a time
+    wav_paths = [Path(p) for p in args.wavs]
+    truth_by_wav = {}
+    for wav_path in wav_paths:
+        read_wav(wav_path)
+        truth_path = wav_path.parent / (wav_path.stem + ".tv.fmx")
+        if truth_path.exists():
+            truth_by_wav[wav_path] = load_feature_matrix(truth_path).frames
     preds, truths = [], []
-    for wav_path in args.wavs:
-        wav_path = Path(wav_path)
+    for wav_path in wav_paths:
         tvs = invert(model, read_wav(wav_path))
         out_path = wav_path.parent / (wav_path.stem + ".inv.fmx")
         save_feature_matrix(out_path, tvs)
         print(f"{wav_path} -> {out_path}")
-        truth_path = wav_path.parent / (wav_path.stem + ".tv.fmx")
-        if truth_path.exists():
-            truth = load_feature_matrix(truth_path).frames
+        truth = truth_by_wav.get(wav_path)
+        if truth is not None:
             t = min(len(truth), tvs.n_frames)
             preds.append(tvs.frames[:t])
             truths.append(truth[:t])
@@ -214,7 +210,7 @@ def cmd_train(args) -> int:
             f"--arch {args.arch} conflicts with config kind={arch_map['kind']}")
     arch_map.setdefault("n_classes", str(corpus.n_classes))
     spec = scale_arch_spec(arch_spec_from_config(arch_map), args.scale)
-    train_cfg = _train_config(train_map, args.seed)
+    train_cfg = TrainConfig(rng_seed=args.seed, **train_map)
 
     _use_inverted_tvs(corpus.split_utts("train") + corpus.split_utts("cv"),
                       inverted, args.inversion_model, manifest.parent)
@@ -305,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--n-utts", type=int, default=None)
     p.set_defaults(func=cmd_corpus_gen)
 

@@ -6,14 +6,13 @@ labels, and transcript. Utterances split 88/2/10 (train/cv/test) by clean
 utterance index, with at least one cross-validation utterance.
 
 Per-utterance randomness derives from the master seed by seeding a fresh
-generator with [seed, utterance_index], so generation order and thread
-count cannot change the corpus.
+generator with [seed, utterance_index], so generation order cannot change
+the corpus.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,8 +78,7 @@ def _split_of(index: int, n_train: int, n_cv: int) -> str:
 
 def build_parallel_corpus(n_utts: int, vocab=None, severity_range=(0.0, 0.0),
                           noise_bank=NOISE_KINDS, snr_range=(10.0, 80.0),
-                          rng_seed=0, n_words_range=(1, 2),
-                          n_threads: int = 1) -> ParallelCorpus:
+                          rng_seed=0, n_words_range=(1, 2)) -> ParallelCorpus:
     """Generate n_utts clean utterances plus one noisy copy of each."""
     if n_utts < 10:
         raise ConfigError(f"corpus needs at least 10 utterances, got {n_utts}")
@@ -110,13 +108,7 @@ def build_parallel_corpus(n_utts: int, vocab=None, severity_range=(0.0, 0.0),
                       snr_db=snr),
         )
 
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            pairs = list(pool.map(make_one, range(n_utts)))
-    else:
-        pairs = [make_one(i) for i in range(n_utts)]
-
-    utterances = [utt for pair in pairs for utt in pair]
+    utterances = [utt for i in range(n_utts) for utt in make_one(i)]
     return ParallelCorpus(utterances, n_gesture_classes())
 
 

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-
-SILENCE_CLASS = 0
+from .synth import SILENCE_CLASS
 
 
 @dataclass
@@ -50,14 +49,8 @@ def greedy_decode(posteriors: np.ndarray, class_to_token: dict,
     sums = posteriors.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > 1e-6):
         raise ShapeError("posterior rows must sum to 1")
-    classes = posteriors.argmax(axis=1)
-    tokens = []
-    previous = None
-    for c in classes:
-        if c != previous and c != silence_class:
-            tokens.append(class_to_token[int(c)])
-        previous = c
-    return tokens
+    return collapse_labels(posteriors.argmax(axis=1), class_to_token,
+                           silence_class)
 
 
 def collapse_labels(labels, class_to_token: dict,

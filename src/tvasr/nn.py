@@ -3,7 +3,9 @@
 Tensors are plain numpy arrays with frames on the leading axis. A network is
 one or more input streams (each a chain of layers), whose outputs are
 concatenated per frame and fed to a shared trunk. Single-stream networks are
-the degenerate case with no fusion.
+the degenerate case with no fusion. A convolution layer may only open a
+stream, so it reads a network input, and backpropagation yields parameter
+gradients only: nothing reads a gradient with respect to an input.
 
 Layer kinds: dense, 1-D convolution along a chosen axis of the flat feature
 vector, non-overlapping 1-D max pooling, elementwise activations, softmax.
@@ -91,6 +93,8 @@ class Conv1d:
     `view_shape`/`view_perm` optionally reinterpret D through a reshape and
     axis permutation first (used to carve the frequency axis out of spliced
     features). Output is (T, out_positions * n_filters), position-major.
+
+    The layer opens its stream, so `backward` returns None for dx.
     """
 
     kind = "conv1d"
@@ -151,15 +155,6 @@ class Conv1d:
             xv = x.reshape(t, self.n_positions, self.in_channels)
         return np.ascontiguousarray(xv.reshape(t, self.n_positions, self.in_channels))
 
-    def _from_view(self, dxv):
-        t = dxv.shape[0]
-        if self.view_shape is not None and self.view_perm is not None:
-            permuted = tuple(self.view_shape[p] for p in self.view_perm)
-            dxv = dxv.reshape((t,) + permuted)
-            inverse = np.argsort(self.view_perm)
-            dxv = dxv.transpose((0,) + tuple(int(p) + 1 for p in inverse))
-        return dxv.reshape(t, self.in_dim)
-
     def forward(self, x, train):
         t = x.shape[0]
         k, p_out = self.filter_width, self.out_positions
@@ -174,16 +169,10 @@ class Conv1d:
 
     def backward(self, dy):
         xw, t = self._cache
-        k, c, p_out = self.filter_width, self.in_channels, self.out_positions
-        dy2 = dy.reshape(t * p_out, self.n_filters)
+        dy2 = dy.reshape(t * self.out_positions, self.n_filters)
         dw = xw.T @ dy2
         db = dy2.sum(axis=0)
-        # col2im: one gemm back to window space, then overlap-add per offset
-        dcol = (dy2 @ self.weight.T).reshape(t, p_out, k, c)
-        dxv = np.zeros((t, self.n_positions, c), dtype=dy.dtype)
-        for w in range(k):
-            dxv[:, w:w + p_out, :] += dcol[:, :, w, :]
-        return self._from_view(dxv), [dw, db]
+        return None, [dw, db]
 
     def clone(self):
         other = Conv1d(self.axis, self.n_filters, self.filter_width,
@@ -392,7 +381,13 @@ class NetworkGraph:
         return FusionLayout(dims[0], int(sum(dims[1:])))
 
     def shape_ledger(self):
-        """Per-layer (scope, kind, in_dim, out_dim) entries, validating the chain."""
+        """Per-layer (scope, kind, in_dim, out_dim) entries, validating the chain.
+
+        A conv1d layer may only be the first layer of a stream.
+        """
+        inner = [l for st in self.streams for l in st.layers[1:]] + self.trunk
+        if any(layer.kind == "conv1d" for layer in inner):
+            raise ConfigError("a conv1d layer must be the first layer of a stream")
         ledger = []
         for s, stream in enumerate(self.streams):
             d = stream.input_dim
@@ -438,7 +433,11 @@ class NetworkGraph:
 
 @dataclass
 class Gradients:
-    """One list of arrays per layer (matching param_arrays), plus input grads."""
+    """One list of arrays per layer (matching param_arrays).
+
+    `input_grads` is always {}: backward builds no input gradients. The field
+    stays because the benchmark's traced run reports its size.
+    """
 
     by_layer: list
     input_grads: dict
@@ -489,9 +488,10 @@ def forward(net: NetworkGraph, inputs, mode: str = "eval"):
 
 
 def backward(net: NetworkGraph, loss_grad, at_logits: bool = False) -> Gradients:
-    """Backpropagate a loss gradient through the cached forward pass.
+    """Parameter gradients of a loss gradient, through the cached forward pass.
 
-    With at_logits=True the gradient is taken with respect to the input of a
+    No gradient with respect to the network inputs is built. With
+    at_logits=True the gradient is taken with respect to the input of a
     final softmax layer (the fused softmax/cross-entropy path); otherwise it
     is with respect to the network output.
     """
@@ -511,7 +511,6 @@ def backward(net: NetworkGraph, loss_grad, at_logits: bool = False) -> Gradients
     if at_logits:
         grads_by_id[id(net.trunk[-1])] = []
 
-    input_grads = {}
     offset = 0
     for stream, width in zip(net.streams, net.stream_out_dims()):
         dx = dy[:, offset:offset + width]
@@ -519,13 +518,8 @@ def backward(net: NetworkGraph, loss_grad, at_logits: bool = False) -> Gradients
         for layer in reversed(stream.layers):
             dx, pgrads = layer.backward(dx)
             grads_by_id[id(layer)] = pgrads
-        if stream.input_name in input_grads:
-            input_grads[stream.input_name] = input_grads[stream.input_name] + dx
-        else:
-            input_grads[stream.input_name] = dx
 
-    by_layer = [grads_by_id[id(layer)] for layer in net.all_layers()]
-    return Gradients(by_layer, input_grads)
+    return Gradients([grads_by_id[id(layer)] for layer in net.all_layers()], {})
 
 
 def sgd_step(net: NetworkGraph, grads: Gradients, lr: float) -> None:

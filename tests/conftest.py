@@ -22,7 +22,7 @@ def acceptance_corpus():
         warnings.simplefilter("ignore")
         return build_parallel_corpus(
             500, severity_range=(0.3, 0.7), snr_range=(10.0, 80.0),
-            rng_seed=ACCEPTANCE_SEED, n_words_range=(1, 1), n_threads=2)
+            rng_seed=ACCEPTANCE_SEED, n_words_range=(1, 1))
 
 
 @pytest.fixture(scope="session")

@@ -279,6 +279,19 @@ class TestInvertCommand:
         write_wav(wav, Waveform(np.zeros(4000), 8000))
         assert run(["invert", "--model", model, wav]) == 2
 
+    def test_bad_truth_file_writes_nothing(self, tmp_path, capsys):
+        model = self.make_model(tmp_path / "inv.ckpt")
+        for stem in ("a", "b"):
+            write_wav(tmp_path / f"{stem}.wav", Waveform(np.zeros(8000), 16000))
+        bad = tmp_path / "b.tv.fmx"
+        bad.write_bytes(fmx_bytes(np.full((48, 8), 7.0)))
+        assert run(["invert", "--model", model,
+                    tmp_path / "a.wav", tmp_path / "b.wav"]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {bad}: " in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.glob("*.inv.fmx")) == []
+
     def test_pearson_report_when_ground_truth_present(self, corpus_dir,
                                                       tmp_path, capsys):
         model = self.make_model(tmp_path / "inv.ckpt")
@@ -514,6 +527,7 @@ def test_unknown_subcommand_exit_2():
      "--scale", "paper"],
     ["evaluate", "--checkpoint", "k", "--corpus", "c", "--out", "o",
      "--threads", "2"],
+    ["corpus-gen", "--out", "o", "--threads", "2"],
 ])
 def test_flags_a_subcommand_does_not_read_are_rejected(argv, capsys):
     assert run(argv) == 2

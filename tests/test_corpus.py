@@ -59,13 +59,6 @@ class TestBuild:
                                           rng_seed=31)
         assert corpus_digest(again) == corpus_digest(small_corpus)
 
-    def test_thread_count_does_not_change_corpus(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            one = build_parallel_corpus(12, rng_seed=5, n_threads=1)
-            three = build_parallel_corpus(12, rng_seed=5, n_threads=3)
-        assert corpus_digest(one) == corpus_digest(three)
-
     def test_different_seed_changes_corpus(self, small_corpus):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
