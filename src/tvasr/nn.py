@@ -70,13 +70,15 @@ class Dense:
     def forward(self, x, train):
         if train:
             self._cache = x
-        return x @ self.weight + self.bias
+        y = x @ self.weight
+        y += self.bias
+        return y
 
-    def backward(self, dy):
+    def backward(self, dy, need_dx=True):
         x = self._cache
         dw = x.T @ dy
         db = dy.sum(axis=0)
-        dx = dy @ self.weight.T
+        dx = dy @ self.weight.T if need_dx else None
         return dx, [dw, db]
 
     def clone(self):
@@ -162,12 +164,13 @@ class Conv1d:
         # (T, P_out, C, K) view -> (T*P_out, K*C) im2col matrix
         xw = sliding_window_view(xv, k, axis=1).transpose(0, 1, 3, 2)
         xw = np.ascontiguousarray(xw).reshape(t * p_out, k * self.in_channels)
-        y = xw @ self.weight + self.bias
+        y = xw @ self.weight
+        y += self.bias
         if train:
             self._cache = (xw, t)
         return y.reshape(t, p_out * self.n_filters)
 
-    def backward(self, dy):
+    def backward(self, dy, need_dx=False):
         xw, t = self._cache
         dy2 = dy.reshape(t * self.out_positions, self.n_filters)
         dw = xw.T @ dy2
@@ -222,20 +225,37 @@ class MaxPool1d:
         k, p_out, c = self.pool_size, self.out_positions, self.n_channels
         xw = x.reshape(t, self.n_positions, c)[:, :p_out * k, :]
         xw = xw.reshape(t, p_out, k, c)
-        y = xw.max(axis=2)
+        # elementwise max over the k slices: the same comparisons, in the
+        # same order, as a max over the window axis, without its strided walk
+        y = xw[:, :, 0, :].copy()
+        for j in range(1, k):
+            np.maximum(y, xw[:, :, j, :], out=y)
         if train:
-            self._cache = (xw.argmax(axis=2), t)
+            # the first slice that holds the max wins a tie (ReLU makes
+            # all-zero windows common): count the leading slices that miss it
+            miss = xw[:, :, 0, :] != y
+            idx = miss.view(np.uint8).copy()
+            for j in range(1, k - 1):
+                miss &= xw[:, :, j, :] != y
+                idx += miss
+            self._cache = (idx, t)
         return y.reshape(t, p_out * c)
 
-    def backward(self, dy):
+    def backward(self, dy, need_dx=True):
+        if not need_dx:
+            return None, []
         idx, t = self._cache
         k, p_out, c = self.pool_size, self.out_positions, self.n_channels
-        dxw = np.zeros((t, p_out, k, c), dtype=dy.dtype)
-        np.put_along_axis(dxw, idx[:, :, None, :],
-                          dy.reshape(t, p_out, 1, c), axis=2)
-        dx = np.zeros((t, self.n_positions, c), dtype=dy.dtype)
-        dx[:, :p_out * k, :] = dxw.reshape(t, p_out * k, c)
-        return dx.reshape(t, self.in_dim), []
+        # Route dy by multiplying its bit patterns, as integers, by 0 or 1:
+        # that keeps dy's bits or writes +0.0, where a float product with a
+        # mask would turn 0 x (negative dy) into -0.0.
+        bits = np.dtype(f"i{dy.itemsize}")
+        dx = np.zeros((t, self.n_positions, c), dtype=bits)
+        dxw = dx[:, :p_out * k, :].reshape(t, p_out, k, c)
+        dy_bits = dy.reshape(t, p_out, c).view(bits)
+        for j in range(k):
+            np.multiply(dy_bits, idx == j, out=dxw[:, :, j, :])
+        return dx.view(dy.dtype).reshape(t, self.in_dim), []
 
     def clone(self):
         return MaxPool1d(self.pool_size, self.n_positions, self.n_channels)
@@ -269,7 +289,9 @@ class Activation:
             self._cache = y
         return y
 
-    def backward(self, dy):
+    def backward(self, dy, need_dx=True):
+        if not need_dx:
+            return None, []
         y = self._cache
         if self.fn == "sigmoid":
             return dy * y * (1.0 - y), []
@@ -304,7 +326,9 @@ class Softmax:
             self._cache = (x, y)
         return y
 
-    def backward(self, dy):
+    def backward(self, dy, need_dx=True):
+        if not need_dx:
+            return None, []
         _, y = self._cache
         inner = (dy * y).sum(axis=1, keepdims=True)
         return y * (dy - inner), []
@@ -504,20 +528,25 @@ def backward(net: NetworkGraph, loss_grad, at_logits: bool = False) -> Gradients
         trunk = trunk[:-1]
 
     grads_by_id = {}
-    dy = np.asarray(loss_grad, dtype=net.dtype)
-    for layer in reversed(trunk):
-        dy, pgrads = layer.backward(dy)
-        grads_by_id[id(layer)] = pgrads
+
+    def chain(layers, dy, opens_network):
+        # The first layer of a chain that reads a network input skips dx.
+        for i in range(len(layers) - 1, -1, -1):
+            need_dx = i > 0 or not opens_network
+            dy, grads_by_id[id(layers[i])] = layers[i].backward(dy, need_dx)
+        return dy
+
+    # a dnn's streams are empty, so its first trunk layer reads the input
+    dy = chain(trunk, np.asarray(loss_grad, dtype=net.dtype),
+               not any(stream.layers for stream in net.streams))
     if at_logits:
         grads_by_id[id(net.trunk[-1])] = []
 
     offset = 0
     for stream, width in zip(net.streams, net.stream_out_dims()):
-        dx = dy[:, offset:offset + width]
+        if stream.layers:
+            chain(stream.layers, dy[:, offset:offset + width], True)
         offset += width
-        for layer in reversed(stream.layers):
-            dx, pgrads = layer.backward(dx)
-            grads_by_id[id(layer)] = pgrads
 
     return Gradients([grads_by_id[id(layer)] for layer in net.all_layers()], {})
 
@@ -537,7 +566,9 @@ def sgd_step(net: NetworkGraph, grads: Gradients, lr: float) -> None:
         for p, g in zip(params, pgrads):
             if not np.all(np.isfinite(g)):
                 raise DivergenceError(f"non-finite gradient in {layer.kind} layer")
-            p -= (lr * g).astype(p.dtype)
+            # a rate in the parameter dtype keeps the product there, with
+            # no float64 temporary and no cast copy
+            p -= p.dtype.type(lr) * g
 
 
 def softmax_cross_entropy(logits, labels):

@@ -24,12 +24,12 @@ from .evaluate import (WerReport, collapse_labels, combine_reports,
                        greedy_decode, levenshtein_wer)
 from .features import (NormStats, SpliceSpec, append_deltas, logmel_filterbank,
                        norm_stats, norm_stats_to_bytes, read_norm_stats)
-from .nn import NetworkGraph, forward, network_from_bytes, network_to_bytes
+from .nn import NetworkGraph, network_from_bytes, network_to_bytes
 from .records import Reader, read_file
 from .synth import default_inventory
-from .training import (FrameDataset, TrainConfig, TrainState, run_training,
-                       train_state_from_bytes, train_state_to_bytes,
-                       utterance_dataset)
+from .training import (FrameDataset, TrainConfig, TrainState, predict_dataset,
+                       run_training, train_state_from_bytes,
+                       train_state_to_bytes, utterance_dataset)
 
 TV_SOURCES = ("ground-truth", "inverted")
 
@@ -108,8 +108,8 @@ def evaluate_acoustic_model(net: NetworkGraph, corpus: ParallelCorpus, utts,
     correct = total = 0
     for utt in utts:
         dataset = make_acoustic_dataset(corpus, [utt], spec, stats)
-        inputs, labels = dataset.gather(np.arange(len(dataset)))
-        posteriors = forward(net, inputs, mode="eval")
+        posteriors = predict_dataset(net, dataset)
+        labels = dataset.targets
         predicted = posteriors.argmax(axis=1)
         correct += int(np.sum(predicted == labels))
         total += len(labels)

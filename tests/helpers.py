@@ -118,6 +118,29 @@ def draw_smooth_gradcheck_case(net, rng, make_inputs, pool_margin=1e-2,
         f"relu margin >= {relu_margin} after {tries} draws")
 
 
+def reference_maxpool(x, pool_size, n_positions, n_channels, dy):
+    """Non-overlapping max pool by argmax and put_along_axis.
+
+    x is (T, n_positions * n_channels) position-major and dy the gradient of
+    the pooled (T, out_positions * n_channels) output; trailing positions
+    that fill no whole pool are dropped. Returns the output, the argmax
+    index of each window (first occurrence on ties) and the input gradient,
+    which is dy at each argmax and +0.0 elsewhere.
+    """
+    t = x.shape[0]
+    p_out = n_positions // pool_size
+    windows = x.reshape(t, n_positions, n_channels)[:, :p_out * pool_size, :]
+    windows = windows.reshape(t, p_out, pool_size, n_channels)
+    idx = windows.argmax(axis=2)
+    y = np.take_along_axis(windows, idx[:, :, None, :], axis=2)
+    routed = np.zeros(windows.shape, dtype=dy.dtype)
+    np.put_along_axis(routed, idx[:, :, None, :],
+                      dy.reshape(t, p_out, 1, n_channels), axis=2)
+    dx = np.zeros((t, n_positions, n_channels), dtype=dy.dtype)
+    dx[:, :p_out * pool_size, :] = routed.reshape(t, -1, n_channels)
+    return y.reshape(t, -1), idx, dx.reshape(t, -1)
+
+
 def reference_edit_alignment(ref: tuple, hyp: tuple):
     """Brute-force edit alignment: lexicographic-minimal (dist, ins, dels).
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import draw_smooth_gradcheck_case, max_relative_gradient_error
+from helpers import (draw_smooth_gradcheck_case, max_relative_gradient_error,
+                     reference_maxpool)
 
 from tvasr.errors import (ConfigError, DivergenceError, FormatError,
                           ShapeError, StateError)
@@ -154,6 +155,68 @@ class TestBackward:
                     assert np.sum(grads != 0) == 1
                     assert grads[np.argmax(window)] == 1.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pool_size,n_positions,n_channels", [
+        (1, 6, 4),
+        (3, 9, 5),
+        (3, 11, 4),   # two trailing positions dropped
+        (5, 13, 6),   # the time stream: 13 positions, 3 dropped
+        (5, 15, 3),
+    ])
+    def test_maxpool_matches_argmax_oracle(self, pool_size, n_positions,
+                                           n_channels, dtype):
+        rng = np.random.default_rng(pool_size * 100 + n_positions)
+        t = 16
+        # ReLU outputs: many zeros, and whole windows of zeros (ties)
+        x = np.maximum(rng.standard_normal((t, n_positions, n_channels)), 0)
+        x[::3, :pool_size, :] = 0.0
+        if pool_size > 1:
+            x[1::4, pool_size - 1, :] = x[1::4, 0, :]  # exact positive ties
+        x = x.reshape(t, -1).astype(dtype)
+        pool = MaxPool1d(pool_size, n_positions, n_channels)
+        dy = rng.standard_normal((t, pool.out_dim(None))).astype(dtype)
+        ref_y, ref_idx, ref_dx = reference_maxpool(x, pool_size, n_positions,
+                                                   n_channels, dy)
+        y = pool.forward(x, train=True)
+        idx = pool._cache[0]
+        dx, grads = pool.backward(dy)
+        assert idx.dtype == np.uint8
+        assert np.array_equal(y, ref_y)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(dx, ref_dx)
+        assert dx.dtype == dtype and grads == []
+        assert not np.any(np.signbit(dx[dx == 0.0]))  # no -0.0
+        assert np.array_equal(pool.forward(x, train=False), y)
+
+    def test_dnn_first_dense_skips_input_gradient(self, monkeypatch):
+        net = dense_net([6, 10, 4], dtype=np.float32, seed=11)
+        first, hidden, second = net.trunk[:3]
+        x = RNG.standard_normal((7, 6)).astype(np.float32)
+        labels = RNG.integers(0, 4, 7)
+        dx_of = {}
+        original = Dense.backward
+
+        def spy(layer, dy, need_dx=True):
+            dx, grads = original(layer, dy, need_dx)
+            dx_of[id(layer)] = dx
+            return dx, grads
+
+        monkeypatch.setattr(Dense, "backward", spy)
+        forward(net, x, mode="train")
+        _, g = softmax_cross_entropy(net.cached_logits(), labels)
+        grads = backward(net, g, at_logits=True)
+        assert dx_of[id(first)] is None
+        assert dx_of[id(second)] is not None
+        # the chain rule by hand, in the order backward applies it
+        h = hidden.forward(first.forward(x, False), False)
+        dz = g @ second.weight.T * h * (1.0 - h)
+        expected = [[x.T @ dz, dz.sum(axis=0)], [], [h.T @ g, g.sum(axis=0)],
+                    []]
+        for got, want in zip(grads.by_layer, expected):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == np.float32 and np.array_equal(a, b)
+
     def test_no_input_gradients(self):
         net = two_stream_net()
         x = {"acoustic": RNG.standard_normal((3, 32)),
@@ -239,6 +302,20 @@ class TestSgdStep:
         # equality up to one rounding: p - a - a vs p - 2a
         assert np.allclose(net_a.trunk[0].weight, net_b.trunk[0].weight,
                            rtol=0, atol=1e-15)
+
+    def test_rate_type_does_not_change_float32_update(self):
+        lr = 0.013
+        g = Gradients([[RNG.standard_normal((40, 25)).astype(np.float32),
+                        RNG.standard_normal(25).astype(np.float32)]], {})
+        before = dense_net([40, 25], softmax=False, dtype=np.float32,
+                           seed=9).trunk[0]
+        expected = [p - (lr * d).astype(np.float32)
+                    for p, d in zip(before.param_arrays(), g.by_layer[0])]
+        for rate in (lr, np.float64(lr), np.float32(lr)):
+            net = dense_net([40, 25], softmax=False, dtype=np.float32, seed=9)
+            sgd_step(net, g, rate)
+            for p, want in zip(net.trunk[0].param_arrays(), expected):
+                assert p.dtype == np.float32 and np.array_equal(p, want)
 
     def test_non_finite_gradient_raises(self):
         net = dense_net([2, 2], softmax=False)

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -9,15 +10,16 @@ import pytest
 from helpers import reference_frame_dataset
 
 from tvasr import pipeline
-from tvasr.architectures import ArchSpec
+from tvasr.architectures import ArchSpec, build_network
 from tvasr.corpus import ParallelCorpus, build_parallel_corpus
 from tvasr.errors import FormatError, StateError
 from tvasr.features import SpliceSpec, nmc_features, norm_stats
 from tvasr.inversion import InversionConfig, inversion_dataset
 from tvasr.nn import (Activation, Dense, NetworkGraph, Softmax, Stream,
                       forward, softmax_cross_entropy)
-from tvasr.training import (EpochRecord, FrameDataset, TrainConfig, TrainState,
-                            evaluate_dataset, load_checkpoint, run_training,
+from tvasr.training import (_PREDICT_CHUNK, EpochRecord, FrameDataset,
+                            TrainConfig, TrainState, evaluate_dataset,
+                            load_checkpoint, predict_dataset, run_training,
                             save_checkpoint, schedule_update,
                             stack_utterances, train_epoch)
 from tvasr.synth import TVTrajectory
@@ -162,6 +164,37 @@ class TestTrainEpoch:
         ds = make_dataset(seed=5)
         err = evaluate_dataset(net, ds, "frame_error")
         assert 0.0 <= err <= 1.0
+
+
+def paper_dataset(net, n_frames, seed=0):
+    """Random unspliced frames for each input of a network, one row a frame."""
+    rng = np.random.default_rng(seed)
+    streams = {name: (rng.standard_normal((n_frames, dim)).astype(np.float32),
+                      np.arange(n_frames)[:, None])
+               for name, dim in net.input_dims().items()}
+    return FrameDataset(streams, rng.integers(0, 30, n_frames))
+
+
+class TestPredictChunks:
+    @pytest.mark.parametrize("kind", ["cnn", "tfcnn", "fcnn"])
+    def test_chunked_forward_equals_one_forward(self, kind):
+        assert _PREDICT_CHUNK == 256
+        net = build_network(ArchSpec(kind=kind, n_classes=30), seed=1)
+        n = 2 * _PREDICT_CHUNK + 37
+        ds = paper_dataset(net, n, seed=2)
+        inputs, _ = ds.gather(np.arange(n))
+        assert np.array_equal(predict_dataset(net, ds), forward(net, inputs))
+
+    def test_paper_fcnn_cv_pass_memory_is_bounded(self):
+        net = build_network(ArchSpec(kind="fcnn", n_classes=30), seed=1)
+        ds = paper_dataset(net, 2048, seed=3)
+        tracemalloc.start()
+        try:
+            evaluate_dataset(net, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20, peak / 2**20  # 224 MiB in 2,048-frame chunks
 
 
 class TestStackUtterances:
