@@ -74,11 +74,11 @@ class Dense:
         y += self.bias
         return y
 
-    def backward(self, dy, need_dx=True):
+    def backward(self, dy):
         x = self._cache
         dw = x.T @ dy
         db = dy.sum(axis=0)
-        dx = dy @ self.weight.T if need_dx else None
+        dx = dy @ self.weight.T
         return dx, [dw, db]
 
     def clone(self):
@@ -170,7 +170,7 @@ class Conv1d:
             self._cache = (xw, t)
         return y.reshape(t, p_out * self.n_filters)
 
-    def backward(self, dy, need_dx=False):
+    def backward(self, dy):
         xw, t = self._cache
         dy2 = dy.reshape(t * self.out_positions, self.n_filters)
         dw = xw.T @ dy2
@@ -184,6 +184,10 @@ class Conv1d:
         other.weight = self.weight.copy()
         other.bias = self.bias.copy()
         return other
+
+
+# The cached max-pool indices are uint8.
+MAX_POOL_SIZE = 256
 
 
 class MaxPool1d:
@@ -201,6 +205,9 @@ class MaxPool1d:
         if pool_size > n_positions:
             raise ConfigError(
                 f"pool size {pool_size} exceeds {n_positions} positions")
+        if pool_size > MAX_POOL_SIZE:
+            raise ConfigError(
+                f"pool size {pool_size} exceeds {MAX_POOL_SIZE}")
         self.pool_size = pool_size
         self.n_positions = n_positions
         self.n_channels = n_channels
@@ -241,9 +248,7 @@ class MaxPool1d:
             self._cache = (idx, t)
         return y.reshape(t, p_out * c)
 
-    def backward(self, dy, need_dx=True):
-        if not need_dx:
-            return None, []
+    def backward(self, dy):
         idx, t = self._cache
         k, p_out, c = self.pool_size, self.out_positions, self.n_channels
         # Route dy by multiplying its bit patterns, as integers, by 0 or 1:
@@ -289,9 +294,7 @@ class Activation:
             self._cache = y
         return y
 
-    def backward(self, dy, need_dx=True):
-        if not need_dx:
-            return None, []
+    def backward(self, dy):
         y = self._cache
         if self.fn == "sigmoid":
             return dy * y * (1.0 - y), []
@@ -326,9 +329,7 @@ class Softmax:
             self._cache = (x, y)
         return y
 
-    def backward(self, dy, need_dx=True):
-        if not need_dx:
-            return None, []
+    def backward(self, dy):
         _, y = self._cache
         inner = (dy * y).sum(axis=1, keepdims=True)
         return y * (dy - inner), []
@@ -528,25 +529,20 @@ def backward(net: NetworkGraph, loss_grad, at_logits: bool = False) -> Gradients
         trunk = trunk[:-1]
 
     grads_by_id = {}
-
-    def chain(layers, dy, opens_network):
-        # The first layer of a chain that reads a network input skips dx.
-        for i in range(len(layers) - 1, -1, -1):
-            need_dx = i > 0 or not opens_network
-            dy, grads_by_id[id(layers[i])] = layers[i].backward(dy, need_dx)
-        return dy
-
-    # a dnn's streams are empty, so its first trunk layer reads the input
-    dy = chain(trunk, np.asarray(loss_grad, dtype=net.dtype),
-               not any(stream.layers for stream in net.streams))
+    dy = np.asarray(loss_grad, dtype=net.dtype)
+    for layer in reversed(trunk):
+        dy, pgrads = layer.backward(dy)
+        grads_by_id[id(layer)] = pgrads
     if at_logits:
         grads_by_id[id(net.trunk[-1])] = []
 
     offset = 0
     for stream, width in zip(net.streams, net.stream_out_dims()):
-        if stream.layers:
-            chain(stream.layers, dy[:, offset:offset + width], True)
+        dx = dy[:, offset:offset + width]
         offset += width
+        for layer in reversed(stream.layers):
+            dx, pgrads = layer.backward(dx)
+            grads_by_id[id(layer)] = pgrads
 
     return Gradients([grads_by_id[id(layer)] for layer in net.all_layers()], {})
 

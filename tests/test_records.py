@@ -7,6 +7,7 @@ that reads that file exit 1.
 """
 
 import re
+import struct
 import time
 from pathlib import Path
 
@@ -22,7 +23,8 @@ from tvasr.features import (NormStats, SpliceSpec, load_feature_matrix,
 from tvasr.inversion import (InversionConfig, InversionModel,
                              build_inversion_net, load_inversion_model,
                              save_inversion_model)
-from tvasr.nn import load_network, save_network
+from tvasr.nn import (Dense, MaxPool1d, NetworkGraph, Stream, load_network,
+                      network_to_bytes, save_network)
 from tvasr.pipeline import (TV_SOURCES, AcousticModelBundle,
                             load_acoustic_bundle, save_acoustic_bundle)
 from tvasr.records import Reader
@@ -162,6 +164,21 @@ def test_flipped_coefficient_count_is_rejected(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError, match="coefficients"):
         load_inversion_model(path)
+
+
+def test_pool_size_beyond_the_index_dtype_is_rejected(tmp_path):
+    """An NNG1 pool size of 257 fits its positions but not the uint8 indices."""
+    pool = MaxPool1d(2, 300, 1)
+    net = NetworkGraph([Stream("acoustic", 300, [pool])],
+                       [Dense(pool.out_dim(None), 2)], np.float32)
+    blob = network_to_bytes(net)
+    spec = struct.pack("<BIII", 2, 2, 300, 1)  # maxpool1d kind code, sizes
+    field = blob.index(spec) + 1
+    blob = blob[:field] + struct.pack("<I", 257) + blob[field + 4:]
+    path = tmp_path / "net.nng"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError, match="pool size 257 exceeds 256"):
+        load_network(path)
 
 
 def test_reader_checks_sizes_before_reading():
