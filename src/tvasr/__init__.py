@@ -18,8 +18,8 @@ from .evaluate import (WerReport, greedy_decode, levenshtein_wer,
                        results_table)
 from .features import (NormStats, SpliceSpec, append_deltas,
                        load_feature_matrix, logmel_filterbank, nmc_features,
-                       save_feature_matrix)
-from .inversion import (InversionConfig, InversionModel, invert,
+                       nmc_map, save_feature_matrix)
+from .inversion import (InversionConfig, InversionModel, invert, invert_many,
                         load_inversion_model, save_inversion_model,
                         train_inversion_model)
 from .nn import (FusionLayout, Gradients, NetworkGraph, backward,

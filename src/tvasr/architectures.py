@@ -32,7 +32,8 @@ class ArchSpec:
     The conv parameters follow the reference setup: 200 frequency filters of
     width 8 pooled by 3, and 75 time filters of width 5 pooled by 5. dnn/cnn/
     tfcnn consume acoustic features only; fcnn additionally needs the
-    tract-variable layout for its time stream.
+    tract-variable layout for its time stream. n_feature_streams must be 3,
+    the streams `pipeline.acoustic_frames` gives.
     """
 
     kind: str
@@ -59,7 +60,12 @@ class ArchSpec:
             raise ConfigError("n_classes must be at least 2")
         if self.n_hidden_layers < 0:
             raise ConfigError("n_hidden_layers must be non-negative")
-        for name in ("hidden_width", "n_bands", "n_feature_streams", "context",
+        if self.n_feature_streams != 3:
+            raise ConfigError(
+                f"n_feature_streams={self.n_feature_streams} unsupported: the "
+                "acoustic front end always gives 3 streams (log-mel, deltas, "
+                "delta-deltas)")
+        for name in ("hidden_width", "n_bands", "context",
                      "n_tvs", "tv_context", "freq_filters", "freq_filter_width",
                      "freq_pool", "time_filters", "time_filter_width", "time_pool"):
             if getattr(self, name) <= 0:

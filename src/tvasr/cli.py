@@ -24,9 +24,10 @@ from .corpus import (MANIFEST_NAME, build_parallel_corpus, corpus_digest,
 from .errors import ConfigError, DivergenceError, FormatError, ShapeError
 from .evaluate import results_table
 from .features import load_feature_matrix, save_feature_matrix
-from .inversion import (InversionConfig, invert, load_inversion_model,
-                        pearson_per_tv, save_inversion_model,
-                        train_inversion_model)
+from .inversion import (InversionConfig, inversion_features, invert_many,
+                        load_inversion_model, pearson_per_tv,
+                        save_inversion_model, train_inversion_model,
+                        tvs_from_features)
 from .pipeline import (AcousticModelBundle, TV_SOURCES, evaluate_acoustic_model,
                        features_label, load_acoustic_bundle,
                        save_acoustic_bundle, scale_arch_spec,
@@ -138,23 +139,32 @@ def cmd_train_inversion(args) -> int:
     return 0
 
 
+# WAVs that `invert` holds at once while it computes their NMC features
+_INVERT_GROUP = 16
+
+
 def cmd_invert(args) -> int:
     model = load_inversion_model(args.model)
     if not args.wavs:
         print("no input files")
         return 0
-    # check every input before writing anything, so a bad file leaves no
-    # output; each wav is read again when inverted, to hold one at a time
+    # Read every input and compute its NMC features before writing anything,
+    # so a bad file leaves no output. The NMC of all files also comes before
+    # the first forward (see invert_many); only the features are kept, not
+    # the waveforms.
     wav_paths = [Path(p) for p in args.wavs]
-    truth_by_wav = {}
-    for wav_path in wav_paths:
-        read_wav(wav_path)
-        truth_path = wav_path.parent / (wav_path.stem + ".tv.fmx")
-        if truth_path.exists():
-            truth_by_wav[wav_path] = load_feature_matrix(truth_path).frames
+    truth_by_wav, feats = {}, []
+    for start in range(0, len(wav_paths), _INVERT_GROUP):
+        waveforms = []
+        for wav_path in wav_paths[start:start + _INVERT_GROUP]:
+            waveforms.append(read_wav(wav_path))
+            truth_path = wav_path.parent / (wav_path.stem + ".tv.fmx")
+            if truth_path.exists():
+                truth_by_wav[wav_path] = load_feature_matrix(truth_path).frames
+        feats += inversion_features(model, waveforms)
     preds, truths = [], []
-    for wav_path in wav_paths:
-        tvs = invert(model, read_wav(wav_path))
+    for wav_path, wav_feats in zip(wav_paths, feats):
+        tvs = tvs_from_features(model, wav_feats)
         out_path = wav_path.parent / (wav_path.stem + ".inv.fmx")
         save_feature_matrix(out_path, tvs)
         print(f"{wav_path} -> {out_path}")
@@ -181,11 +191,13 @@ def _use_inverted_tvs(utts, inverted, inversion_model, manifest_dir) -> None:
         if inversion_model:
             raise ConfigError("--inversion-model is read only for inverted TVs")
         return
-    model = load_inversion_model(inversion_model) if inversion_model else None
+    if inversion_model:
+        model = load_inversion_model(inversion_model)
+        for utt, tvs in zip(utts, invert_many(model,
+                                              [u.waveform for u in utts])):
+            utt.tvs = tvs
+        return
     for utt in utts:
-        if model is not None:
-            utt.tvs = invert(model, utt.waveform)
-            continue
         inv_path = manifest_dir / f"{utt.utt_id}.inv.fmx"
         if not inv_path.exists():
             raise ConfigError(

@@ -2,7 +2,8 @@
 
 Provides log-mel filterbank energies, delta/delta-delta appending and
 subband amplitude-modulation coefficients for the inversion front end, each
-as a plain (T, D) array; the Z-normalization statistics and splice indices
+as a plain (T, D) array (`nmc_map` computes the latter for many utterances
+on parallel threads); the Z-normalization statistics and splice indices
 that `training` applies; and flat binary serializations for TV trajectories
 (FMX1) and normalization stats.
 
@@ -13,7 +14,9 @@ log(max(x, 1e-10)) so silence maps to a finite floor.
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -160,6 +163,11 @@ def _am_subband_bank(n_bands: int, sample_rate: int):
     return tuple(bandpasses), envelope_lp
 
 
+# Subbands that nmc_features filters at a time: its transient memory is two
+# (_NMC_BLOCK, n_samples) float64 arrays whatever the band count.
+_NMC_BLOCK = 8
+
+
 def nmc_features(wav: Waveform, n_coeffs: int = 40) -> np.ndarray:
     """Subband amplitude-modulation coefficients, shape (T, n_coeffs).
 
@@ -173,22 +181,82 @@ def nmc_features(wav: Waveform, n_coeffs: int = 40) -> np.ndarray:
     if len(wav.samples) < win_n:
         raise ValueError("waveform shorter than one analysis window")
     bandpasses, envelope_lp = _am_subband_bank(n_coeffs, wav.sample_rate)
-
-    # All subbands as one (n_bands, n_samples) array. Every reduction runs
-    # along the contiguous sample axis, so each band gets the same
-    # arithmetic, in the same order, as a one-band-at-a-time loop.
-    subs = np.empty((len(bandpasses), len(wav.samples)))
     # sosfilt accepts only writable coefficients: filter with copies
-    for b, sos in enumerate(np.array(bandpasses)):
-        subs[b] = sosfilt(sos, wav.samples)
+    bank, lowpass = np.array(bandpasses), envelope_lp.copy()
+    energies = np.empty((len(bank), (len(wav.samples) - win_n) // shift_n + 1))
+    for lo in range(0, len(bank), _NMC_BLOCK):
+        hi = lo + _NMC_BLOCK
+        _envelope_energies(wav.samples, bank[lo:hi], lowpass, win_n, shift_n,
+                           out=energies[lo:hi])
+    modulation = np.log(np.maximum(energies.T, LOG_FLOOR))
+    return dct(modulation, type=2, norm="ortho", axis=1)[:, :n_coeffs]
+
+
+def _envelope_energies(samples, bank, lowpass, win_n: int, shift_n: int,
+                       out: np.ndarray) -> None:
+    """Per-frame AM envelope energies of a block of subbands, into `out`.
+
+    Every reduction runs along one band's contiguous sample axis, so each
+    band gets the same arithmetic, in the same order, whatever the block.
+    """
+    subs = np.empty((len(bank), len(samples)))
+    for b, sos in enumerate(bank):
+        subs[b] = sosfilt(sos, samples)
     power = np.mean(np.square(subs), axis=1)
-    envelopes = sosfilt(envelope_lp.copy(), np.maximum(subs, 0.0, out=subs), axis=-1)
+    envelopes = sosfilt(lowpass, np.maximum(subs, 0.0, out=subs), axis=-1)
     envelopes /= np.sqrt(power + 1e-12)[:, None]
     np.square(envelopes, out=envelopes)
     windows = sliding_window_view(envelopes, win_n, axis=1)[:, ::shift_n]
-    energies = np.mean(windows, axis=2)
-    modulation = np.log(np.maximum(energies.T, LOG_FLOOR))
-    return dct(modulation, type=2, norm="ortho", axis=1)[:, :n_coeffs]
+    np.mean(windows, axis=2, out=out)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def nmc_map(waveforms: list, n_coeffs: int = 40) -> list:
+    """nmc_features of each waveform, in input order, on every usable CPU.
+
+    The calling thread and one more thread per further CPU this process may
+    run on (never more threads than waveforms) take waveforms in turn.
+    sosfilt and numpy's loops release the GIL, so utterances are computed
+    side by side, with the same bits as one at a time. If waveforms fail,
+    the first failing one's exception is raised once every thread is done.
+    """
+    # design each filter bank here, so that no two threads design one
+    for rate in {w.sample_rate for w in waveforms}:
+        _am_subband_bank(n_coeffs, rate)
+    out = [None] * len(waveforms)
+    errors = {}
+    taken = iter(range(len(waveforms)))
+    lock = threading.Lock()
+
+    def work():
+        while not errors:
+            with lock:
+                i = next(taken, None)
+            if i is None:
+                return
+            try:
+                out[i] = nmc_features(waveforms[i], n_coeffs)
+            except Exception as exc:  # re-raised by the calling thread
+                errors[i] = exc
+
+    n_threads = min(_usable_cpus(), len(waveforms))
+    helpers = [threading.Thread(target=work) for _ in range(n_threads - 1)]
+    for thread in helpers:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return out
 
 
 def norm_stats(per_utt_frames: list) -> NormStats:

@@ -18,7 +18,7 @@ import numpy as np
 from .audio import Waveform
 from .corpus import ParallelCorpus
 from .errors import FormatError
-from .features import (FRAME_SHIFT, NormStats, SpliceSpec, nmc_features,
+from .features import (FRAME_SHIFT, NormStats, SpliceSpec, nmc_map,
                        norm_stats, norm_stats_to_bytes, read_norm_stats)
 from .nn import (Activation, Conv1d, Dense, MaxPool1d, NetworkGraph, Stream,
                  forward, network_from_bytes, network_to_bytes)
@@ -88,8 +88,8 @@ def build_inversion_net(cfg: InversionConfig, seed: int = 0,
 def inversion_dataset(corpus: ParallelCorpus, split: str,
                       cfg: InversionConfig, stats: NormStats) -> FrameDataset:
     utts = corpus.split_utts(split)
-    return _inversion_dataset(utts, [nmc_features(u.waveform, cfg.n_coeffs)
-                                     for u in utts], cfg, stats)
+    return _inversion_dataset(utts, nmc_map([u.waveform for u in utts],
+                                            cfg.n_coeffs), cfg, stats)
 
 
 def _inversion_dataset(utts, feats: list, cfg: InversionConfig,
@@ -108,7 +108,7 @@ def train_inversion_model(corpus: ParallelCorpus, cfg: InversionConfig):
     are estimated on the training split only and frozen into the model.
     """
     train_utts = corpus.split_utts("train")
-    train_feats = [nmc_features(u.waveform, cfg.n_coeffs) for u in train_utts]
+    train_feats = nmc_map([u.waveform for u in train_utts], cfg.n_coeffs)
     stats = norm_stats(train_feats)
     train_set = _inversion_dataset(train_utts, train_feats, cfg, stats)
     cv_set = inversion_dataset(corpus, "cv", cfg, stats)
@@ -119,19 +119,45 @@ def train_inversion_model(corpus: ParallelCorpus, cfg: InversionConfig):
     return InversionModel(result.best_net, stats, cfg.n_coeffs, cfg.splice), result
 
 
-def invert(model: InversionModel, audio: Waveform) -> TVTrajectory:
-    """Predict tract variables for one utterance, clamped to [0, 1]."""
-    if audio.sample_rate != 16000:
-        raise ValueError(
-            f"{audio.sample_rate} Hz input unsupported (expected 16000; "
-            "resampling is out of scope)")
-    feats = nmc_features(audio, model.n_coeffs)
+def inversion_features(model: InversionModel, waveforms: list) -> list:
+    """The unnormalized NMC frames `model` reads, for each waveform.
+
+    Every waveform's sample rate is checked first; the NMC runs on parallel
+    threads (`nmc_map`).
+    """
+    for audio in waveforms:
+        if audio.sample_rate != 16000:
+            raise ValueError(
+                f"{audio.sample_rate} Hz input unsupported (expected 16000; "
+                "resampling is out of scope)")
+    return nmc_map(waveforms, model.n_coeffs)
+
+
+def tvs_from_features(model: InversionModel,
+                      feats: np.ndarray) -> TVTrajectory:
+    """Predict tract variables from one utterance's inversion_features."""
     frames, indices = stack_utterances(
         [(feats - model.stats.mean) / model.stats.std], model.splice)
     spliced = frames[indices].reshape(len(feats), -1)
     pred = forward(model.net, {"acoustic": spliced}, mode="eval")
     return TVTrajectory(np.clip(pred.astype(np.float64), 0.0, 1.0),
                         FRAME_SHIFT)
+
+
+def invert_many(model: InversionModel, waveforms: list) -> list:
+    """Predict tract variables for each utterance, clamped to [0, 1].
+
+    The NMC of every utterance is computed before the first network
+    forward: forwards running beside NMC threads would compete with BLAS's
+    own threads, which keep spinning after each product, for the same CPUs.
+    """
+    return [tvs_from_features(model, feats)
+            for feats in inversion_features(model, waveforms)]
+
+
+def invert(model: InversionModel, audio: Waveform) -> TVTrajectory:
+    """Predict tract variables for one utterance, clamped to [0, 1]."""
+    return invert_many(model, [audio])[0]
 
 
 def pearson_per_tv(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ RNG = np.random.default_rng(99)
 
 def toy_spec(kind, **overrides):
     base = dict(kind=kind, n_classes=6, n_hidden_layers=2, hidden_width=16,
-                n_bands=12, n_feature_streams=2, context=5, n_tvs=4,
+                n_bands=12, n_feature_streams=3, context=5, n_tvs=4,
                 tv_context=5, freq_filters=6, freq_filter_width=4, freq_pool=3,
                 time_filters=3, time_filter_width=2, time_pool=2)
     base.update(overrides)
@@ -71,7 +71,7 @@ class TestBuildCnn:
     def test_parameter_count_closed_form(self):
         spec = toy_spec("cnn")
         net = build_network(spec)
-        conv = 6 * (4 * 2 * 5) + 6  # filters * (width * channels) + bias
+        conv = 6 * (4 * 3 * 5) + 6  # filters * (width * channels) + bias
         pooled = ((12 - 4 + 1) // 3) * 6
         dense = pooled * 16 + 16 + 16 * 16 + 16 + 16 * 6 + 6
         assert count_parameters(net) == conv + dense
@@ -222,6 +222,12 @@ class TestArchSpecValidation:
     def test_too_few_classes(self):
         with pytest.raises(ConfigError):
             ArchSpec(kind="dnn", n_classes=1)
+
+    @pytest.mark.parametrize("n_streams", [0, 1, 2, 4])
+    def test_feature_streams_other_than_3(self, n_streams):
+        # acoustic_frames always gives log-mel, deltas and delta-deltas
+        with pytest.raises(ConfigError, match=f"n_feature_streams={n_streams} "):
+            ArchSpec(kind="cnn", n_classes=5, n_feature_streams=n_streams)
 
 
 class TestConfigFile:

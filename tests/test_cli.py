@@ -12,7 +12,9 @@ from tvasr import cli
 from tvasr.cli import main
 from tvasr.corpus import build_parallel_corpus, read_corpus, write_corpus
 from tvasr.features import load_feature_matrix, save_feature_matrix
-from tvasr.inversion import InversionConfig, InversionModel, build_inversion_net, save_inversion_model
+from tvasr.inversion import (InversionConfig, InversionModel,
+                             build_inversion_net, inversion_features,
+                             save_inversion_model)
 from tvasr.features import NormStats
 from tvasr.pipeline import (AcousticModelBundle, acoustic_norm_stats,
                             load_acoustic_bundle, save_acoustic_bundle,
@@ -138,11 +140,22 @@ class TestTrain:
                     "--tv-source", "inverted"]) == 0
 
     def test_shape_mismatch_exit_2(self, corpus_dir, tmp_path, capsys):
+        # 4 TV channels per frame, but the corpus TVs have 8: 17 x 4 wide
+        config = tmp_path / "t.conf"
+        config.write_text("n_tvs = 4\nmax_epochs = 1\n")
+        assert run(["train", "--arch", "fcnn", "--corpus", corpus_dir,
+                    "--out", tmp_path, "--config", config]) == 2
+        assert "expected (T, 68)" in capsys.readouterr().err
+
+    def test_feature_streams_other_than_3_exit_2(self, corpus_dir, tmp_path,
+                                                 capsys):
         config = tmp_path / "t.conf"
         config.write_text("n_feature_streams = 1\nmax_epochs = 1\n")
         assert run(["train", "--arch", "cnn", "--corpus", corpus_dir,
                     "--out", tmp_path, "--config", config]) == 2
-        assert "expected (T, 680)" in capsys.readouterr().err
+        assert ("error: n_feature_streams=1 unsupported"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "cnn.ckpt").exists()
 
     def test_unknown_config_key_exit_2(self, corpus_dir, tmp_path):
         config = tmp_path / "bad.conf"
@@ -290,6 +303,42 @@ class TestInvertCommand:
         captured = capsys.readouterr()
         assert f"error: {bad}: " in captured.err
         assert captured.out == ""
+        assert list(tmp_path.glob("*.inv.fmx")) == []
+
+    def test_groups_bound_the_waveforms_held(self, tmp_path, monkeypatch,
+                                             capsys):
+        model = self.make_model(tmp_path / "inv.ckpt")
+        n = cli._INVERT_GROUP + 2
+        wavs = [tmp_path / f"u{i:02d}.wav" for i in range(n)]
+        for i, wav in enumerate(wavs):
+            write_wav(wav, Waveform(np.full(800 + 160 * i, 0.01 * i), 16000))
+        sizes = []
+
+        def recording(model, waveforms):
+            sizes.append(len(waveforms))
+            return inversion_features(model, waveforms)
+
+        monkeypatch.setattr(cli, "inversion_features", recording)
+        assert run(["invert", "--model", model] + wavs) == 0
+        assert sizes == [cli._INVERT_GROUP, 2]
+        assert capsys.readouterr().out.splitlines() == [
+            f"{wav} -> {wav.with_suffix('.inv.fmx')}" for wav in wavs]
+        for i, wav in enumerate(wavs):
+            assert load_feature_matrix(wav.with_suffix(".inv.fmx")).n_frames \
+                == 3 + i
+
+    @pytest.mark.parametrize("bad", [Waveform(np.zeros(4000), 8000),
+                                     Waveform(np.zeros(399), 16000)])
+    def test_unusable_wav_in_a_later_group_writes_nothing(self, bad, tmp_path,
+                                                          capsys):
+        model = self.make_model(tmp_path / "inv.ckpt")
+        wavs = [tmp_path / f"u{i:02d}.wav"
+                for i in range(cli._INVERT_GROUP + 2)]
+        for wav in wavs[:-1]:
+            write_wav(wav, Waveform(np.zeros(800), 16000))
+        write_wav(wavs[-1], bad)
+        assert run(["invert", "--model", model] + wavs) == 2
+        assert capsys.readouterr().out == ""
         assert list(tmp_path.glob("*.inv.fmx")) == []
 
     def test_pearson_report_when_ground_truth_present(self, corpus_dir,

@@ -1,18 +1,24 @@
+import os
 import struct
+import subprocess
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.signal import butter, sosfilt
 
 from helpers import reference_logmel, reference_nmc
+from tvasr import features
 from tvasr.audio import Waveform
 from tvasr.errors import FormatError
 from tvasr.features import (LOG_FLOOR, SpliceSpec, _am_subband_bank,
-                            append_deltas,
+                            _usable_cpus, append_deltas,
                             hz_to_mel, load_feature_matrix, logmel_filterbank,
                             mel_band_edges, mel_filterbank_weights, mel_to_hz,
-                            nmc_features, norm_stats, save_feature_matrix,
-                            splice_indices)
+                            nmc_features, nmc_map, norm_stats,
+                            save_feature_matrix, splice_indices)
 from tvasr.synth import TVTrajectory
 from tvasr.training import stack_utterances
 
@@ -166,6 +172,120 @@ class TestCachedFilterDesigns:
         assert _am_subband_bank.cache_info().misses == 1
         assert _am_subband_bank.cache_info().hits == 49
         assert mel_filterbank_weights.cache_info().misses == 1
+
+
+class TestNmcMap:
+    @staticmethod
+    def waveforms(n, rates=(16000, 8000)):
+        """n utterances of mixed lengths (0.025 to 0.5 s), rates alternating."""
+        return [TestFrontEndsMatchOracles.utterance(
+                    rates[i % len(rates)],
+                    int(rates[i % len(rates)] * (0.025 + 0.475 * (i % 5) / 4)) + i,
+                    100 + i)
+                for i in range(n)]
+
+    def check_matches_one_at_a_time(self, n_coeffs):
+        wavs = self.waveforms(2 * _usable_cpus() + 3)
+        mapped = nmc_map(wavs, n_coeffs)
+        assert len(mapped) == len(wavs)
+        for wav, feats in zip(wavs, mapped):
+            assert np.array_equal(feats, nmc_features(wav, n_coeffs))
+            assert np.array_equal(feats, reference_nmc(wav.samples,
+                                                       wav.sample_rate, n_coeffs))
+
+    def test_bit_identical_to_one_at_a_time_and_oracle(self):
+        for n_coeffs in (40, 13):
+            self.check_matches_one_at_a_time(n_coeffs)
+
+    def test_bit_identical_with_frequent_thread_switches(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self.check_matches_one_at_a_time(40)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_empty_and_single(self):
+        assert nmc_map([]) == []
+        wav = self.waveforms(1)[0]
+        (feats,) = nmc_map([wav], 13)
+        assert np.array_equal(feats, nmc_features(wav, 13))
+
+    def test_short_waveform_raises_and_every_thread_stops(self):
+        short = Waveform(np.zeros(399), SR)  # one sample short of a window
+        with pytest.raises(ValueError) as alone:
+            nmc_features(short)
+        wavs = self.waveforms(2 * _usable_cpus() + 4)
+        wavs[len(wavs) // 2] = short
+        before = threading.active_count()
+        with pytest.raises(ValueError) as mapped:
+            nmc_map(wavs)
+        assert str(mapped.value) == str(alone.value)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n_cpus, n_wavs", [(3, 3), (3, 2), (1, 2)])
+    def test_one_thread_per_cpu_and_never_more_than_waveforms(
+            self, monkeypatch, n_cpus, n_wavs):
+        n_threads = min(n_cpus, n_wavs)
+        before = threading.active_count()
+        running = []
+        # each call waits for n_threads calls at once, so no thread takes
+        # two; the barrier counts the threads while every one is inside it
+        meet = threading.Barrier(n_threads, timeout=30, action=lambda:
+                                 running.append(threading.active_count()))
+
+        def fake_nmc(wav, n_coeffs):
+            meet.wait()
+            return wav.sample_rate
+
+        monkeypatch.setattr(features, "_usable_cpus", lambda: n_cpus)
+        monkeypatch.setattr(features, "nmc_features", fake_nmc)
+        wavs = self.waveforms(n_wavs)
+        assert nmc_map(wavs) == [w.sample_rate for w in wavs]
+        assert running == [before + n_threads - 1] * (n_wavs // n_threads)
+        assert threading.active_count() == before
+
+    def test_first_failing_waveform_wins(self, monkeypatch):
+        # waveforms 1 and 2 both fail, each while the other is running
+        both = threading.Barrier(2, timeout=30)
+
+        def fake_nmc(wav, n_coeffs):
+            if len(wav.samples) > 1:
+                both.wait()
+                raise ValueError(f"waveform {len(wav.samples) - 1}")
+            return 0
+
+        monkeypatch.setattr(features, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(features, "nmc_features", fake_nmc)
+        wavs = [Waveform(np.zeros(n), SR) for n in (1, 2, 3)]
+        with pytest.raises(ValueError, match="waveform 1"):
+            nmc_map(wavs)
+
+    def test_filter_banks_designed_once_per_key(self):
+        _am_subband_bank.cache_clear()
+        nmc_map(self.waveforms(8))  # 16 and 8 kHz, four of each
+        assert _am_subband_bank.cache_info().misses == 2
+
+    def test_import_starts_no_thread(self):
+        code = ("import threading, tvasr, tvasr.cli; "
+                "print(threading.active_count())")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, env=env).stdout
+        assert out.strip() == "1"
+
+
+def test_nmc_memory_is_bounded():
+    """A 10 s, 16 kHz utterance: bands are filtered a block at a time."""
+    wav = TestFrontEndsMatchOracles.utterance(SR, 10 * SR, 0)
+    nmc_features(wav)  # design the filters outside the measurement
+    tracemalloc.start()
+    try:
+        nmc_features(wav)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25 * 2 ** 20
 
 
 def z_normalized(frames, stats):

@@ -5,8 +5,9 @@ from helpers import reference_frame_dataset
 from tvasr.audio import Waveform
 from tvasr.errors import FormatError
 from tvasr.features import NormStats, SpliceSpec, nmc_features
+from tvasr import inversion
 from tvasr.inversion import (InversionConfig, InversionModel,
-                             build_inversion_net, invert,
+                             build_inversion_net, invert, invert_many,
                              load_inversion_model, pearson_per_tv,
                              save_inversion_model)
 from tvasr.nn import count_parameters, forward
@@ -87,6 +88,36 @@ class TestInvert:
         model = untrained_model()
         with pytest.raises(ValueError, match="16000"):
             invert(model, Waveform(np.zeros(8000), 8000))
+
+
+class TestInvertMany:
+    @staticmethod
+    def waveforms(n):
+        rng = np.random.default_rng(6)
+        return [Waveform((0.2 * rng.standard_normal(400 + 1700 * i))
+                         .clip(-1, 1), 16000) for i in range(n)]
+
+    def test_equals_per_utterance_invert(self):
+        model = untrained_model(seed=2)
+        wavs = self.waveforms(7)
+        many = invert_many(model, wavs)
+        assert len(many) == len(wavs)
+        for wav, tvs in zip(wavs, many):
+            one = invert(model, wav)
+            assert np.array_equal(tvs.frames, one.frames)
+            assert tvs.frame_shift == one.frame_shift
+
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    def test_non_16k_anywhere_rejected_before_any_forward(self, where,
+                                                          monkeypatch):
+        forwards = []
+        monkeypatch.setattr(inversion, "forward",
+                            lambda *a, **k: forwards.append(a))
+        wavs = self.waveforms(7)
+        wavs[where] = Waveform(np.zeros(4000), 8000)
+        with pytest.raises(ValueError, match="8000 Hz"):
+            invert_many(untrained_model(), wavs)
+        assert forwards == []
 
 
 class TestModelFile:

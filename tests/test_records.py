@@ -47,14 +47,14 @@ def damaged(blob: bytes):
 
 def tiny_bundle():
     spec = ArchSpec(kind="fcnn", n_classes=2, n_hidden_layers=0, n_bands=3,
-                    n_feature_streams=1, context=1, n_tvs=1, tv_context=2,
+                    n_feature_streams=3, context=1, n_tvs=1, tv_context=2,
                     freq_filters=1, freq_filter_width=2, freq_pool=1,
                     time_filters=1, time_filter_width=1, time_pool=1,
                     hidden_activation="relu")
     state = TrainState(lr=0.004, epoch=3, cv_error_history=[0.5, 0.25, 0.2],
                        phase="halving", best_epoch=3, best_cv_error=0.2,
                        best_checkpoint="best.ckpt")
-    stats = NormStats(np.array([0.5, -1.0, 2.0]), np.array([1.0, 0.25, 3.0]))
+    stats = NormStats(np.tile([0.5, -1.0, 2.0], 3), np.tile([1.0, 0.25, 3.0], 3))
     return AcousticModelBundle(build_network(spec, seed=1), state, spec,
                                stats, "inverted")
 
@@ -179,6 +179,18 @@ def test_pool_size_beyond_the_index_dtype_is_rejected(tmp_path):
     path.write_bytes(blob)
     with pytest.raises(FormatError, match="pool size 257 exceeds 256"):
         load_network(path)
+
+
+def test_bundle_with_other_feature_streams_is_rejected(tmp_path):
+    path = tmp_path / "bundle.ckpt"
+    save_acoustic_bundle(path, tiny_bundle())
+    blob = path.read_bytes()
+    assert blob.count(b"n_feature_streams=3") == 1
+    path.write_bytes(blob.replace(b"n_feature_streams=3", b"n_feature_streams=1"))
+    with pytest.raises(FormatError, match="n_feature_streams=1 unsupported"):
+        load_acoustic_bundle(path)
+    assert main(["evaluate", "--checkpoint", str(path), "--corpus",
+                 str(tmp_path / "no-corpus"), "--out", str(tmp_path)]) == 1
 
 
 def test_reader_checks_sizes_before_reading():
