@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ConfigError
 from .nn import (Activation, Conv1d, Dense, MaxPool1d, NetworkGraph, Softmax,
                  Stream)
+from .synth import N_TVS
 
 ACOUSTIC_INPUT = "acoustic"
 TV_INPUT = "tv"
@@ -33,7 +34,8 @@ class ArchSpec:
     width 8 pooled by 3, and 75 time filters of width 5 pooled by 5. dnn/cnn/
     tfcnn consume acoustic features only; fcnn additionally needs the
     tract-variable layout for its time stream. n_feature_streams must be 3,
-    the streams `pipeline.acoustic_frames` gives.
+    the streams `pipeline.acoustic_frames` gives, and n_tvs must be N_TVS,
+    the channels of every corpus TV trajectory.
     """
 
     kind: str
@@ -65,9 +67,13 @@ class ArchSpec:
                 f"n_feature_streams={self.n_feature_streams} unsupported: the "
                 "acoustic front end always gives 3 streams (log-mel, deltas, "
                 "delta-deltas)")
-        for name in ("hidden_width", "n_bands", "context",
-                     "n_tvs", "tv_context", "freq_filters", "freq_filter_width",
-                     "freq_pool", "time_filters", "time_filter_width", "time_pool"):
+        if self.n_tvs != N_TVS:
+            raise ConfigError(
+                f"n_tvs={self.n_tvs} unsupported: every TV trajectory has "
+                f"{N_TVS} channels")
+        for name in ("hidden_width", "n_bands", "context", "tv_context",
+                     "freq_filters", "freq_filter_width", "freq_pool",
+                     "time_filters", "time_filter_width", "time_pool"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -24,10 +25,15 @@ _WAV_SCALE = 32768.0
 
 @dataclass
 class Waveform:
-    """Mono audio signal with amplitudes in [-1, 1]."""
+    """Mono audio signal with amplitudes in [-1, 1].
+
+    `path` is the file `read_wav` read it from, None for audio made in
+    memory; it takes no part in equality.
+    """
 
     samples: np.ndarray
     sample_rate: int = DEFAULT_SAMPLE_RATE
+    path: Path | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -84,8 +90,11 @@ def read_wav(path) -> Waveform:
     """Read a 16-bit mono PCM RIFF file into a Waveform.
 
     Raises FormatError for anything that is not plain 16-bit mono PCM (8-bit
-    or float encodings, multichannel files, malformed or short chunks)."""
-    return read_file(path, _parse_wav)
+    or float encodings, multichannel files, malformed or short chunks). The
+    Waveform records `path`, where `features.nmc_map` keeps its NMC."""
+    wav = read_file(path, _parse_wav)
+    wav.path = Path(path)
+    return wav
 
 
 def write_wav(path, wav: Waveform) -> None:

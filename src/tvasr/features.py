@@ -3,9 +3,10 @@
 Provides log-mel filterbank energies, delta/delta-delta appending and
 subband amplitude-modulation coefficients for the inversion front end, each
 as a plain (T, D) array (`nmc_map` computes the latter for many utterances
-on parallel threads); the Z-normalization statistics and splice indices
-that `training` applies; and flat binary serializations for TV trajectories
-(FMX1) and normalization stats.
+on parallel threads, and keeps that of each WAV file in an NMC1 sidecar);
+the Z-normalization statistics and splice indices that `training` applies;
+and flat binary serializations for TV trajectories (FMX1) and
+normalization stats.
 
 Framing is shared by all extractors: 25 ms Hamming windows every 10 ms,
 T = floor((n_samples - win) / shift) + 1 frames. Log compression uses
@@ -14,11 +15,15 @@ log(max(x, 1e-10)) so silence maps to a finite floor.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import os
 import struct
 import threading
+import uuid
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -37,6 +42,10 @@ FRAME_WIN = 0.025  # seconds
 FRAME_SHIFT = 0.010
 
 _FMX_MAGIC = b"FMX1"
+_NMC_MAGIC = b"NMC1"
+# Part of every NMC1 key: bump it whenever nmc_features' output bits change,
+# so that sidecars of the old bits are recomputed instead of read.
+_NMC_REVISION = 1
 
 
 @dataclass(frozen=True)
@@ -61,6 +70,12 @@ class NormStats:
 
     mean: np.ndarray
     std: np.ndarray
+
+
+def _framing(sample_rate: int) -> tuple:
+    """Analysis window and frame shift in samples."""
+    return (int(round(FRAME_WIN * sample_rate)),
+            int(round(FRAME_SHIFT * sample_rate)))
 
 
 def frame_signal(x: np.ndarray, win: int, shift: int) -> np.ndarray:
@@ -115,8 +130,7 @@ def mel_filterbank_weights(n_bands: int, sample_rate: int,
 
 def logmel_filterbank(wav: Waveform, n_bands: int = 40) -> np.ndarray:
     """Log mel filterbank energies, shape (T, n_bands)."""
-    win_n = int(round(FRAME_WIN * wav.sample_rate))
-    shift_n = int(round(FRAME_SHIFT * wav.sample_rate))
+    win_n, shift_n = _framing(wav.sample_rate)
     frames = frame_signal(wav.samples, win_n, shift_n) * np.hamming(win_n)
     spectrum = np.abs(np.fft.rfft(frames, FFT_SIZE, axis=1)) ** 2
     weights = mel_filterbank_weights(n_bands, wav.sample_rate)
@@ -176,8 +190,7 @@ def nmc_features(wav: Waveform, n_coeffs: int = 40) -> np.ndarray:
     power. Per frame, the log envelope energies across bands are compressed
     with a DCT to n_coeffs coefficients.
     """
-    win_n = int(round(FRAME_WIN * wav.sample_rate))
-    shift_n = int(round(FRAME_SHIFT * wav.sample_rate))
+    win_n, shift_n = _framing(wav.sample_rate)
     if len(wav.samples) < win_n:
         raise ValueError("waveform shorter than one analysis window")
     bandpasses, envelope_lp = _am_subband_bank(n_coeffs, wav.sample_rate)
@@ -217,6 +230,83 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _nmc_sidecar(wav: Waveform) -> Path | None:
+    """Where nmc_map keeps the NMC of a waveform read from a file: <stem>.nmc
+    next to it. None for audio made in memory and for a file that would be
+    its own sidecar."""
+    if wav.path is None:
+        return None
+    sidecar = wav.path.with_suffix(".nmc")
+    return None if sidecar == wav.path else sidecar
+
+
+def _nmc_key(wav: Waveform, n_coeffs: int) -> bytes:
+    """SHA-256 of everything the NMC bits depend on."""
+    key = hashlib.sha256(np.ascontiguousarray(wav.samples, dtype="<f8"))
+    key.update(struct.pack("<QQQ", wav.sample_rate, n_coeffs, _NMC_REVISION))
+    return key.digest()
+
+
+def _read_nmc_sidecar(path: Path, key: bytes, n_frames: int,
+                      n_coeffs: int) -> np.ndarray | None:
+    """The NMC an NMC1 file holds for `key`, or None if it holds no valid one.
+
+    NMC1: magic, the 32-byte key, T as uint32, T x n_coeffs float64 values,
+    then the SHA-256 of those values' bytes.
+    """
+    def parse(r: Reader) -> np.ndarray:
+        r.magic(_NMC_MAGIC)
+        if r.take("<32s")[0] != key:
+            raise FormatError("NMC of other samples, settings or revision")
+        (t,) = r.take("<I")
+        if t != n_frames:
+            raise FormatError(f"{t} frames where the waveform has {n_frames}")
+        values = r.array("<f8", (t, n_coeffs))
+        if r.take("<32s")[0] != hashlib.sha256(values).digest():
+            raise FormatError("NMC values do not match their digest")
+        return values.astype(np.float64)
+
+    try:
+        return read_file(path, parse)
+    except (FormatError, OSError):
+        return None
+
+
+def _write_nmc_sidecar(path: Path, key: bytes, feats: np.ndarray) -> None:
+    """Write an NMC1 file under a unique name, then move it into place.
+
+    Readers see the old file or the whole new one. Nothing is synced: a file
+    torn by a crash fails its digest and is computed again. A failed write
+    leaves no file behind and raises nothing.
+    """
+    values = np.ascontiguousarray(feats, dtype="<f8").tobytes()
+    blob = b"".join([_NMC_MAGIC, key, struct.pack("<I", len(feats)), values,
+                     hashlib.sha256(values).digest()])
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
+def _cached_nmc(wav: Waveform, n_coeffs: int):
+    """One waveform's NMC, and (sidecar, key) if it was computed for one."""
+    sidecar = _nmc_sidecar(wav)
+    win_n, shift_n = _framing(wav.sample_rate)
+    if sidecar is None or len(wav.samples) < win_n:  # too short: raises
+        return nmc_features(wav, n_coeffs), None
+    key = _nmc_key(wav, n_coeffs)
+    feats = _read_nmc_sidecar(sidecar, key,
+                              (len(wav.samples) - win_n) // shift_n + 1,
+                              n_coeffs)
+    if feats is not None:
+        return feats, None
+    return nmc_features(wav, n_coeffs), (sidecar, key)
+
+
 def nmc_map(waveforms: list, n_coeffs: int = 40) -> list:
     """nmc_features of each waveform, in input order, on every usable CPU.
 
@@ -225,11 +315,18 @@ def nmc_map(waveforms: list, n_coeffs: int = 40) -> list:
     sosfilt and numpy's loops release the GIL, so utterances are computed
     side by side, with the same bits as one at a time. If waveforms fail,
     the first failing one's exception is raised once every thread is done.
+
+    The NMC of a waveform read from a file (`Waveform.path`) is kept in an
+    NMC1 sidecar, <stem>.nmc next to that file. A sidecar whose key, frame
+    count and values digest all check out is read instead of computed; any
+    other is a miss. Once every waveform has succeeded, the NMC computed for
+    each miss is written to its sidecar; a write that fails is skipped.
     """
     # design each filter bank here, so that no two threads design one
     for rate in {w.sample_rate for w in waveforms}:
         _am_subband_bank(n_coeffs, rate)
     out = [None] * len(waveforms)
+    misses = [None] * len(waveforms)
     errors = {}
     taken = iter(range(len(waveforms)))
     lock = threading.Lock()
@@ -241,7 +338,7 @@ def nmc_map(waveforms: list, n_coeffs: int = 40) -> list:
             if i is None:
                 return
             try:
-                out[i] = nmc_features(waveforms[i], n_coeffs)
+                out[i], misses[i] = _cached_nmc(waveforms[i], n_coeffs)
             except Exception as exc:  # re-raised by the calling thread
                 errors[i] = exc
 
@@ -256,6 +353,9 @@ def nmc_map(waveforms: list, n_coeffs: int = 40) -> list:
             thread.join()
     if errors:
         raise errors[min(errors)]
+    for feats, miss in zip(out, misses):
+        if miss is not None:
+            _write_nmc_sidecar(*miss, feats)
     return out
 
 

@@ -13,7 +13,7 @@ RNG = np.random.default_rng(99)
 
 def toy_spec(kind, **overrides):
     base = dict(kind=kind, n_classes=6, n_hidden_layers=2, hidden_width=16,
-                n_bands=12, n_feature_streams=3, context=5, n_tvs=4,
+                n_bands=12, n_feature_streams=3, context=5, n_tvs=8,
                 tv_context=5, freq_filters=6, freq_filter_width=4, freq_pool=3,
                 time_filters=3, time_filter_width=2, time_pool=2)
     base.update(overrides)
@@ -228,6 +228,12 @@ class TestArchSpecValidation:
         # acoustic_frames always gives log-mel, deltas and delta-deltas
         with pytest.raises(ConfigError, match=f"n_feature_streams={n_streams} "):
             ArchSpec(kind="cnn", n_classes=5, n_feature_streams=n_streams)
+
+    @pytest.mark.parametrize("n_tvs", [0, 1, 4, 9])
+    def test_tv_channels_other_than_8(self, n_tvs):
+        # every corpus TV trajectory has 8 channels
+        with pytest.raises(ConfigError, match=f"n_tvs={n_tvs} unsupported"):
+            ArchSpec(kind="fcnn", n_classes=5, n_tvs=n_tvs)
 
 
 class TestConfigFile:

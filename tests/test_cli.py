@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from tvasr.audio import Waveform, write_wav
-from tvasr import cli
+from tvasr import cli, features
 from tvasr.cli import main
 from tvasr.corpus import build_parallel_corpus, read_corpus, write_corpus
-from tvasr.features import load_feature_matrix, save_feature_matrix
+from tvasr.features import (load_feature_matrix, nmc_features,
+                            save_feature_matrix)
 from tvasr.inversion import (InversionConfig, InversionModel,
                              build_inversion_net, inversion_features,
                              save_inversion_model)
@@ -140,12 +141,21 @@ class TestTrain:
                     "--tv-source", "inverted"]) == 0
 
     def test_shape_mismatch_exit_2(self, corpus_dir, tmp_path, capsys):
-        # 4 TV channels per frame, but the corpus TVs have 8: 17 x 4 wide
+        # 2 output classes, but the corpus labels run past 1
+        config = tmp_path / "t.conf"
+        config.write_text("n_classes = 2\nmax_epochs = 1\n")
+        assert run(["train", "--arch", "cnn", "--corpus", corpus_dir,
+                    "--out", tmp_path, "--config", config]) == 2
+        assert "error: label outside [0, 2)" in capsys.readouterr().err
+
+    def test_tv_channels_other_than_8_exit_2(self, corpus_dir, tmp_path,
+                                             capsys):
         config = tmp_path / "t.conf"
         config.write_text("n_tvs = 4\nmax_epochs = 1\n")
         assert run(["train", "--arch", "fcnn", "--corpus", corpus_dir,
                     "--out", tmp_path, "--config", config]) == 2
-        assert "expected (T, 68)" in capsys.readouterr().err
+        assert "error: n_tvs=4 unsupported" in capsys.readouterr().err
+        assert not (tmp_path / "fcnn.ckpt").exists()
 
     def test_feature_streams_other_than_3_exit_2(self, corpus_dir, tmp_path,
                                                  capsys):
@@ -349,6 +359,81 @@ class TestInvertCommand:
         out = capsys.readouterr().out
         assert "per-TV Pearson r" in out
         assert "glottis" in out
+
+
+class TestNmcSidecars:
+    """Each WAV's NMC is computed once, by the first command that reads it;
+    later commands read its <stem>.nmc and write the same bytes."""
+
+    def run_loop(self, corpus_dir, root, monkeypatch, capsys, forget):
+        """train-inversion, invert over every WAV, then an inverted-TV fCNN
+        trained with --inversion-model, in a copy of the corpus at root.
+        With `forget`, every .nmc file is deleted before each command.
+
+        Returns the names of the WAVs whose NMC invert and train computed,
+        the stdout of each command and the bytes of every file written."""
+        corpus, models = root / "corpus", root / "models"
+        shutil.copytree(corpus_dir, corpus, ignore=shutil.ignore_patterns(
+            "*.nmc", "*.inv.fmx"))
+        (root / "inv.conf").write_text("initial_lr = 0.1\nmax_epochs = 1\n")
+        (root / "t.conf").write_text("n_hidden_layers = 0\nmax_epochs = 1\n")
+        computed = []
+
+        def recording(wav, n_coeffs=40):
+            computed.append(wav.path.name)
+            return nmc_features(wav, n_coeffs)
+
+        monkeypatch.setattr(features, "nmc_features", recording)
+        commands = [
+            ["train-inversion", "--corpus", corpus, "--out", models,
+             "--config", root / "inv.conf"],
+            ["invert", "--model", models / "inversion.ckpt",
+             *sorted(corpus.glob("*.wav"))],
+            ["train", "--arch", "fcnn", "--corpus", corpus, "--out", models,
+             "--config", root / "t.conf", "--tv-source", "inverted",
+             "--inversion-model", models / "inversion.ckpt"],
+        ]
+        calls, stdout = [], []
+        capsys.readouterr()
+        for argv in commands:
+            if forget:
+                for path in corpus.glob("*.nmc"):
+                    path.unlink()
+            computed.clear()
+            assert run(argv) == 0
+            calls.append(sorted(computed))
+            stdout.append(capsys.readouterr().out.replace(str(root), "ROOT"))
+        monkeypatch.undo()
+        files = {str(p.relative_to(root)): p.read_bytes()
+                 for p in sorted(root.rglob("*")) if p.suffix != ".nmc"
+                 and p.is_file() and not p.name.endswith(".conf")}
+        return calls[1:], stdout, files
+
+    def test_computed_once_across_commands(self, corpus_dir, tmp_path,
+                                           monkeypatch, capsys):
+        calls, stdout, files = self.run_loop(
+            corpus_dir, tmp_path / "cached", monkeypatch, capsys, False)
+        rows = [r.split("\t") for r in
+                (corpus_dir / "manifest.tsv").read_text().splitlines()]
+        assert calls == [sorted(wav for _, split, wav, *_ in rows
+                                if split == "test"), []]
+        _, fresh_stdout, fresh_files = self.run_loop(
+            corpus_dir, tmp_path / "fresh", monkeypatch, capsys, True)
+        assert stdout == fresh_stdout
+        assert files.keys() == fresh_files.keys()
+        for name, blob in files.items():
+            assert blob == fresh_files[name], name
+        assert len([n for n in files if n.endswith(".inv.fmx")]) == len(rows)
+
+        # with every good WAV's NMC on disk, one unusable WAV still stops
+        # invert before it writes anything
+        corpus = tmp_path / "cached" / "corpus"
+        for path in corpus.glob("*.inv.fmx"):
+            path.unlink()
+        write_wav(corpus / "zz-short.wav", Waveform(np.zeros(399), 16000))
+        assert run(["invert", "--model", tmp_path / "cached" / "models" /
+                    "inversion.ckpt", *sorted(corpus.glob("*.wav"))]) == 2
+        assert list(corpus.glob("*.inv.fmx")) == []
 
 
 class TestFlagsThatWouldDoNothing:

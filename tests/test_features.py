@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 import subprocess
@@ -11,7 +12,7 @@ from scipy.signal import butter, sosfilt
 
 from helpers import reference_logmel, reference_nmc
 from tvasr import features
-from tvasr.audio import Waveform
+from tvasr.audio import Waveform, read_wav, write_wav
 from tvasr.errors import FormatError
 from tvasr.features import (LOG_FLOOR, SpliceSpec, _am_subband_bank,
                             _usable_cpus, append_deltas,
@@ -273,6 +274,101 @@ class TestNmcMap:
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True, env=env).stdout
         assert out.strip() == "1"
+
+
+class TestNmcSidecar:
+    @staticmethod
+    def wav_file(path, seed=0, n_samples=1234):
+        """A WAV of a seeded utterance at `path`, read back."""
+        write_wav(path, TestFrontEndsMatchOracles.utterance(SR, n_samples, seed))
+        return read_wav(path)
+
+    @staticmethod
+    def counting(monkeypatch):
+        """Patch nmc_features to record the waveforms it is called on."""
+        calls = []
+
+        def recording(wav, n_coeffs=40):
+            calls.append(wav)
+            return nmc_features(wav, n_coeffs)
+
+        monkeypatch.setattr(features, "nmc_features", recording)
+        return calls
+
+    def test_computed_once_then_read(self, tmp_path, monkeypatch):
+        wav = self.wav_file(tmp_path / "a.wav")
+        assert wav.path == tmp_path / "a.wav"
+        expected = nmc_features(wav, 13)
+        calls = self.counting(monkeypatch)
+        (first,) = nmc_map([wav], 13)
+        assert len(calls) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.nmc", "a.wav"]
+        (second,) = nmc_map([read_wav(tmp_path / "a.wav")], 13)
+        assert len(calls) == 1
+        assert np.array_equal(first, expected)
+        assert np.array_equal(second, expected)
+        assert second.flags.writeable
+
+    def test_other_coefficient_count_is_recomputed(self, tmp_path,
+                                                   monkeypatch):
+        wav = self.wav_file(tmp_path / "a.wav")
+        nmc_map([wav], 13)
+        calls = self.counting(monkeypatch)
+        for n_coeffs in (40, 13):
+            (feats,) = nmc_map([wav], n_coeffs)
+            assert np.array_equal(feats, nmc_features(wav, n_coeffs))
+        assert len(calls) == 2
+
+    def test_rewritten_wav_is_recomputed(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.wav"
+        nmc_map([self.wav_file(path, seed=0)])
+        other = self.wav_file(path, seed=1)  # same length, other samples
+        calls = self.counting(monkeypatch)
+        (feats,) = nmc_map([other])
+        assert len(calls) == 1
+        assert np.array_equal(feats, nmc_features(other))
+        calls.clear()
+        (again,) = nmc_map([read_wav(path)])
+        assert calls == []
+        assert np.array_equal(again, feats)
+
+    def test_failed_write_is_skipped(self, tmp_path, monkeypatch):
+        wav = self.wav_file(tmp_path / "a.wav")
+
+        def no_space(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(features.os, "replace", no_space)
+        (feats,) = nmc_map([wav])
+        assert np.array_equal(feats, nmc_features(wav))
+        assert [p.name for p in tmp_path.iterdir()] == ["a.wav"]
+
+    def test_wav_named_like_its_sidecar_is_kept(self, tmp_path, monkeypatch):
+        wav = self.wav_file(tmp_path / "x.nmc")
+        blob = (tmp_path / "x.nmc").read_bytes()
+        calls = self.counting(monkeypatch)
+        for _ in range(2):
+            (feats,) = nmc_map([wav])
+            assert np.array_equal(feats, nmc_features(wav))
+        assert len(calls) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["x.nmc"]
+        assert (tmp_path / "x.nmc").read_bytes() == blob
+
+    def test_audio_made_in_memory_is_never_cached(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        wav = TestFrontEndsMatchOracles.utterance(SR, 1234, 0)
+        assert wav.path is None
+        nmc_map([wav, wav])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_revision_pins_the_nmc_bits(self):
+        """Change _NMC_REVISION with the NMC bits, so that sidecars of the
+        old bits are recomputed, then pin the new digest here."""
+        wav = TestFrontEndsMatchOracles.utterance(SR, 16000, 2024)
+        digest = hashlib.sha256(nmc_features(wav).tobytes()).hexdigest()
+        assert (features._NMC_REVISION, digest) == (
+            1, "50aa0b9a066600c7d25df94167f2444f033e4da18881528bfcff9f3b102cd7c7")
 
 
 def test_nmc_memory_is_bounded():

@@ -18,8 +18,9 @@ from tvasr.architectures import ArchSpec, build_network
 from tvasr.audio import Waveform, read_wav, write_wav
 from tvasr.cli import main
 from tvasr.errors import FormatError
+from tvasr import features
 from tvasr.features import (NormStats, SpliceSpec, load_feature_matrix,
-                            save_feature_matrix)
+                            nmc_features, nmc_map, save_feature_matrix)
 from tvasr.inversion import (InversionConfig, InversionModel,
                              build_inversion_net, load_inversion_model,
                              save_inversion_model)
@@ -47,7 +48,7 @@ def damaged(blob: bytes):
 
 def tiny_bundle():
     spec = ArchSpec(kind="fcnn", n_classes=2, n_hidden_layers=0, n_bands=3,
-                    n_feature_streams=3, context=1, n_tvs=1, tv_context=2,
+                    n_feature_streams=3, context=1, n_tvs=8, tv_context=2,
                     freq_filters=1, freq_filter_width=2, freq_pool=1,
                     time_filters=1, time_filter_width=1, time_pool=1,
                     hidden_activation="relu")
@@ -154,6 +155,35 @@ def test_every_damaged_artifact_loads_or_raises_format_error(tmp_path):
     assert time.process_time() - start < 30.0
 
 
+def test_every_damaged_nmc_sidecar_is_recomputed(tmp_path, monkeypatch):
+    """A damaged <stem>.nmc never yields other features: nmc_map computes
+    them again and writes the sidecar anew."""
+    path = tmp_path / "speech.wav"
+    write_wav(path, Waveform(0.1 * np.sin(np.arange(800) / 7.0)))
+    wav = read_wav(path)
+    expected = nmc_features(wav, 4)
+    nmc_map([wav], 4)
+    sidecar = tmp_path / "speech.nmc"
+    blob = sidecar.read_bytes()
+    assert len(blob) == 4 + 32 + 4 + expected.size * 8 + 32
+    calls = []
+
+    def recording(wav, n_coeffs):
+        calls.append(n_coeffs)
+        return nmc_features(wav, n_coeffs)
+
+    monkeypatch.setattr(features, "nmc_features", recording)
+    cases = list(damaged(blob)) + [blob + b"\0"]
+    for case in cases:
+        sidecar.write_bytes(case)
+        (feats,) = nmc_map([wav], 4)
+        assert np.array_equal(feats, expected)
+        assert sidecar.read_bytes() == blob
+    assert len(calls) == len(cases)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["speech.nmc",
+                                                          "speech.wav"]
+
+
 def test_flipped_coefficient_count_is_rejected(tmp_path):
     """A flipped IST1 n_coeffs must not reach invert's filter design."""
     path = tmp_path / "inv.ckpt"
@@ -191,6 +221,16 @@ def test_bundle_with_other_feature_streams_is_rejected(tmp_path):
         load_acoustic_bundle(path)
     assert main(["evaluate", "--checkpoint", str(path), "--corpus",
                  str(tmp_path / "no-corpus"), "--out", str(tmp_path)]) == 1
+
+
+def test_bundle_with_other_tv_channels_is_rejected(tmp_path):
+    path = tmp_path / "bundle.ckpt"
+    save_acoustic_bundle(path, tiny_bundle())
+    blob = path.read_bytes()
+    assert blob.count(b"n_tvs=8") == 1
+    path.write_bytes(blob.replace(b"n_tvs=8", b"n_tvs=4"))
+    with pytest.raises(FormatError, match="n_tvs=4 unsupported"):
+        load_acoustic_bundle(path)
 
 
 def test_reader_checks_sizes_before_reading():
