@@ -22,14 +22,12 @@ from .features import (NormStats, SpliceSpec, append_deltas,
 from .inversion import (InversionConfig, InversionModel, invert, invert_many,
                         load_inversion_model, save_inversion_model,
                         train_inversion_model)
-from .nn import (FusionLayout, Gradients, NetworkGraph, backward,
-                 count_parameters, forward, load_network, mse_loss,
-                 save_network, sgd_step, softmax_cross_entropy)
+from .nn import (Gradients, NetworkGraph, backward, forward, mse_loss,
+                 sgd_step, softmax_cross_entropy)
 from .synth import (GesturalScore, TVTrajectory, default_vocabulary,
                     generate_gestural_score, render_tvs,
                     synthesize_speech_from_tvs)
-from .training import (TrainConfig, TrainState, load_checkpoint,
-                       run_training, save_checkpoint, schedule_update,
-                       train_epoch)
+from .training import (TrainConfig, TrainState, run_training,
+                       schedule_update, train_epoch)
 
 __version__ = "0.1.0"

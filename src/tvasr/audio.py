@@ -50,9 +50,6 @@ class Waveform:
     def duration(self) -> float:
         return len(self.samples) / self.sample_rate
 
-    def rms(self) -> float:
-        return float(np.sqrt(np.mean(np.square(self.samples))))
-
 
 def _parse_wav(r: Reader) -> Waveform:
     riff, _, wave = r.take("<4sI4s")

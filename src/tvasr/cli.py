@@ -32,7 +32,7 @@ from .pipeline import (AcousticModelBundle, TV_SOURCES, evaluate_acoustic_model,
                        features_label, load_acoustic_bundle,
                        save_acoustic_bundle, scale_arch_spec,
                        train_acoustic_model)
-from .synth import NOISE_KINDS, TV_CHANNELS
+from .synth import TV_CHANNELS
 from .training import TrainConfig
 
 
@@ -94,8 +94,8 @@ def cmd_corpus_gen(args) -> int:
     words = (corpus_cfg.get("words_min", 1), corpus_cfg.get("words_max", 2))
 
     corpus = build_parallel_corpus(
-        n_utts, severity_range=severity, noise_bank=NOISE_KINDS,
-        snr_range=snr, rng_seed=args.seed, n_words_range=words)
+        n_utts, severity_range=severity, snr_range=snr, rng_seed=args.seed,
+        n_words_range=words)
     manifest = write_corpus(corpus, args.out)
 
     n_train, n_cv, n_test = split_sizes(n_utts)
@@ -253,6 +253,10 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     bundle = load_acoustic_bundle(args.checkpoint)
     manifest = _resolve_manifest(args.corpus)
+    # report splits results.tsv into lines and tab-separated fields
+    tag = args.tag or manifest.parent.name
+    if set(tag) & set("\t\n\r"):
+        raise ConfigError(f"tag {tag!r} holds a tab or a line break")
     corpus = read_corpus(manifest)
     noisy = {"all": None, "noisy": True, "clean": False}[args.subset]
     utts = corpus.split_utts(args.split, noisy)
@@ -280,7 +284,6 @@ def cmd_evaluate(args) -> int:
     with open(out / f"eval-{bundle.spec.kind}-{args.split}.txt", "w",
               encoding="utf-8") as fh:
         fh.write(text + "\n")
-    tag = args.tag or manifest.parent.name
     with open(out / "results.tsv", "a", encoding="utf-8") as fh:
         fh.write("\t".join([bundle.spec.kind.upper(),
                             features_label(bundle.spec.kind, bundle.tv_source),
@@ -290,12 +293,23 @@ def cmd_evaluate(args) -> int:
 
 def cmd_report(args) -> int:
     rows = []
-    with open(args.results, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            arch, feats, tag, value = line.rstrip("\n").split("\t")
-            rows.append((arch, feats, tag, float(value)))
+    try:
+        with open(args.results, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                fields = line.rstrip("\n").split("\t")
+                try:
+                    value = float(fields[3]) if len(fields) == 4 else np.nan
+                except ValueError:
+                    value = np.nan
+                if not np.isfinite(value):
+                    raise FormatError(
+                        f"{args.results}:{lineno}: expected arch, features, "
+                        "tag and a finite WER, tab-separated")
+                rows.append((*fields[:3], value))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{args.results}: {exc}") from exc
     if not rows:
         raise ConfigError(f"{args.results}: no result rows")
     print(results_table(rows))

@@ -76,16 +76,16 @@ def _split_of(index: int, n_train: int, n_cv: int) -> str:
     return "test"
 
 
-def build_parallel_corpus(n_utts: int, vocab=None, severity_range=(0.0, 0.0),
-                          noise_bank=NOISE_KINDS, snr_range=(10.0, 80.0),
-                          rng_seed=0, n_words_range=(1, 2)) -> ParallelCorpus:
-    """Generate n_utts clean utterances plus one noisy copy of each."""
+def build_parallel_corpus(n_utts: int, severity_range=(0.0, 0.0),
+                          snr_range=(10.0, 80.0), rng_seed=0,
+                          n_words_range=(1, 2)) -> ParallelCorpus:
+    """Generate n_utts clean utterances plus one noisy copy of each.
+
+    Words come from `default_vocabulary()` and noise from `NOISE_KINDS`.
+    """
     if n_utts < 10:
         raise ConfigError(f"corpus needs at least 10 utterances, got {n_utts}")
-    if not noise_bank:
-        raise ConfigError("noise bank is empty")
-    if vocab is None:
-        vocab = default_vocabulary()
+    vocab = default_vocabulary()
     n_train, n_cv, _ = split_sizes(n_utts)
 
     def make_one(index: int):
@@ -96,7 +96,7 @@ def build_parallel_corpus(n_utts: int, vocab=None, severity_range=(0.0, 0.0),
         tvs = render_tvs(score)
         clean = synthesize_speech_from_tvs(tvs, rng)
         labels = frame_labels(score, tvs.n_frames)
-        kind = noise_bank[int(rng.integers(len(noise_bank)))]
+        kind = NOISE_KINDS[int(rng.integers(len(NOISE_KINDS)))]
         snr = float(rng.uniform(*snr_range))
         noise = generate_noise(kind, len(clean.samples), rng, clean.sample_rate)
         noisy = mix_noise_at_snr(clean, noise, snr)
@@ -130,7 +130,6 @@ def corpus_digest(corpus: ParallelCorpus) -> str:
 # ---------------------------------------------------------------------------
 
 MANIFEST_NAME = "manifest.tsv"
-CLASSES_NAME = "classes.txt"
 
 
 def write_corpus(corpus: ParallelCorpus, out_dir) -> Path:
@@ -152,7 +151,7 @@ def write_corpus(corpus: ParallelCorpus, out_dir) -> Path:
     manifest = out / MANIFEST_NAME
     with open(manifest, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    with open(out / CLASSES_NAME, "w", encoding="utf-8") as fh:
+    with open(out / "classes.txt", "w", encoding="utf-8") as fh:
         fh.write("0\tsil\n")
         for unit in default_inventory():
             fh.write(f"{unit.class_id}\t{unit.name}\n")
@@ -166,23 +165,33 @@ def _read_targets(tv_path: Path, label_path: Path):
         try:
             labels = np.array([int(line) for line in fh if line.strip()],
                               dtype=np.int64)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise FormatError(f"{label_path}: {exc}") from exc
     if not len(labels):
         raise FormatError(f"{label_path}: no labels")
+    if labels.min() < 0 or labels.max() >= n_gesture_classes():
+        raise FormatError(
+            f"{label_path}: label outside [0, {n_gesture_classes()})")
     return tvs, labels
 
 
 def read_corpus(manifest_path) -> ParallelCorpus:
-    """Load a corpus written by write_corpus back into memory."""
+    """Load a corpus written by write_corpus back into memory.
+
+    Its classes are the gesture classes of the synthesizer, as in
+    build_parallel_corpus; classes.txt is not read.
+    """
     manifest = Path(manifest_path)
     base = manifest.parent
     utterances = []
-    with open(manifest, "r", encoding="utf-8") as fh:
-        rows = [line.rstrip("\n") for line in fh if line.strip()]
+    try:
+        with open(manifest, "r", encoding="utf-8") as fh:
+            rows = [line.rstrip("\n") for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{manifest}: {exc}") from exc
     # clean and noisy entries name the same TV and label files: load each
     # pair once and share it, as build_parallel_corpus does
-    shared = {}
+    shared, seen = {}, set()
     for row in rows:
         parts = row.split("\t")
         if len(parts) != 6:
@@ -190,6 +199,9 @@ def read_corpus(manifest_path) -> ParallelCorpus:
         utt_id, split, wav_name, tv_name, label_name, transcript = parts
         if split not in SPLITS:
             raise FormatError(f"{manifest}: unknown split {split!r}")
+        if utt_id in seen:
+            raise FormatError(f"{manifest}: duplicate utterance id {utt_id!r}")
+        seen.add(utt_id)
         wav = read_wav(base / wav_name)
         if (tv_name, label_name) not in shared:
             shared[tv_name, label_name] = _read_targets(base / tv_name,
@@ -200,9 +212,4 @@ def read_corpus(manifest_path) -> ParallelCorpus:
                                     transcript.split(), source_id))
     if not utterances:
         raise FormatError(f"{manifest}: no utterances")
-    n_classes = max(int(u.labels.max()) for u in utterances) + 1
-    classes_file = base / CLASSES_NAME
-    if classes_file.exists():
-        with open(classes_file, "r", encoding="utf-8") as fh:
-            n_classes = max(n_classes, sum(1 for line in fh if line.strip()))
-    return ParallelCorpus(utterances, n_classes)
+    return ParallelCorpus(utterances, n_gesture_classes())

@@ -32,8 +32,7 @@ class WerReport:
         return 100.0 * self.n_errors / self.n_ref_words
 
 
-def greedy_decode(posteriors: np.ndarray, class_to_token: dict,
-                  silence_class: int = SILENCE_CLASS) -> list:
+def greedy_decode(posteriors: np.ndarray, class_to_token: dict) -> list:
     """Per-frame argmax, collapse duplicate runs, drop silence, map to tokens.
 
     Argmax ties resolve to the lowest class index. The map must cover every
@@ -49,17 +48,15 @@ def greedy_decode(posteriors: np.ndarray, class_to_token: dict,
     sums = posteriors.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > 1e-6):
         raise ShapeError("posterior rows must sum to 1")
-    return collapse_labels(posteriors.argmax(axis=1), class_to_token,
-                           silence_class)
+    return collapse_labels(posteriors.argmax(axis=1), class_to_token)
 
 
-def collapse_labels(labels, class_to_token: dict,
-                    silence_class: int = SILENCE_CLASS) -> list:
+def collapse_labels(labels, class_to_token: dict) -> list:
     """Reference token sequence from per-frame labels (same collapse rule)."""
     tokens = []
     previous = None
     for c in np.asarray(labels):
-        if c != previous and c != silence_class:
+        if c != previous and c != SILENCE_CLASS:
             tokens.append(class_to_token[int(c)])
         previous = c
     return tokens
@@ -105,14 +102,14 @@ def combine_reports(reports: list) -> WerReport:
     )
 
 
-def results_table(rows: list, metric_name: str = "WER (%)") -> str:
-    """Format (arch, features, train_data, value) rows as a results table.
+def results_table(rows: list) -> str:
+    """Format (arch, features, train_data, WER %) rows as a results table.
 
     Rows sharing a training-data tag form a panel (in first-appearance
-    order); the lowest metric value in each panel is marked with '*', ties
+    order); the lowest WER in each panel is marked with '*', ties
     all marked.
     """
-    headers = ("AM", "Features", "Train. Data", metric_name)
+    headers = ("AM", "Features", "Train. Data", "WER (%)")
     panels = []
     panel_keys = []
     for row in rows:

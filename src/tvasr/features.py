@@ -110,15 +110,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def mel_filterbank_weights(n_bands: int, sample_rate: int,
-                           n_fft: int = FFT_SIZE) -> np.ndarray:
-    """Triangular mel filter weights, shape (n_bands, n_fft//2 + 1).
+def mel_filterbank_weights(n_bands: int, sample_rate: int) -> np.ndarray:
+    """Triangular mel filter weights, shape (n_bands, FFT_SIZE//2 + 1).
 
-    Designed once per (n_bands, sample_rate, n_fft) and process; the
+    Designed once per (n_bands, sample_rate) and process; the
     returned array is shared by every caller and read-only.
     """
     edges = mel_band_edges(n_bands, sample_rate)
-    fft_freqs = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
+    fft_freqs = np.arange(FFT_SIZE // 2 + 1) * sample_rate / FFT_SIZE
     weights = np.zeros((n_bands, len(fft_freqs)))
     for b in range(n_bands):
         lo, center, hi = edges[b], edges[b + 1], edges[b + 2]

@@ -27,7 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
 from .errors import ConfigError, DivergenceError, FormatError, ShapeError, StateError
-from .records import Reader, read_file
+from .records import Reader
 
 _NNG_MAGIC = b"NNG1"
 
@@ -352,18 +352,6 @@ class Stream:
     layers: list
 
 
-@dataclass(frozen=True)
-class FusionLayout:
-    """Sizes of the concatenated feature maps fed to the trunk."""
-
-    freq_stream_dims: int
-    time_stream_dims: int
-
-    @property
-    def fused_dims(self) -> int:
-        return self.freq_stream_dims + self.time_stream_dims
-
-
 @dataclass
 class NetworkGraph:
     streams: list
@@ -397,13 +385,6 @@ class NetworkGraph:
                 d = layer.out_dim(d)
             out.append(d)
         return out
-
-    @property
-    def fusion(self) -> FusionLayout | None:
-        if len(self.streams) < 2:
-            return None
-        dims = self.stream_out_dims()
-        return FusionLayout(dims[0], int(sum(dims[1:])))
 
     def shape_ledger(self):
         """Per-layer (scope, kind, in_dim, out_dim) entries, validating the chain.
@@ -600,11 +581,6 @@ def mse_loss(pred, target):
     return loss, (2.0 * diff / diff.size).astype(pred.dtype)
 
 
-def count_parameters(net: NetworkGraph) -> int:
-    return int(sum(p.size for layer in net.all_layers()
-                   for p in layer.param_arrays()))
-
-
 # ---------------------------------------------------------------------------
 # Checkpoint serialization (magic "NNG1"; parameters stored as float32)
 # ---------------------------------------------------------------------------
@@ -690,12 +666,3 @@ def network_from_bytes(r: Reader) -> NetworkGraph:
     streams = [Stream(name, input_dim, [layers.pop(0) for _ in range(count)])
                for name, input_dim, count in stream_meta]
     return NetworkGraph(streams, layers, np.float32)
-
-
-def save_network(path, net: NetworkGraph) -> None:
-    with open(path, "wb") as fh:
-        fh.write(network_to_bytes(net))
-
-
-def load_network(path) -> NetworkGraph:
-    return read_file(path, network_from_bytes)

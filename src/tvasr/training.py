@@ -7,8 +7,7 @@ improvement falls below the stop threshold or the CV error increases.
 `halve_always_after_first` switches to the classic variant that keeps
 halving every epoch once the first halving fired.
 
-Shuffling is seeded per epoch from (rng_seed, epoch), so a run resumed from
-a checkpoint is bit-identical to an uninterrupted one.
+Shuffling is seeded per epoch from (rng_seed, epoch).
 """
 
 from __future__ import annotations
@@ -18,12 +17,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DivergenceError, ShapeError, StateError
+from .errors import DivergenceError, FormatError, ShapeError, StateError
 from .features import SpliceSpec, splice_indices
-from .nn import (NetworkGraph, backward, forward, mse_loss,
-                 network_from_bytes, network_to_bytes, sgd_step,
+from .nn import (NetworkGraph, backward, forward, mse_loss, sgd_step,
                  softmax_cross_entropy)
-from .records import Reader, read_file
+from .records import Reader
 
 _TRS_MAGIC = b"TRS1"
 _PHASE_CODES = {"constant": 0, "halving": 1, "stopped": 2}
@@ -66,7 +64,6 @@ class TrainState:
     phase: str = "constant"
     best_epoch: int = 0
     best_cv_error: float = float("inf")
-    best_checkpoint: str = ""
 
 
 def schedule_update(state: TrainState, new_cv_error: float,
@@ -240,17 +237,14 @@ class TrainResult:
 def run_training(net: NetworkGraph, train_set: FrameDataset,
                  cv_set: FrameDataset, cfg: TrainConfig, loss: str = "ce",
                  cv_metric: str = "frame_error",
-                 state: TrainState | None = None,
                  on_epoch=None) -> TrainResult:
     """Drive train_epoch under the halving schedule until it stops.
 
     `net` is updated in place; the returned best_net is a copy of the
-    parameters at the minimum CV error. Pass the state loaded from a
-    checkpoint to resume; epoch seeds derive from (cfg.rng_seed, epoch) so
-    the resumed run matches an uninterrupted one bit for bit.
+    parameters at the minimum CV error. Epoch seeds derive from
+    (cfg.rng_seed, epoch).
     """
-    if state is None:
-        state = TrainState(lr=cfg.initial_lr)
+    state = TrainState(lr=cfg.initial_lr)
     best_net = net.copy()
     records = []
     while state.phase != "stopped" and state.epoch < cfg.max_epochs:
@@ -270,21 +264,20 @@ def run_training(net: NetworkGraph, train_set: FrameDataset,
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: network record followed by a train-state record
+# TRS1 train-state records, stored in acoustic-model bundles
 # ---------------------------------------------------------------------------
 
 def train_state_to_bytes(state: TrainState) -> bytes:
-    ref = state.best_checkpoint.encode("utf-8")
-    parts = [
+    """One TRS1 record; its reference field is always empty (length 0)."""
+    return b"".join([
         _TRS_MAGIC,
         struct.pack("<IdBId", state.epoch, state.lr,
                     _PHASE_CODES[state.phase], state.best_epoch,
                     state.best_cv_error),
         struct.pack("<I", len(state.cv_error_history)),
         struct.pack(f"<{len(state.cv_error_history)}d", *state.cv_error_history),
-        struct.pack("<H", len(ref)), ref,
-    ]
-    return b"".join(parts)
+        struct.pack("<H", 0),
+    ])
 
 
 def train_state_from_bytes(r: Reader) -> TrainState:
@@ -294,18 +287,8 @@ def train_state_from_bytes(r: Reader) -> TrainState:
     phase = r.code(_PHASE_CODES, "phase")
     best_epoch, best_cv, n_hist = r.take("<IdI")
     history = list(r.take(f"<{n_hist}d"))
+    (n_ref,) = r.take("<H")
+    if n_ref:
+        raise FormatError(f"train-state reference of {n_ref} bytes (must be empty)")
     return TrainState(lr=lr, epoch=epoch, cv_error_history=history,
-                      phase=phase, best_epoch=best_epoch,
-                      best_cv_error=best_cv, best_checkpoint=r.text("<H"))
-
-
-def save_checkpoint(path, net: NetworkGraph, state: TrainState) -> None:
-    with open(path, "wb") as fh:
-        fh.write(network_to_bytes(net))
-        fh.write(train_state_to_bytes(state))
-
-
-def load_checkpoint(path):
-    """Read back (net, state); raises FormatError on corrupt content."""
-    return read_file(path, lambda r: (network_from_bytes(r),
-                                      train_state_from_bytes(r)))
+                      phase=phase, best_epoch=best_epoch, best_cv_error=best_cv)

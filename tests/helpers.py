@@ -33,6 +33,12 @@ def analytic_gradients(net: NetworkGraph, inputs, targets, loss: str):
     return backward(net, grad)
 
 
+def count_parameters(net: NetworkGraph) -> int:
+    """Number of trainable values over all layers."""
+    return int(sum(p.size for layer in net.all_layers()
+                   for p in layer.param_arrays()))
+
+
 def max_relative_gradient_error(net: NetworkGraph, inputs, targets,
                                 loss: str = "ce", eps: float = 1e-3) -> float:
     """Worst relative error between backprop and central finite differences.

@@ -94,7 +94,7 @@ def test_criterion_2_paper_scale_shape_ledger():
     assert time_pool.out_positions == 2
     assert time_pool.out_dim(None) == 2 * 75 == 150
 
-    assert net.fusion.fused_dims == 2350
+    assert sum(net.stream_out_dims()) == 2350
     dense_sizes = [(l.n_in, l.n_out) for l in net.trunk if l.kind == "dense"]
     assert dense_sizes[0] == (2350, 2048)
     assert dense_sizes[1:6] == [(2048, 2048)] * 5

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import draw_smooth_gradcheck_case, max_relative_gradient_error
+from helpers import (count_parameters, draw_smooth_gradcheck_case,
+                     max_relative_gradient_error)
 
 from tvasr.architectures import (ArchSpec, arch_spec_from_config, build_network,
                                  parse_kv_config)
 from tvasr.errors import ConfigError, ShapeError
-from tvasr.nn import count_parameters, forward
+from tvasr.nn import forward
 
 RNG = np.random.default_rng(99)
 
@@ -86,7 +87,7 @@ class TestBuildTfcnn:
         assert freq_out == 2200
         # 17 frames, width 5 -> 13 positions, pool 5 -> 2; 75 filters
         assert time_out == 2 * 75
-        assert net.fusion.fused_dims == 2350
+        assert sum(net.stream_out_dims()) == 2350
 
     def test_both_streams_consume_acoustic_input(self):
         spec = toy_spec("tfcnn")
@@ -118,9 +119,8 @@ class TestBuildFcnn:
     def test_fused_dimension(self):
         spec = ArchSpec(kind="fcnn", n_classes=42)
         net = build_network(spec)
-        assert net.fusion.freq_stream_dims == 2200
-        assert net.fusion.time_stream_dims == 150
-        assert net.fusion.fused_dims == 2350
+        assert net.stream_out_dims() == [2200, 150]
+        assert sum(net.stream_out_dims()) == 2350
 
     def test_missing_tv_input_is_an_error(self):
         spec = toy_spec("fcnn")
@@ -163,7 +163,7 @@ class TestBuildFcnn:
         for layer in fcnn.streams[1].layers:
             for p in layer.param_arrays():
                 p[...] = 0.0
-        freq_dims = fcnn.fusion.freq_stream_dims
+        freq_dims = fcnn.stream_out_dims()[0]
         first_cnn, first_fcnn = cnn.trunk[0], fcnn.trunk[0]
         first_fcnn.weight[...] = 0.0
         first_fcnn.weight[:freq_dims, :] = first_cnn.weight

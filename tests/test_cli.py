@@ -238,6 +238,33 @@ class TestEvaluate:
         assert results.read_text().split("\t")[1] == "FB + TV (ground truth)"
         assert run(["report", "--results", results]) == 0
 
+    @pytest.mark.parametrize("tag", ["a\tb", "a\nb", "a\rb"])
+    def test_tag_that_report_cannot_read_exit_2(self, tag, trained_dir,
+                                                corpus_dir, tmp_path):
+        assert run(["evaluate", "--checkpoint", trained_dir / "fcnn.ckpt",
+                    "--corpus", corpus_dir, "--out", tmp_path,
+                    "--tag", tag]) == 2
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestReport:
+    @pytest.mark.parametrize("row", [
+        b"CNN\tFB\ttoy", b"CNN\tFB\ttoy\t12.5\textra", b"CNN\tFB\ttoy\tlow",
+        b"CNN\tFB\ttoy\tnan", b"CNN\tFB\ttoy\tinf"])
+    def test_malformed_row_exit_1(self, row, tmp_path, capsys):
+        results = tmp_path / "results.tsv"
+        results.write_bytes(b"CNN\tFB\ttoy\t12.5\n\n" + row + b"\n")
+        assert run(["report", "--results", results]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {results}:3: " in captured.err
+
+    def test_undecodable_results_exit_1(self, tmp_path, capsys):
+        results = tmp_path / "results.tsv"
+        results.write_bytes(b"CNN\tFB\tt\xffy\t12.5\n")
+        assert run(["report", "--results", results]) == 1
+        assert f"error: {results}: " in capsys.readouterr().err
+
 
 class TestInvertedTvFiles:
     """--tv-source inverted needs <id>.inv.fmx only for the utterances read."""
@@ -554,6 +581,27 @@ class TestDamagedTvFiles:
                     "--out", tmp_path]) == 1
         self.assert_format_error(bad, capsys)
         assert not (tmp_path / "results.tsv").exists()
+
+
+# Ways a corpus can differ from what corpus-gen wrote: (file, damage).
+DAMAGED_CORPUS = {
+    "label-minus-1": ("utt00000.labels", lambda b: b"-1\n" + b),
+    "label-1e11": ("utt00000.labels", lambda b: b + b"99999999999\n"),
+    "manifest-not-utf8": ("manifest.tsv", lambda b: b.replace(b"\n", b"\xff\n", 1)),
+    "manifest-duplicate-row": ("manifest.tsv", lambda b: b + b.split(b"\n")[0] + b"\n"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGED_CORPUS))
+def test_damaged_corpus_exit_1(damage, corpus_dir, tmp_path, capsys):
+    corpus = copy_with_inv_files(corpus_dir, tmp_path, lambda u: False)
+    name, change = DAMAGED_CORPUS[damage]
+    path = corpus / name
+    path.write_bytes(change(path.read_bytes()))
+    assert run(["train", "--arch", "dnn", "--corpus", corpus,
+                "--out", tmp_path / "out"]) == 1
+    assert f"error: {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestTrainConfigValues:

@@ -1,3 +1,4 @@
+import shutil
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from tvasr.corpus import (build_parallel_corpus, corpus_digest, read_corpus,
                           split_sizes, write_corpus)
 from tvasr.errors import ConfigError, FormatError
 from tvasr.features import load_feature_matrix as load, logmel_filterbank
+from tvasr.synth import n_gesture_classes
 
 
 @pytest.fixture(scope="module")
@@ -22,10 +24,6 @@ class TestBuild:
     def test_too_few_utterances(self):
         with pytest.raises(ConfigError):
             build_parallel_corpus(5)
-
-    def test_empty_noise_bank(self):
-        with pytest.raises(ConfigError):
-            build_parallel_corpus(10, noise_bank=())
 
     def test_clean_plus_noisy_copies(self, small_corpus):
         assert len(small_corpus.utterances) == 200
@@ -148,6 +146,52 @@ class TestDiskRoundtrip:
         manifest.write_text("\n".join(rows) + "\n")
         with pytest.raises(FormatError):
             read_corpus(manifest)
+
+
+@pytest.fixture(scope="module")
+def written_corpus(tmp_path_factory):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        corpus = build_parallel_corpus(10, rng_seed=5)
+    out = tmp_path_factory.mktemp("written")
+    write_corpus(corpus, out)
+    return out
+
+
+class TestDamagedCorpusFiles:
+    """Corpus files that are not what write_corpus wrote raise FormatError
+    naming the file, and classes.txt is never read."""
+
+    @staticmethod
+    def copy(written_corpus, tmp_path):
+        shutil.copytree(written_corpus, tmp_path / "c")
+        return tmp_path / "c" / "manifest.tsv"
+
+    @pytest.mark.parametrize("label", ["-1", "21", "99999999999", "1" + "0" * 30])
+    def test_label_outside_the_classes(self, label, written_corpus, tmp_path):
+        manifest = self.copy(written_corpus, tmp_path)
+        labels = manifest.parent / "utt00003.labels"
+        labels.write_text(labels.read_text() + label + "\n")
+        with pytest.raises(FormatError, match=f"{labels}: "):
+            read_corpus(manifest)
+
+    def test_undecodable_manifest(self, written_corpus, tmp_path):
+        manifest = self.copy(written_corpus, tmp_path)
+        manifest.write_bytes(manifest.read_bytes().replace(b"\n", b"\xff\n", 1))
+        with pytest.raises(FormatError, match=f"{manifest}: "):
+            read_corpus(manifest)
+
+    def test_duplicate_utterance_id(self, written_corpus, tmp_path):
+        manifest = self.copy(written_corpus, tmp_path)
+        text = manifest.read_text()
+        manifest.write_text(text + text.splitlines()[5] + "\n")
+        with pytest.raises(FormatError, match="duplicate utterance id 'utt00002n'"):
+            read_corpus(manifest)
+
+    def test_classes_file_is_not_read(self, written_corpus, tmp_path):
+        manifest = self.copy(written_corpus, tmp_path)
+        (manifest.parent / "classes.txt").write_bytes(b"\xff\n" * 40)
+        assert read_corpus(manifest).n_classes == n_gesture_classes() == 21
 
 
 def test_split_utts_filters(small_corpus):

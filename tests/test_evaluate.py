@@ -170,7 +170,7 @@ class TestResultsTable:
                 assert line.rstrip().endswith("*") == (value == best)
 
     def test_header_columns(self):
-        table = results_table(self.PAPER_ROWS, metric_name="WER (%)")
+        table = results_table(self.PAPER_ROWS)
         header = table.splitlines()[0]
         for col in ("AM", "Features", "Train. Data", "WER (%)"):
             assert col in header

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import reference_frame_dataset
+from helpers import count_parameters, reference_frame_dataset
 from tvasr.audio import Waveform
 from tvasr.errors import FormatError
 from tvasr.features import NormStats, SpliceSpec, nmc_features
@@ -10,7 +10,7 @@ from tvasr.inversion import (InversionConfig, InversionModel,
                              build_inversion_net, invert, invert_many,
                              load_inversion_model, pearson_per_tv,
                              save_inversion_model)
-from tvasr.nn import count_parameters, forward
+from tvasr.nn import forward, network_to_bytes
 
 
 def untrained_model(seed=0):
@@ -136,9 +136,8 @@ class TestModelFile:
                 assert np.array_equal(pa, pb)
 
     def test_missing_stats_record_rejected(self, tmp_path):
-        from tvasr.nn import save_network
         path = tmp_path / "bare.ckpt"
-        save_network(path, untrained_model().net)
+        path.write_bytes(network_to_bytes(untrained_model().net))
         with pytest.raises(FormatError):
             load_inversion_model(path)
 

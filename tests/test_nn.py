@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from helpers import (draw_smooth_gradcheck_case, max_relative_gradient_error,
-                     reference_maxpool)
+from helpers import (count_parameters, draw_smooth_gradcheck_case,
+                     max_relative_gradient_error, reference_maxpool)
 
 from tvasr.errors import (ConfigError, DivergenceError, FormatError,
                           ShapeError, StateError)
 from tvasr.nn import (Activation, Conv1d, Dense, Gradients, MaxPool1d,
-                      NetworkGraph, Softmax, Stream, backward,
-                      count_parameters, forward, load_network, mse_loss,
-                      network_to_bytes, save_network, sgd_step,
-                      softmax_cross_entropy)
+                      NetworkGraph, Softmax, Stream, backward, forward,
+                      mse_loss, network_from_bytes, network_to_bytes,
+                      sgd_step, softmax_cross_entropy)
+from tvasr.records import read_file
 
 RNG = np.random.default_rng(12345)
 
@@ -427,11 +427,21 @@ class TestSpecValidation:
 
 
 class TestCheckpointFormat:
+    """NNG1 network records, as bundles and inversion models hold them."""
+
+    @staticmethod
+    def save(path, net):
+        path.write_bytes(network_to_bytes(net))
+
+    @staticmethod
+    def load(path):
+        return read_file(path, network_from_bytes)
+
     def test_roundtrip_bit_exact(self, tmp_path):
         net = two_stream_net(dtype=np.float32, seed=21)
         path = tmp_path / "net.nng"
-        save_network(path, net)
-        back = load_network(path)
+        self.save(path, net)
+        back = self.load(path)
         for a, b in zip(net.all_layers(), back.all_layers()):
             assert a.kind == b.kind
             for pa, pb in zip(a.param_arrays(), b.param_arrays()):
@@ -443,40 +453,40 @@ class TestCheckpointFormat:
     def test_save_load_save_identical_bytes(self, tmp_path):
         net = conv_net(dtype=np.float32, seed=22)
         p1, p2 = tmp_path / "a.nng", tmp_path / "b.nng"
-        save_network(p1, net)
-        save_network(p2, load_network(p1))
+        self.save(p1, net)
+        self.save(p2, self.load(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_truncated_rejected(self, tmp_path):
         net = dense_net([4, 3], dtype=np.float32)
         path = tmp_path / "net.nng"
-        save_network(path, net)
+        self.save(path, net)
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(FormatError):
-            load_network(path)
+            self.load(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "net.nng"
         path.write_bytes(b"XXXX" + b"\x00" * 50)
         with pytest.raises(FormatError):
-            load_network(path)
+            self.load(path)
 
     def test_conv_not_first_in_stream_rejected(self, tmp_path):
         net = conv_net(dtype=np.float32, seed=23)
         # break the conv-first rule after construction has checked it
         net.streams[0].layers.insert(0, Dense(30, 30, dtype=np.float32))
         path = tmp_path / "net.nng"
-        save_network(path, net)
+        self.save(path, net)
         with pytest.raises(FormatError, match="first layer"):
-            load_network(path)
+            self.load(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         net = dense_net([4, 3], dtype=np.float32)
         path = tmp_path / "net.nng"
-        save_network(path, net)
+        self.save(path, net)
         path.write_bytes(path.read_bytes() + b"extra")
         with pytest.raises(FormatError):
-            load_network(path)
+            self.load(path)
 
 
 def test_count_parameters():

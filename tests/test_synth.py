@@ -201,7 +201,8 @@ class TestNoiseBank:
         assert len(wav.samples) == 16000
         assert np.all(np.isfinite(wav.samples))
         assert np.max(np.abs(wav.samples)) <= 1.0
-        assert wav.rms() == pytest.approx(0.1, rel=0.05)
+        rms = np.sqrt(np.mean(np.square(wav.samples)))
+        assert rms == pytest.approx(0.1, rel=0.05)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -16,12 +16,14 @@ from tvasr.errors import FormatError, StateError
 from tvasr.features import SpliceSpec, nmc_features, norm_stats
 from tvasr.inversion import InversionConfig, inversion_dataset
 from tvasr.nn import (Activation, Dense, NetworkGraph, Softmax, Stream,
-                      forward, softmax_cross_entropy)
+                      forward, network_from_bytes, network_to_bytes,
+                      softmax_cross_entropy)
+from tvasr.records import read_file
 from tvasr.training import (_PREDICT_CHUNK, EpochRecord, FrameDataset,
                             TrainConfig, TrainState, evaluate_dataset,
-                            load_checkpoint, predict_dataset, run_training,
-                            save_checkpoint, schedule_update,
-                            stack_utterances, train_epoch)
+                            predict_dataset, run_training, schedule_update,
+                            stack_utterances, train_epoch,
+                            train_state_from_bytes, train_state_to_bytes)
 from tvasr.synth import TVTrajectory
 
 RNG = np.random.default_rng(2718)
@@ -246,50 +248,46 @@ class TestRunTraining:
 
 
 class TestCheckpoints:
+    """An NNG1 network record followed by a TRS1 train-state record, the
+    head of every acoustic-model bundle."""
+
+    @staticmethod
+    def save(path, net, state):
+        path.write_bytes(network_to_bytes(net) + train_state_to_bytes(state))
+
+    @staticmethod
+    def load(path):
+        return read_file(path, lambda r: (network_from_bytes(r),
+                                          train_state_from_bytes(r)))
+
     def test_save_load_save_identical(self, tmp_path):
         net = make_net(seed=9)
         state = TrainState(lr=0.004, epoch=6, cv_error_history=[3.0, 2.0],
-                           phase="halving", best_epoch=2, best_cv_error=2.0,
-                           best_checkpoint="best.ckpt")
+                           phase="halving", best_epoch=2, best_cv_error=2.0)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(p1, net, state)
-        net2, state2 = load_checkpoint(p1)
-        save_checkpoint(p2, net2, state2)
+        self.save(p1, net, state)
+        net2, state2 = self.load(p1)
+        self.save(p2, net2, state2)
         assert p1.read_bytes() == p2.read_bytes()
         assert state2 == state
 
     def test_truncated_checkpoint_rejected(self, tmp_path):
         net = make_net(seed=10)
         path = tmp_path / "t.ckpt"
-        save_checkpoint(path, net, TrainState(lr=0.008))
+        self.save(path, net, TrainState(lr=0.008))
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(FormatError):
-            load_checkpoint(path)
+            self.load(path)
 
-    def test_resume_equals_uninterrupted(self, tmp_path):
-        def params(net):
-            return np.concatenate(
-                [p.ravel() for l in net.all_layers() for p in l.param_arrays()])
-
-        cfg_full = default_config(initial_lr=0.5, max_epochs=6)
-        net_full = make_net(seed=11)
-        full = run_training(net_full, make_dataset(seed=11),
-                            make_dataset(seed=110), cfg_full)
-
-        cfg_half = default_config(initial_lr=0.5, max_epochs=3)
-        net_half = make_net(seed=11)
-        part = run_training(net_half, make_dataset(seed=11),
-                            make_dataset(seed=110), cfg_half)
-        path = tmp_path / "resume.ckpt"
-        save_checkpoint(path, net_half, part.state)
-
-        net_resumed, state = load_checkpoint(path)
-        resumed = run_training(net_resumed, make_dataset(seed=11),
-                               make_dataset(seed=110), cfg_full, state=state)
-        assert np.array_equal(params(net_resumed), params(net_full))
-        assert (part.state.cv_error_history
-                + [r.cv_error for r in resumed.records]
-                == full.state.cv_error_history)
+    def test_non_empty_reference_rejected(self, tmp_path):
+        """The TRS1 reference field is written empty and must be read so."""
+        blob = train_state_to_bytes(TrainState(lr=0.008))
+        assert blob.endswith(b"\0\0")
+        path = tmp_path / "t.ckpt"
+        path.write_bytes(network_to_bytes(make_net(seed=12))
+                         + blob[:-2] + b"\x04\0best")
+        with pytest.raises(FormatError, match="reference of 4 bytes"):
+            self.load(path)
 
 
 def test_train_acoustic_model_computes_logmel_once(monkeypatch):
