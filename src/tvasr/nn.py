@@ -227,7 +227,14 @@ class MaxPool1d:
     def param_arrays(self):
         return []
 
-    def forward(self, x, train):
+    def forward(self, x, train, relu=False):
+        """Pool x; with relu=True, pool max(x, 0) from the max of x.
+
+        That is the ReLU followed by this pool, with the same output and
+        input gradient bits for x without NaN: a window's max is rectified,
+        and a window whose max is <= 0 routes its gradient, times 0, to its
+        first slice.
+        """
         t = x.shape[0]
         k, p_out, c = self.pool_size, self.out_positions, self.n_channels
         xw = x.reshape(t, self.n_positions, c)[:, :p_out * k, :]
@@ -240,24 +247,34 @@ class MaxPool1d:
         if train:
             # the first slice that holds the max wins a tie (ReLU makes
             # all-zero windows common): count the leading slices that miss it
+            positive = y > 0 if relu else None
             miss = xw[:, :, 0, :] != y
+            if relu:
+                miss &= positive
             idx = miss.view(np.uint8).copy()
             for j in range(1, k - 1):
                 miss &= xw[:, :, j, :] != y
                 idx += miss
-            self._cache = (idx, t)
+            self._cache = (idx, t, positive)
+        if relu:
+            np.maximum(y, 0, out=y)
         return y.reshape(t, p_out * c)
 
     def backward(self, dy):
-        idx, t = self._cache
+        idx, t, positive = self._cache
         k, p_out, c = self.pool_size, self.out_positions, self.n_channels
+        dy = dy.reshape(t, p_out, c)
+        if positive is not None:
+            # the folded ReLU's factor, applied where its backward would
+            # meet dy: at the routed slot
+            dy = dy * positive
         # Route dy by multiplying its bit patterns, as integers, by 0 or 1:
         # that keeps dy's bits or writes +0.0, where a float product with a
         # mask would turn 0 x (negative dy) into -0.0.
         bits = np.dtype(f"i{dy.itemsize}")
         dx = np.zeros((t, self.n_positions, c), dtype=bits)
         dxw = dx[:, :p_out * k, :].reshape(t, p_out, k, c)
-        dy_bits = dy.reshape(t, p_out, c).view(bits)
+        dy_bits = dy.view(bits)
         for j in range(k):
             np.multiply(dy_bits, idx == j, out=dxw[:, :, j, :])
         return dx.view(dy.dtype).reshape(t, self.in_dim), []
@@ -462,11 +479,50 @@ def _as_input_dict(net: NetworkGraph, inputs) -> dict:
     return {names[0]: inputs}
 
 
+def _relu_folded(layers) -> list:
+    """Per layer: is it a ReLU that the max-pool right after it applies?
+
+    Such a pool rectifies only its pooled values (see MaxPool1d.forward),
+    which saves the full-size ReLU output, its cache and its backward
+    product. A sigmoid keeps its layer: ties that expit's rounding makes
+    could move the pool's pick.
+    """
+    return [a.kind == "activation" and a.fn == "relu" and b.kind == "maxpool1d"
+            for a, b in zip(layers, layers[1:])] + [False]
+
+
+def _forward_chain(layers, x, train):
+    folded = _relu_folded(layers)
+    for i, layer in enumerate(layers):
+        if folded[i]:
+            continue
+        if i and folded[i - 1]:
+            x = layer.forward(x, train, True)
+        else:
+            x = layer.forward(x, train)
+    return x
+
+
+def _backward_chain(layers, dy, grads_by_id):
+    for layer, folded in zip(reversed(layers), reversed(_relu_folded(layers))):
+        if folded:
+            grads_by_id[id(layer)] = []  # its pool applied its gradient
+            continue
+        dy, grads_by_id[id(layer)] = layer.backward(dy)
+    return dy
+
+
 def forward(net: NetworkGraph, inputs, mode: str = "eval"):
     """Run all layers; in train mode, activations are cached for backward."""
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
     train = mode == "train"
+    if train:
+        # free the last step's caches (a conv's im2col among them) before
+        # this step allocates its own
+        net._train_ready = False
+        for layer in net.all_layers():
+            layer._cache = None
     tensors = _as_input_dict(net, inputs)
     dims = net.input_dims()
 
@@ -482,13 +538,10 @@ def forward(net: NetworkGraph, inputs, mode: str = "eval"):
             n_frames = x.shape[0]
         elif x.shape[0] != n_frames:
             raise ShapeError("input streams disagree on frame count")
-        for layer in stream.layers:
-            x = layer.forward(x, train)
-        outputs.append(x)
+        outputs.append(_forward_chain(stream.layers, x, train))
 
     h = outputs[0] if len(outputs) == 1 else np.concatenate(outputs, axis=1)
-    for layer in net.trunk:
-        h = layer.forward(h, train)
+    h = _forward_chain(net.trunk, h, train)
     net._train_ready = train
     return h
 
@@ -510,42 +563,61 @@ def backward(net: NetworkGraph, loss_grad, at_logits: bool = False) -> Gradients
         trunk = trunk[:-1]
 
     grads_by_id = {}
-    dy = np.asarray(loss_grad, dtype=net.dtype)
-    for layer in reversed(trunk):
-        dy, pgrads = layer.backward(dy)
-        grads_by_id[id(layer)] = pgrads
+    dy = _backward_chain(trunk, np.asarray(loss_grad, dtype=net.dtype),
+                         grads_by_id)
     if at_logits:
         grads_by_id[id(net.trunk[-1])] = []
 
     offset = 0
     for stream, width in zip(net.streams, net.stream_out_dims()):
-        dx = dy[:, offset:offset + width]
+        _backward_chain(stream.layers, dy[:, offset:offset + width],
+                        grads_by_id)
         offset += width
-        for layer in reversed(stream.layers):
-            dx, pgrads = layer.backward(dx)
-            grads_by_id[id(layer)] = pgrads
 
     return Gradients([grads_by_id[id(layer)] for layer in net.all_layers()], {})
+
+
+# Elements per sgd_step block: a block of g, its product and p stay in cache.
+_SGD_BLOCK = 1 << 16
 
 
 def sgd_step(net: NetworkGraph, grads: Gradients, lr: float) -> None:
     """Plain SGD update: p <- p - lr * g.
 
     The loss functions of this module already normalize their gradients by
-    the number of frames.
+    the number of frames. Each array is updated in blocks of _SGD_BLOCK
+    elements, with the bits of the whole-array expression and no full-size
+    temporary; the gradient arrays are left as they are.
     """
-    if lr < 0:
-        raise ValueError("learning rate must be non-negative")
-    for layer, pgrads in zip(net.all_layers(), grads.by_layer):
-        params = layer.param_arrays()
-        if len(params) != len(pgrads):
-            raise ShapeError("gradient structure does not match network")
-        for p, g in zip(params, pgrads):
-            if not np.all(np.isfinite(g)):
-                raise DivergenceError(f"non-finite gradient in {layer.kind} layer")
-            # a rate in the parameter dtype keeps the product there, with
-            # no float64 temporary and no cast copy
-            p -= p.dtype.type(lr) * g
+    if not 0 <= lr < np.inf:
+        raise ValueError(f"learning rate must be finite and non-negative, "
+                         f"got {lr}")
+    # An overflowing block sum is no error: the exact test decides. An
+    # update that overflows leaves p infinite, and the next loss is too.
+    with np.errstate(over="ignore"):
+        for layer, pgrads in zip(net.all_layers(), grads.by_layer):
+            params = layer.param_arrays()
+            if len(params) != len(pgrads):
+                raise ShapeError("gradient structure does not match network")
+            for p, g in zip(params, pgrads):
+                _sgd_update(layer.kind, p, g, p.dtype.type(lr))
+
+
+def _sgd_update(kind: str, p, g, rate) -> None:
+    if g.shape != p.shape:
+        raise ShapeError("gradient structure does not match network")
+    if not p.flags.c_contiguous:  # else p.reshape(-1) would copy
+        raise ShapeError(f"{kind} parameter is not contiguous")
+    flat_p, flat_g = p.reshape(-1), g.reshape(-1)
+    for start in range(0, flat_g.size, _SGD_BLOCK):
+        block = flat_g[start:start + _SGD_BLOCK]
+        # no float addition makes inf or NaN finite, so a finite sum
+        # proves the block finite; the rest get the exact test
+        if not (np.isfinite(block.sum()) or np.all(np.isfinite(block))):
+            raise DivergenceError(f"non-finite gradient in {kind} layer")
+        # a rate in the parameter dtype keeps the product there, with no
+        # float64 temporary and no cast copy
+        flat_p[start:start + _SGD_BLOCK] -= rate * block
 
 
 def softmax_cross_entropy(logits, labels):

@@ -28,7 +28,9 @@ _PHASE_CODES = {"constant": 0, "halving": 1, "stopped": 2}
 
 # Frames per eval-mode forward in predict_dataset. For a paper fCNN, the
 # frequency im2col matrix of 2,048 frames alone is 110 MB; with 256 frames
-# a whole CV pass stays under 30 MiB.
+# a whole CV pass stays under 30 MiB. Changing it can change the outputs'
+# last bits, since a BLAS product's rows depend on its row count when that
+# count is small (see predict_dataset).
 _PREDICT_CHUNK = 256
 
 
@@ -196,8 +198,12 @@ def predict_dataset(net: NetworkGraph, dataset: FrameDataset) -> np.ndarray:
     """Eval-mode forward over the whole dataset, in deterministic order.
 
     The forward runs on _PREDICT_CHUNK frames at a time, so its peak memory
-    does not grow with the dataset; each frame's output is independent of
-    the chunking.
+    does not grow with the dataset. The outputs are deterministic for that
+    fixed chunk size, but a frame's last bits can depend on the chunk it
+    falls in: on OpenBLAS, a GEMM row's bits depend on the product's row
+    count when that count is small (under about 50 rows for the paper
+    trunk's 1024 x 21 output layer), so a short last chunk, or one forward
+    per utterance, can give different bits from a 256-frame chunk.
     """
     outputs = []
     for start in range(0, len(dataset), _PREDICT_CHUNK):

@@ -6,9 +6,9 @@ from helpers import (count_parameters, draw_smooth_gradcheck_case,
 
 from tvasr.errors import (ConfigError, DivergenceError, FormatError,
                           ShapeError, StateError)
-from tvasr.nn import (Activation, Conv1d, Dense, Gradients, MaxPool1d,
-                      NetworkGraph, Softmax, Stream, backward, forward,
-                      mse_loss, network_from_bytes, network_to_bytes,
+from tvasr.nn import (_SGD_BLOCK, Activation, Conv1d, Dense, Gradients,
+                      MaxPool1d, NetworkGraph, Softmax, Stream, backward,
+                      forward, mse_loss, network_from_bytes, network_to_bytes,
                       sgd_step, softmax_cross_entropy)
 from tvasr.records import read_file
 
@@ -115,6 +115,15 @@ class TestForward:
         with pytest.raises(StateError):
             backward(net, np.zeros((2, 3)))
 
+    def test_train_forward_drops_the_previous_caches(self):
+        net = conv_net(activation="relu", seed=6)
+        forward(net, RNG.standard_normal((4, 30)), mode="train")
+        with pytest.raises(ShapeError):
+            forward(net, np.zeros((4, 31)), mode="train")
+        assert all(layer._cache is None for layer in net.all_layers())
+        with pytest.raises(StateError):
+            backward(net, np.zeros((4, 5)))
+
     def test_time_constant_input_gives_time_constant_output(self):
         rng = np.random.default_rng(8)
         conv = Conv1d("time", 4, 3, 6, 9, rng=rng, dtype=np.float64)
@@ -218,6 +227,95 @@ class TestBackward:
         assert len(grads.by_layer) == len(net.all_layers())
 
 
+def bit_equal(a, b):
+    """Same dtype, shape and bytes: a -0.0 differs from a +0.0."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestReluFoldedIntoPool:
+    """MaxPool1d(relu=True) against Activation("relu") then MaxPool1d."""
+
+    @staticmethod
+    def pre_activation(rng, t, pool_size, n_positions, n_channels, dtype):
+        z = rng.standard_normal((t, n_positions, n_channels))
+        k = pool_size
+        z[0::4, :k, :] = -np.abs(z[0::4, :k, :])  # all-negative windows
+        z[1::4, :k, :] = -np.abs(z[1::4, :k, :])
+        z[1::4, k - 1, :] = -0.0                   # their max is -0.0
+        z[2::4, :k, 1] = -0.0                      # only -0.0
+        z[2::4, :k, 2] = 0.0                       # only +0.0
+        if k > 1:
+            z[3::4, :k, :] = np.abs(z[3::4, :k, :])
+            z[3::4, k - 1, :] = z[3::4, 0, :]      # exact positive ties
+            z[3::4, k - 2, 0] = -0.0
+        z[:, n_positions // k * k:, :] = 9.0       # dropped trailing positions
+        return z.reshape(t, -1).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pool_size,n_positions,n_channels", [
+        (1, 6, 4),
+        (2, 7, 3),
+        (3, 11, 4),   # two trailing positions dropped
+        (5, 13, 6),   # the time stream: 13 positions, 3 dropped
+    ])
+    def test_matches_relu_then_pool_bit_for_bit(self, pool_size, n_positions,
+                                                n_channels, dtype):
+        rng = np.random.default_rng(pool_size * 10 + n_positions)
+        t = 24
+        z = self.pre_activation(rng, t, pool_size, n_positions, n_channels,
+                                dtype)
+        relu = Activation("relu")
+        pool = MaxPool1d(pool_size, n_positions, n_channels)
+        dy = rng.standard_normal((t, pool.out_dim(None))).astype(dtype)
+        dy[::5] = 0.0
+        want_y = pool.forward(relu.forward(z, True), True)
+        want_idx = pool._cache[0]
+        want_dx, _ = relu.backward(pool.backward(dy)[0])
+
+        folded = MaxPool1d(pool_size, n_positions, n_channels)
+        y = folded.forward(z, True, True)
+        idx = folded._cache[0]
+        dx, grads = folded.backward(dy)
+        assert bit_equal(y, want_y)
+        assert bit_equal(idx, want_idx)
+        assert bit_equal(dx, want_dx) and grads == []
+        assert np.any(np.signbit(dx[dx == 0.0]))  # 0 x negative dy is -0.0
+        assert bit_equal(folded.forward(z, False, True), want_y)
+
+    def test_eval_mode_caches_nothing(self):
+        pool = MaxPool1d(3, 9, 2)
+        pool.forward(RNG.standard_normal((4, 18)), False, True)
+        assert pool._cache is None
+
+    @pytest.mark.parametrize("axis", ["frequency", "time"])
+    def test_relu_stream_is_folded_with_the_same_gradients(self, axis):
+        net = conv_net(axis=axis, activation="relu", dtype=np.float32,
+                       seed=21)
+        conv, relu, pool = net.streams[0].layers
+        dense, softmax = net.trunk
+        x = np.maximum(RNG.standard_normal((12, 30)), 0).astype(np.float32)
+        labels = RNG.integers(0, 5, 12)
+        forward(net, x, mode="train")
+        _, g = softmax_cross_entropy(net.cached_logits(), labels)
+        grads = backward(net, g, at_logits=True)
+        assert relu._cache is None and pool._cache[2] is not None
+        # the unfused chain, one layer at a time
+        h = pool.forward(relu.forward(conv.forward(x, True), True), True)
+        dense.forward(h, True)
+        d_h, dense_grads = dense.backward(g)
+        _, conv_grads = conv.backward(relu.backward(pool.backward(d_h)[0])[0])
+        want = [conv_grads, [], [], dense_grads, []]
+        for got, expected in zip(grads.by_layer, want):
+            assert len(got) == len(expected)
+            assert all(bit_equal(a, b) for a, b in zip(got, expected))
+
+    def test_sigmoid_stream_is_not_folded(self):
+        net = conv_net(activation="sigmoid", seed=22)
+        _, act, pool = net.streams[0].layers
+        forward(net, RNG.standard_normal((5, 30)), mode="train")
+        assert act._cache is not None and pool._cache[2] is None
+
+
 class TestGradientChecks:
     """Central finite differences vs backprop, eps=1e-3, double precision."""
 
@@ -311,6 +409,63 @@ class TestSgdStep:
         bad = Gradients([[np.array([[np.nan, 0], [0, 0.0]]), np.zeros(2)]], {})
         with pytest.raises(DivergenceError):
             sgd_step(net, bad, lr=0.1)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -0.1])
+    def test_rejects_bad_learning_rate(self, lr):
+        net = dense_net([3, 2], softmax=False, seed=4)
+        before = net.trunk[0].weight.copy()
+        g = Gradients([[np.ones((3, 2)), np.ones(2)]], {})
+        with pytest.raises(ValueError, match="learning rate"):
+            sgd_step(net, g, lr)
+        assert np.array_equal(net.trunk[0].weight, before)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocks_match_whole_array_update(self, dtype):
+        width = _SGD_BLOCK + 77  # bias: two blocks; weight: three
+        layer = Dense(2, width, np.random.default_rng(5), dtype)
+        layer.bias[:] = RNG.standard_normal(width)
+        net = NetworkGraph([Stream("acoustic", 2, [])], [layer], dtype)
+        g = Gradients([[RNG.standard_normal((2, width)).astype(dtype),
+                        RNG.standard_normal(width).astype(dtype)]], {})
+        g_bytes = [a.tobytes() for a in g.by_layer[0]]
+        lr = 0.013
+        want = [p - p.dtype.type(lr) * d
+                for p, d in zip(layer.param_arrays(), g.by_layer[0])]
+        sgd_step(net, g, lr)
+        for p, expected in zip(layer.param_arrays(), want):
+            assert bit_equal(p, expected)
+        assert [a.tobytes() for a in g.by_layer[0]] == g_bytes
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_in_a_later_block_raises(self, bad):
+        width = _SGD_BLOCK + 77
+        net = NetworkGraph([Stream("acoustic", 2, [])],
+                           [Dense(2, width, dtype=np.float32)], np.float32)
+        weight_grad = np.ones((2, width), dtype=np.float32)
+        weight_grad[1, -3] = bad  # in the third block
+        g = Gradients([[weight_grad, np.zeros(width, np.float32)]], {})
+        with pytest.raises(DivergenceError, match="dense"):
+            sgd_step(net, g, 0.1)
+
+    def test_gradient_of_another_shape_rejected(self):
+        net = dense_net([3, 2], softmax=False)
+        g = Gradients([[np.ones((2, 3)), np.ones(2)]], {})  # same size
+        with pytest.raises(ShapeError, match="gradient structure"):
+            sgd_step(net, g, 0.1)
+
+    def test_non_contiguous_parameter_rejected(self):
+        net = dense_net([3, 2], softmax=False)
+        net.trunk[0].weight = np.ones((2, 3)).T  # an update would be lost
+        g = Gradients([[np.ones((3, 2)), np.ones(2)]], {})
+        with pytest.raises(ShapeError, match="contiguous"):
+            sgd_step(net, g, 0.1)
+
+    def test_large_finite_gradient_is_not_divergence(self):
+        # the block sum overflows to inf; the exact test finds no inf
+        net = dense_net([2, 2], softmax=False, dtype=np.float32)
+        big = np.float32(3e38)
+        g = Gradients([[np.full((2, 2), big), np.zeros(2, np.float32)]], {})
+        sgd_step(net, g, 0.0)
 
     def test_small_step_never_increases_smooth_loss(self):
         net = dense_net([6, 8, 4], seed=8)
