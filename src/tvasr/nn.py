@@ -13,8 +13,9 @@ Parameters are stored in the network's dtype (float32 by default); losses
 accumulate in double precision.
 
 The mutation contract is single-threaded: `forward(..., mode="train")`
-caches activations on the layers, `backward` consumes that cache. Eval-mode
-forward caches nothing and is safe on a shared graph.
+caches activations on the layers; `backward` reads that cache, and
+`sgd_step` reads it, updates the parameters and drops it. Eval-mode forward
+caches nothing and is safe on a shared graph.
 """
 
 from __future__ import annotations
@@ -36,10 +37,26 @@ _ACT_CODES = {"sigmoid": 0, "relu": 1, "linear": 2}
 _AXIS_CODES = {"frequency": 0, "time": 1}
 
 
+# Values per glorot_uniform draw: a float64 block, not a float64 copy of
+# the whole weight.
+_DRAW_BLOCK = 1 << 16
+
+
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
                    dtype) -> np.ndarray:
+    """Uniform(-limit, limit) weights, limit = sqrt(6 / (fan_in + fan_out)).
+
+    Drawn in blocks of _DRAW_BLOCK values straight into the dtype array.
+    Each value takes one draw of the stream, so the bits are those of one
+    `rng.uniform(..., size=shape).astype(dtype)`.
+    """
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    out = np.empty(shape, dtype=dtype)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _DRAW_BLOCK):
+        block = flat[start:start + _DRAW_BLOCK]
+        block[...] = rng.uniform(-limit, limit, size=block.size)
+    return out
 
 
 class Dense:
@@ -272,7 +289,8 @@ class MaxPool1d:
         # that keeps dy's bits or writes +0.0, where a float product with a
         # mask would turn 0 x (negative dy) into -0.0.
         bits = np.dtype(f"i{dy.itemsize}")
-        dx = np.zeros((t, self.n_positions, c), dtype=bits)
+        dx = np.empty((t, self.n_positions, c), dtype=bits)
+        dx[:, p_out * k:, :] = 0  # dropped positions: no pass writes them
         dxw = dx[:, :p_out * k, :].reshape(t, p_out, k, c)
         dy_bits = dy.view(bits)
         for j in range(k):
@@ -459,7 +477,7 @@ class Gradients:
     """One list of arrays per layer (matching param_arrays).
 
     `input_grads` is always {}: backward builds no input gradients. The field
-    stays because the benchmark's traced run reports its size.
+    stays because the benchmark's traced run reads it.
     """
 
     by_layer: list
@@ -503,12 +521,17 @@ def _forward_chain(layers, x, train):
     return x
 
 
-def _backward_chain(layers, dy, grads_by_id):
-    for layer, folded in zip(reversed(layers), reversed(_relu_folded(layers))):
-        if folded:
-            grads_by_id[id(layer)] = []  # its pool applied its gradient
+def _backward_chain(layers, dy, scope, visit):
+    folded = _relu_folded(layers)
+    for i in reversed(range(len(layers))):
+        layer = layers[i]
+        where = f"{scope} layer {i} ({layer.kind})"
+        if folded[i]:
+            visit(layer, [], where)  # its pool applied its gradient
             continue
-        dy, grads_by_id[id(layer)] = layer.backward(dy)
+        dy, grads = layer.backward(dy)
+        visit(layer, grads, where)
+        del grads  # so the visitor may free them before the next backward
     return dy
 
 
@@ -546,34 +569,54 @@ def forward(net: NetworkGraph, inputs, mode: str = "eval"):
     return h
 
 
+def _check_backprop(net: NetworkGraph, at_logits: bool) -> None:
+    if not net._train_ready:
+        raise StateError("backward requires a preceding train-mode forward")
+    if at_logits and (not net.trunk or net.trunk[-1].kind != "softmax"):
+        raise StateError("at_logits requires a trailing softmax layer")
+
+
+def _backprop(net: NetworkGraph, loss_grad, at_logits: bool, visit) -> None:
+    """Backpropagate loss_grad through the cached forward pass.
+
+    Calls visit(layer, grads, where) for every layer, from the output to
+    the inputs (the trunk, then each stream), right after its backward
+    returns. By then the layer's gradient with respect to its input is
+    built, so the visitor may change the layer's parameters or drop its
+    cache: nothing later reads them. `where` names the layer, e.g.
+    "trunk layer 6 (dense)". Layers without a backward of their own (the
+    at-logits softmax, a ReLU folded into its pool) get no gradients.
+    """
+    trunk = net.trunk
+    if at_logits:
+        trunk = trunk[:-1]
+        visit(net.trunk[-1], [], f"trunk layer {len(trunk)} (softmax)")
+    dy = _backward_chain(trunk, np.asarray(loss_grad, dtype=net.dtype),
+                         "trunk", visit)
+    offset = 0
+    for s, (stream, width) in enumerate(zip(net.streams,
+                                            net.stream_out_dims())):
+        _backward_chain(stream.layers, dy[:, offset:offset + width],
+                        f"stream {s}", visit)
+        offset += width
+
+
 def backward(net: NetworkGraph, loss_grad, at_logits: bool = False) -> Gradients:
     """Parameter gradients of a loss gradient, through the cached forward pass.
 
     No gradient with respect to the network inputs is built. With
     at_logits=True the gradient is taken with respect to the input of a
     final softmax layer (the fused softmax/cross-entropy path); otherwise it
-    is with respect to the network output.
+    is with respect to the network output. The caches and parameters are
+    left as they are; `sgd_step` is the training step.
     """
-    if not net._train_ready:
-        raise StateError("backward requires a preceding train-mode forward")
-    trunk = list(net.trunk)
-    if at_logits:
-        if not trunk or trunk[-1].kind != "softmax":
-            raise StateError("at_logits requires a trailing softmax layer")
-        trunk = trunk[:-1]
-
+    _check_backprop(net, at_logits)
     grads_by_id = {}
-    dy = _backward_chain(trunk, np.asarray(loss_grad, dtype=net.dtype),
-                         grads_by_id)
-    if at_logits:
-        grads_by_id[id(net.trunk[-1])] = []
 
-    offset = 0
-    for stream, width in zip(net.streams, net.stream_out_dims()):
-        _backward_chain(stream.layers, dy[:, offset:offset + width],
-                        grads_by_id)
-        offset += width
+    def keep(layer, grads, where):
+        grads_by_id[id(layer)] = grads
 
+    _backprop(net, loss_grad, at_logits, keep)
     return Gradients([grads_by_id[id(layer)] for layer in net.all_layers()], {})
 
 
@@ -581,40 +624,53 @@ def backward(net: NetworkGraph, loss_grad, at_logits: bool = False) -> Gradients
 _SGD_BLOCK = 1 << 16
 
 
-def sgd_step(net: NetworkGraph, grads: Gradients, lr: float) -> None:
-    """Plain SGD update: p <- p - lr * g.
+def sgd_step(net: NetworkGraph, loss_grad, lr: float,
+             at_logits: bool = False) -> None:
+    """One plain SGD update, p <- p - lr * g, from a loss gradient.
 
-    The loss functions of this module already normalize their gradients by
-    the number of frames. Each array is updated in blocks of _SGD_BLOCK
-    elements, with the bits of the whole-array expression and no full-size
-    temporary; the gradient arrays are left as they are.
+    Takes the loss gradient that `backward` takes, after a train-mode
+    forward, and backpropagates it layer by layer. Each layer's parameters
+    are updated right after its backward returns, and its gradients and
+    cache are dropped, so at most one layer's gradients are alive. The bits
+    are those of `backward` followed by the update of every array. The
+    loss functions of this module already normalize their gradients by the
+    number of frames.
+
+    A second step needs a new forward. A non-finite gradient raises
+    DivergenceError naming the layer; the layers nearer the output are
+    updated by then.
     """
     if not 0 <= lr < np.inf:
         raise ValueError(f"learning rate must be finite and non-negative, "
                          f"got {lr}")
+    _check_backprop(net, at_logits)
+    net._train_ready = False  # the caches go as the layers consume them
+
+    def update(layer, grads, where):
+        for p, g in zip(layer.param_arrays(), grads):
+            _sgd_update(where, p, g, p.dtype.type(lr))
+        layer._cache = None
+
     # An overflowing block sum is no error: the exact test decides. An
     # update that overflows leaves p infinite, and the next loss is too.
     with np.errstate(over="ignore"):
-        for layer, pgrads in zip(net.all_layers(), grads.by_layer):
-            params = layer.param_arrays()
-            if len(params) != len(pgrads):
-                raise ShapeError("gradient structure does not match network")
-            for p, g in zip(params, pgrads):
-                _sgd_update(layer.kind, p, g, p.dtype.type(lr))
+        _backprop(net, loss_grad, at_logits, update)
 
 
-def _sgd_update(kind: str, p, g, rate) -> None:
+def _sgd_update(where: str, p, g, rate) -> None:
+    """p -= rate * g in blocks of _SGD_BLOCK elements, g left as it is."""
     if g.shape != p.shape:
-        raise ShapeError("gradient structure does not match network")
+        raise ShapeError(f"gradient structure does not match network in "
+                         f"{where}")
     if not p.flags.c_contiguous:  # else p.reshape(-1) would copy
-        raise ShapeError(f"{kind} parameter is not contiguous")
+        raise ShapeError(f"parameter of {where} is not contiguous")
     flat_p, flat_g = p.reshape(-1), g.reshape(-1)
     for start in range(0, flat_g.size, _SGD_BLOCK):
         block = flat_g[start:start + _SGD_BLOCK]
         # no float addition makes inf or NaN finite, so a finite sum
         # proves the block finite; the rest get the exact test
         if not (np.isfinite(block.sum()) or np.all(np.isfinite(block))):
-            raise DivergenceError(f"non-finite gradient in {kind} layer")
+            raise DivergenceError(f"non-finite gradient in {where}")
         # a rate in the parameter dtype keeps the product there, with no
         # float64 temporary and no cast copy
         flat_p[start:start + _SGD_BLOCK] -= rate * block

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DivergenceError, FormatError, ShapeError, StateError
 from .features import SpliceSpec, splice_indices
-from .nn import (NetworkGraph, backward, forward, mse_loss, sgd_step,
+from .nn import (NetworkGraph, forward, mse_loss, sgd_step,
                  softmax_cross_entropy)
 from .records import Reader
 
@@ -168,27 +168,30 @@ def train_epoch(net: NetworkGraph, dataset: FrameDataset, lr: float,
     The shuffle order comes solely from rng_seed (pass [seed, epoch] for the
     per-epoch convention). Loss gradients are mean-normalized per batch, so
     the final short batch automatically uses its true size in the gradient
-    scale.
+    scale. A DivergenceError names the batch, counted from 0 in the
+    shuffled order; a non-finite loss raises before any parameter changes.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     order = np.random.default_rng(rng_seed).permutation(len(dataset))
     total, seen = 0.0, 0
-    for start in range(0, len(dataset), batch_size):
+    for batch, start in enumerate(range(0, len(dataset), batch_size)):
         idx = order[start:start + batch_size]
         inputs, targets = dataset.gather(idx)
         out = forward(net, inputs, mode="train")
         if loss == "ce":
             value, grad = softmax_cross_entropy(net.cached_logits(), targets)
-            grads = backward(net, grad, at_logits=True)
         elif loss == "mse":
             value, grad = mse_loss(out, targets)
-            grads = backward(net, grad)
         else:
             raise ValueError(f"unknown loss {loss!r}")
         if not np.isfinite(value):
-            raise DivergenceError(f"non-finite training loss {value}")
-        sgd_step(net, grads, lr)
+            raise DivergenceError(
+                f"batch {batch}: non-finite training loss {value}")
+        try:
+            sgd_step(net, grad, lr, at_logits=loss == "ce")
+        except DivergenceError as exc:
+            raise DivergenceError(f"batch {batch}: {exc}") from exc
         total += value * len(idx)
         seen += len(idx)
     return total / seen

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,10 +9,11 @@ from helpers import (count_parameters, draw_smooth_gradcheck_case,
 
 from tvasr.errors import (ConfigError, DivergenceError, FormatError,
                           ShapeError, StateError)
-from tvasr.nn import (_SGD_BLOCK, Activation, Conv1d, Dense, Gradients,
-                      MaxPool1d, NetworkGraph, Softmax, Stream, backward,
-                      forward, mse_loss, network_from_bytes, network_to_bytes,
-                      sgd_step, softmax_cross_entropy)
+from tvasr.nn import (_DRAW_BLOCK, _SGD_BLOCK, Activation, Conv1d, Dense,
+                      MaxPool1d, NetworkGraph, Softmax, Stream, _sgd_update,
+                      backward,
+                      forward, glorot_uniform, mse_loss, network_from_bytes,
+                      network_to_bytes, sgd_step, softmax_cross_entropy)
 from tvasr.records import read_file
 
 RNG = np.random.default_rng(12345)
@@ -197,6 +201,30 @@ class TestBackward:
         assert not np.any(np.signbit(dx[dx == 0.0]))  # no -0.0
         assert np.array_equal(pool.forward(x, train=False), y)
 
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pool_size,n_positions,n_channels", [
+        (3, 9, 5),
+        (3, 11, 4),   # two trailing positions dropped
+        (5, 13, 6),   # the time stream: 13 positions, 3 dropped
+    ])
+    def test_maxpool_backward_matches_zero_filled_routing(
+            self, pool_size, n_positions, n_channels, dtype, relu):
+        rng = np.random.default_rng(pool_size * 7 + n_positions)
+        t = 20
+        x = rng.standard_normal((t, n_positions * n_channels)).astype(dtype)
+        x[::4] = -np.abs(x[::4])  # windows whose max is < 0
+        dy = rng.standard_normal((t, n_positions // pool_size * n_channels))
+        dy = dy.astype(dtype)
+        dy[::3, ::2] = -0.0
+        pool = MaxPool1d(pool_size, n_positions, n_channels)
+        pool.forward(x, True, relu)
+        dx, _ = pool.backward(dy)
+        assert bit_equal(dx, zero_filled_routing(pool, dy))
+        dropped = dx.reshape(t, n_positions, n_channels)[
+            :, n_positions // pool_size * pool_size:]
+        assert not np.any(dropped) and not np.any(np.signbit(dropped))
+
     def test_dnn_gradients_match_hand_chain_rule(self):
         net = dense_net([6, 10, 4], dtype=np.float32, seed=11)
         first, hidden, second = net.trunk[:3]
@@ -225,6 +253,22 @@ class TestBackward:
         grads = backward(net, grad, at_logits=True)
         assert grads.input_grads == {}
         assert len(grads.by_layer) == len(net.all_layers())
+
+
+def zero_filled_routing(pool, dy):
+    """MaxPool1d's input gradient routed into a zero-filled array, one pass
+    per window slot: the form before the pool skipped that fill."""
+    idx, t, positive = pool._cache
+    k, p_out, c = pool.pool_size, pool.out_positions, pool.n_channels
+    dy = dy.reshape(t, p_out, c)
+    if positive is not None:
+        dy = dy * positive
+    bits = np.dtype(f"i{dy.itemsize}")
+    dx = np.zeros((t, pool.n_positions, c), dtype=bits)
+    dxw = dx[:, :p_out * k, :].reshape(t, p_out, k, c)
+    for j in range(k):
+        np.multiply(dy.view(bits), idx == j, out=dxw[:, :, j, :])
+    return dx.view(dy.dtype).reshape(t, pool.in_dim)
 
 
 def bit_equal(a, b):
@@ -355,6 +399,13 @@ class TestGradientChecks:
         assert max_relative_gradient_error(net, inputs, y, "ce") <= 1e-4
 
 
+def one_dense_net(n_in, n_out, dtype=np.float64, seed=None):
+    """A net of one Dense layer: its weight gradient is x.T @ loss_grad."""
+    rng = None if seed is None else np.random.default_rng(seed)
+    layer = Dense(n_in, n_out, rng, dtype)
+    return NetworkGraph([Stream("acoustic", n_in, [])], [layer], dtype)
+
+
 class TestSgdStep:
     def test_zero_lr_keeps_parameters(self):
         net = dense_net([4, 3], seed=6)
@@ -363,109 +414,110 @@ class TestSgdStep:
         forward(net, x, mode="train")
         _, grad = softmax_cross_entropy(net.cached_logits(),
                                         RNG.integers(0, 3, 5))
-        sgd_step(net, backward(net, grad, at_logits=True), lr=0.0)
+        sgd_step(net, grad, lr=0.0, at_logits=True)
         after = [p for l in net.all_layers() for p in l.param_arrays()]
         for b, a in zip(before, after):
             assert np.array_equal(b, a)
 
     def test_scalar_hand_example(self):
-        layer = Dense(1, 1, dtype=np.float64)
+        net = one_dense_net(1, 1)
+        layer = net.trunk[0]
         layer.weight[0, 0] = 1.0
-        net = NetworkGraph([Stream("acoustic", 1, [layer])], [], np.float64)
-        grads = Gradients([[np.array([[2.0]]), np.array([0.0])]], {})
-        sgd_step(net, grads, lr=0.5)
-        assert layer.weight[0, 0] == 0.0
+        forward(net, np.array([[1.0]]), mode="train")
+        sgd_step(net, np.array([[2.0]]), lr=0.5)  # dw = db = 1 x 2
+        assert layer.weight[0, 0] == 0.0 and layer.bias[0] == -1.0
 
     def test_two_steps_equal_one_double_lr(self):
-        def fresh():
-            return dense_net([3, 2], softmax=False, seed=7)
-
-        g = Gradients([[RNG.standard_normal((3, 2)), RNG.standard_normal(2)]],
-                      {})
-        net_a, net_b = fresh(), fresh()
-        sgd_step(net_a, g, lr=0.1)
-        sgd_step(net_a, g, lr=0.1)
-        sgd_step(net_b, g, lr=0.2)
+        # one Dense layer: the gradient does not depend on the weights
+        x, dy = RNG.standard_normal((4, 3)), RNG.standard_normal((4, 2))
+        net_a, net_b = one_dense_net(3, 2, seed=7), one_dense_net(3, 2, seed=7)
+        for _ in range(2):
+            forward(net_a, x, mode="train")
+            sgd_step(net_a, dy, lr=0.1)
+        forward(net_b, x, mode="train")
+        sgd_step(net_b, dy, lr=0.2)
         # equality up to one rounding: p - a - a vs p - 2a
         assert np.allclose(net_a.trunk[0].weight, net_b.trunk[0].weight,
                            rtol=0, atol=1e-15)
 
     def test_rate_type_does_not_change_float32_update(self):
         lr = 0.013
-        g = Gradients([[RNG.standard_normal((40, 25)).astype(np.float32),
-                        RNG.standard_normal(25).astype(np.float32)]], {})
-        before = dense_net([40, 25], softmax=False, dtype=np.float32,
-                           seed=9).trunk[0]
+        x = RNG.standard_normal((6, 40)).astype(np.float32)
+        dy = RNG.standard_normal((6, 25)).astype(np.float32)
+        net = one_dense_net(40, 25, np.float32, seed=9)
+        forward(net, x, mode="train")
+        g = backward(net, dy).by_layer[0]
         expected = [p - (lr * d).astype(np.float32)
-                    for p, d in zip(before.param_arrays(), g.by_layer[0])]
+                    for p, d in zip(net.trunk[0].param_arrays(), g)]
         for rate in (lr, np.float64(lr), np.float32(lr)):
-            net = dense_net([40, 25], softmax=False, dtype=np.float32, seed=9)
-            sgd_step(net, g, rate)
+            net = one_dense_net(40, 25, np.float32, seed=9)
+            forward(net, x, mode="train")
+            sgd_step(net, dy, rate)
             for p, want in zip(net.trunk[0].param_arrays(), expected):
                 assert p.dtype == np.float32 and np.array_equal(p, want)
 
     def test_non_finite_gradient_raises(self):
         net = dense_net([2, 2], softmax=False)
-        bad = Gradients([[np.array([[np.nan, 0], [0, 0.0]]), np.zeros(2)]], {})
+        forward(net, np.ones((2, 2)), mode="train")
         with pytest.raises(DivergenceError):
-            sgd_step(net, bad, lr=0.1)
+            sgd_step(net, np.array([[np.nan, 0], [0, 0.0]]), lr=0.1)
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -0.1])
     def test_rejects_bad_learning_rate(self, lr):
         net = dense_net([3, 2], softmax=False, seed=4)
         before = net.trunk[0].weight.copy()
-        g = Gradients([[np.ones((3, 2)), np.ones(2)]], {})
+        forward(net, np.ones((2, 3)), mode="train")
         with pytest.raises(ValueError, match="learning rate"):
-            sgd_step(net, g, lr)
+            sgd_step(net, np.ones((2, 2)), lr)
         assert np.array_equal(net.trunk[0].weight, before)
+        assert all(l._cache is not None for l in net.all_layers())
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_blocks_match_whole_array_update(self, dtype):
         width = _SGD_BLOCK + 77  # bias: two blocks; weight: three
         layer = Dense(2, width, np.random.default_rng(5), dtype)
         layer.bias[:] = RNG.standard_normal(width)
-        net = NetworkGraph([Stream("acoustic", 2, [])], [layer], dtype)
-        g = Gradients([[RNG.standard_normal((2, width)).astype(dtype),
-                        RNG.standard_normal(width).astype(dtype)]], {})
-        g_bytes = [a.tobytes() for a in g.by_layer[0]]
+        g = [RNG.standard_normal((2, width)).astype(dtype),
+             RNG.standard_normal(width).astype(dtype)]
+        g_bytes = [a.tobytes() for a in g]
         lr = 0.013
         want = [p - p.dtype.type(lr) * d
-                for p, d in zip(layer.param_arrays(), g.by_layer[0])]
-        sgd_step(net, g, lr)
+                for p, d in zip(layer.param_arrays(), g)]
+        for p, d in zip(layer.param_arrays(), g):
+            _sgd_update("trunk layer 0 (dense)", p, d, p.dtype.type(lr))
         for p, expected in zip(layer.param_arrays(), want):
             assert bit_equal(p, expected)
-        assert [a.tobytes() for a in g.by_layer[0]] == g_bytes
+        assert [a.tobytes() for a in g] == g_bytes
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_in_a_later_block_raises(self, bad):
         width = _SGD_BLOCK + 77
-        net = NetworkGraph([Stream("acoustic", 2, [])],
-                           [Dense(2, width, dtype=np.float32)], np.float32)
+        weight = np.zeros((2, width), dtype=np.float32)
         weight_grad = np.ones((2, width), dtype=np.float32)
         weight_grad[1, -3] = bad  # in the third block
-        g = Gradients([[weight_grad, np.zeros(width, np.float32)]], {})
         with pytest.raises(DivergenceError, match="dense"):
-            sgd_step(net, g, 0.1)
+            _sgd_update("trunk layer 0 (dense)", weight, weight_grad,
+                        np.float32(0.1))
 
     def test_gradient_of_another_shape_rejected(self):
-        net = dense_net([3, 2], softmax=False)
-        g = Gradients([[np.ones((2, 3)), np.ones(2)]], {})  # same size
+        weight = np.zeros((3, 2))
         with pytest.raises(ShapeError, match="gradient structure"):
-            sgd_step(net, g, 0.1)
+            _sgd_update("trunk layer 0 (dense)", weight, np.ones((2, 3)),
+                        0.1)  # same size
 
     def test_non_contiguous_parameter_rejected(self):
         net = dense_net([3, 2], softmax=False)
         net.trunk[0].weight = np.ones((2, 3)).T  # an update would be lost
-        g = Gradients([[np.ones((3, 2)), np.ones(2)]], {})
+        forward(net, np.ones((2, 3)), mode="train")
         with pytest.raises(ShapeError, match="contiguous"):
-            sgd_step(net, g, 0.1)
+            sgd_step(net, np.ones((2, 2)), 0.1)
 
     def test_large_finite_gradient_is_not_divergence(self):
         # the block sum overflows to inf; the exact test finds no inf
-        net = dense_net([2, 2], softmax=False, dtype=np.float32)
+        net = one_dense_net(2, 2, np.float32)
+        forward(net, np.ones((1, 2), np.float32), mode="train")
         big = np.float32(3e38)
-        g = Gradients([[np.full((2, 2), big), np.zeros(2, np.float32)]], {})
-        sgd_step(net, g, 0.0)
+        sgd_step(net, np.full((1, 2), big), 0.0)  # dw and db are all big
 
     def test_small_step_never_increases_smooth_loss(self):
         net = dense_net([6, 8, 4], seed=8)
@@ -473,10 +525,98 @@ class TestSgdStep:
         y = RNG.integers(0, 4, 16)
         forward(net, x, mode="train")
         loss0, grad = softmax_cross_entropy(net.cached_logits(), y)
-        sgd_step(net, backward(net, grad, at_logits=True), lr=1e-4)
+        sgd_step(net, grad, lr=1e-4, at_logits=True)
         forward(net, x, mode="train")
         loss1, _ = softmax_cross_entropy(net.cached_logits(), y)
         assert loss1 <= loss0 + 1e-6
+
+
+class TestOneLayerAtATime:
+    """sgd_step updates each layer as its backward returns, then frees it."""
+
+    def test_caches_dropped_and_a_second_step_needs_a_forward(self):
+        net = two_stream_net(seed=31)
+        x = {"acoustic": RNG.standard_normal((5, 32)),
+             "tv": RNG.standard_normal((5, 15))}
+        forward(net, x, mode="train")
+        _, grad = softmax_cross_entropy(net.cached_logits(),
+                                        RNG.integers(0, 4, 5))
+        sgd_step(net, grad, 0.1, at_logits=True)
+        assert all(layer._cache is None for layer in net.all_layers())
+        with pytest.raises(StateError):
+            sgd_step(net, grad, 0.1, at_logits=True)
+        with pytest.raises(StateError):
+            backward(net, grad, at_logits=True)
+
+    def test_folded_relu_and_softmax_caches_dropped(self):
+        net = conv_net(activation="relu", seed=32)
+        forward(net, np.abs(RNG.standard_normal((4, 30))), mode="train")
+        _, grad = softmax_cross_entropy(net.cached_logits(),
+                                        RNG.integers(0, 5, 4))
+        sgd_step(net, grad, 0.1, at_logits=True)
+        assert all(layer._cache is None for layer in net.all_layers())
+
+    def test_missing_forward_refused_before_anything_changes(self):
+        net = dense_net([3, 2], softmax=False, seed=33)
+        before = net.trunk[0].weight.copy()
+        with pytest.raises(StateError):
+            sgd_step(net, np.ones((2, 2)), 0.1)
+        assert np.array_equal(net.trunk[0].weight, before)
+
+    def test_step_holds_one_layers_gradients(self):
+        """Peak above the forward's state: under two layers' weights plus
+        activations (all eight layers' gradients before the updates)."""
+        width, frames, depth = 1024, 32, 8
+        rng = np.random.default_rng(34)
+        layers = [Dense(width, width, rng, np.float32) for _ in range(depth)]
+        net = NetworkGraph([Stream("acoustic", width, [])], layers,
+                           np.float32)
+        x = rng.standard_normal((frames, width)).astype(np.float32)
+        dy = rng.standard_normal((frames, width)).astype(np.float32)
+        weight_bytes = layers[0].weight.nbytes
+        activation_bytes = x.nbytes
+        forward(net, x, mode="train")
+        tracemalloc.start()
+        try:
+            sgd_step(net, dy, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * weight_bytes + 4 * activation_bytes, peak
+
+    @pytest.mark.parametrize("scope,net,where", [
+        ("trunk", lambda: dense_net([3, 4, 2], seed=35),
+         "trunk layer 2 (dense)"),
+        ("stream", lambda: NetworkGraph(
+            [Stream("acoustic", 3, [Dense(3, 2, np.random.default_rng(36),
+                                         np.float64)])], [], np.float64),
+         "stream 0 layer 0 (dense)"),
+    ])
+    def test_divergence_names_the_layer(self, scope, net, where):
+        net = net()
+        forward(net, RNG.standard_normal((3, 3)), mode="train")
+        grad = np.full((3, 2), np.nan)
+        message = rf"^non-finite gradient in {re.escape(where)}$"
+        with pytest.raises(DivergenceError, match=message):
+            sgd_step(net, grad, 0.1, at_logits=scope == "trunk")
+
+
+class TestGlorotBlocks:
+    @pytest.mark.parametrize("shape", [(2350, 1024), (3, 70000), (1, 5),
+                                       (_DRAW_BLOCK, 3), (409, 200)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocked_draw_equals_one_draw(self, shape, dtype):
+        blocked = glorot_uniform(np.random.default_rng(41), shape, 7, 9, dtype)
+        limit = np.sqrt(6.0 / 16)
+        whole = np.random.default_rng(41).uniform(
+            -limit, limit, size=shape).astype(dtype)
+        assert bit_equal(blocked, whole)
+
+    def test_stream_continues_as_after_one_draw(self):
+        rng_a, rng_b = np.random.default_rng(42), np.random.default_rng(42)
+        glorot_uniform(rng_a, (300, 500), 300, 500, np.float32)
+        rng_b.uniform(-1, 1, size=(300, 500))
+        assert rng_a.random() == rng_b.random()
 
 
 class TestLosses:

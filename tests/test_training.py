@@ -9,15 +9,16 @@ import pytest
 
 from helpers import reference_frame_dataset
 
-from tvasr import pipeline
-from tvasr.architectures import ArchSpec, build_network
+from tvasr import pipeline, training
+from tvasr.architectures import ARCH_KINDS, ArchSpec, build_network
 from tvasr.corpus import ParallelCorpus, build_parallel_corpus
-from tvasr.errors import FormatError, StateError
+from tvasr.errors import DivergenceError, FormatError, StateError
 from tvasr.features import SpliceSpec, nmc_features, norm_stats
-from tvasr.inversion import InversionConfig, inversion_dataset
+from tvasr.inversion import (InversionConfig, build_inversion_net,
+                             inversion_dataset)
 from tvasr.nn import (Activation, Dense, NetworkGraph, Softmax, Stream,
-                      forward, network_from_bytes, network_to_bytes,
-                      softmax_cross_entropy)
+                      backward, forward, mse_loss, network_from_bytes,
+                      network_to_bytes, sgd_step, softmax_cross_entropy)
 from tvasr.records import read_file
 from tvasr.training import (_PREDICT_CHUNK, EpochRecord, FrameDataset,
                             TrainConfig, TrainState, evaluate_dataset,
@@ -197,6 +198,126 @@ class TestPredictChunks:
         finally:
             tracemalloc.stop()
         assert peak <= 64 * 2**20, peak / 2**20  # 224 MiB in 2,048-frame chunks
+
+
+def step_kinds():
+    """(name, net builder, loss) for every trained kind, at toy scale."""
+    def acoustic(kind):
+        return lambda dtype, act: build_network(ArchSpec(
+            kind=kind, n_classes=6, n_hidden_layers=2, hidden_width=16,
+            n_bands=12, context=5, tv_context=5, freq_filters=6,
+            freq_filter_width=4, time_filters=3, time_filter_width=2,
+            time_pool=2, hidden_activation=act), seed=3, dtype=dtype)
+
+    def inversion(dtype, act):
+        return build_inversion_net(InversionConfig(
+            n_coeffs=10, splice=SpliceSpec(2, 2), n_filters=4, filter_width=3,
+            n_dense=2, dense_width=12, activation=act), seed=3, dtype=dtype)
+
+    return [(kind, acoustic(kind), "ce") for kind in ARCH_KINDS] + [
+        ("inversion", inversion, "mse")]
+
+
+STEP_KINDS = step_kinds()
+
+
+def loss_gradient(net, dataset, loss):
+    """One train-mode forward on the whole dataset; (loss, its gradient)."""
+    inputs, targets = dataset.gather(np.arange(len(dataset)))
+    out = forward(net, inputs, mode="train")
+    if loss == "ce":
+        return softmax_cross_entropy(net.cached_logits(), targets)
+    return mse_loss(out, targets)
+
+
+class TestSgdStepIsBackwardThenUpdate:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("act", ["sigmoid", "relu"])
+    @pytest.mark.parametrize("kind,build,loss", STEP_KINDS,
+                             ids=[k[0] for k in STEP_KINDS])
+    def test_same_bits(self, kind, build, loss, act, dtype):
+        lr = 0.3
+        ref, net = build(dtype, act), build(dtype, act)
+        ds = paper_dataset(ref, 40, seed=4)
+        rng = np.random.default_rng(5)
+        ds.targets = (rng.integers(0, 6, 40) if loss == "ce"
+                      else rng.standard_normal((40, 8)))
+        _, grad = loss_gradient(ref, ds, loss)
+        grads = backward(ref, grad, at_logits=loss == "ce")
+        want = [p - p.dtype.type(lr) * g
+                for layer, gs in zip(ref.all_layers(), grads.by_layer)
+                for p, g in zip(layer.param_arrays(), gs)]
+        _, grad = loss_gradient(net, ds, loss)
+        sgd_step(net, grad, lr, at_logits=loss == "ce")
+        got = [p for layer in net.all_layers() for p in layer.param_arrays()]
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == dtype and a.tobytes() == b.tobytes()
+        assert all(layer._cache is None for layer in net.all_layers())
+
+    def test_paper_fcnn_step_memory(self):
+        """A paper fCNN step at 256 frames holds one layer's gradients.
+
+        Measured from the state before the forward, with the network built:
+        56.6 MB when every layer's gradients were built before the first
+        update, 31.1 MB with one layer's at a time.
+        """
+        net = build_network(ArchSpec(kind="fcnn", n_classes=30,
+                                     hidden_activation="relu"), seed=1)
+        ds = paper_dataset(net, 256, seed=6)
+        inputs, targets = ds.gather(np.arange(256))
+        tracemalloc.start()
+        try:
+            rest = tracemalloc.get_traced_memory()[0]
+            forward(net, inputs, mode="train")
+            _, grad = softmax_cross_entropy(net.cached_logits(), targets)
+            sgd_step(net, grad, 0.01, at_logits=True)
+            peak = tracemalloc.get_traced_memory()[1] - rest
+        finally:
+            tracemalloc.stop()
+        assert peak <= 35e6, peak / 1e6
+
+
+class TestTrainEpochDivergence:
+    @pytest.mark.parametrize("position,batch", [(0, 0), (40, 2)])
+    def test_non_finite_loss_names_its_batch(self, position, batch):
+        net = make_net(seed=9)
+        ds = make_dataset(n=100, seed=9)
+        frame = np.random.default_rng([1, 2]).permutation(100)[position]
+        ds.streams["acoustic"][0][frame] = np.nan
+        with pytest.raises(DivergenceError,
+                           match=rf"^batch {batch}: non-finite training loss"):
+            train_epoch(net, ds, 0.1, 16, [1, 2])
+
+    def test_non_finite_loss_raises_before_any_update(self):
+        net = make_net(seed=9)
+        ds = make_dataset(n=100, seed=9)
+        first = np.random.default_rng([1, 2]).permutation(100)[0]
+        ds.streams["acoustic"][0][first] = np.nan
+        before = [p.copy() for l in net.all_layers() for p in l.param_arrays()]
+        with pytest.raises(DivergenceError, match="^batch 0: "):
+            train_epoch(net, ds, 0.1, 16, [1, 2])
+        after = [p for l in net.all_layers() for p in l.param_arrays()]
+        assert all(np.array_equal(b, a) for b, a in zip(before, after))
+        # no backward work either: the forward's caches are still there
+        assert net._train_ready
+        assert all(l._cache is not None for l in net.all_layers())
+
+    def test_gradient_divergence_names_the_batch(self, monkeypatch):
+        calls = []
+
+        def failing_step(net, grad, lr, at_logits=False):
+            calls.append(at_logits)
+            if len(calls) == 3:
+                raise DivergenceError("non-finite gradient in trunk layer 2 "
+                                      "(dense)")
+
+        monkeypatch.setattr(training, "sgd_step", failing_step)
+        with pytest.raises(DivergenceError,
+                           match=r"^batch 2: non-finite gradient in trunk "
+                                 r"layer 2 \(dense\)$"):
+            train_epoch(make_net(), make_dataset(n=100), 0.1, 16, [0, 1])
+        assert calls == [True] * 3
 
 
 class TestStackUtterances:
