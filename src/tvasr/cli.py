@@ -224,8 +224,9 @@ def cmd_train(args) -> int:
     spec = scale_arch_spec(arch_spec_from_config(arch_map), args.scale)
     train_cfg = TrainConfig(rng_seed=args.seed, **train_map)
 
-    _use_inverted_tvs(corpus.split_utts("train") + corpus.split_utts("cv"),
-                      inverted, args.inversion_model, manifest.parent)
+    train_utts, cv_utts = corpus.training_splits()
+    _use_inverted_tvs(train_utts + cv_utts, inverted, args.inversion_model,
+                      manifest.parent)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

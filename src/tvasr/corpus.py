@@ -60,6 +60,14 @@ class ParallelCorpus:
             out.append(utt)
         return out
 
+    def training_splits(self) -> tuple:
+        """The train and the cv utterances; ConfigError if either is empty."""
+        splits = tuple(self.split_utts(split) for split in ("train", "cv"))
+        for split, utts in zip(("train", "cv"), splits):
+            if not utts:
+                raise ConfigError(f"no utterances in split {split!r}")
+        return splits
+
 
 def split_sizes(n_utts: int):
     """88/2/10 split by utterance with at least one cv utterance."""

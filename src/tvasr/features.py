@@ -9,8 +9,8 @@ and flat binary serializations for TV trajectories (FMX1) and
 normalization stats.
 
 Framing is shared by all extractors: 25 ms Hamming windows every 10 ms,
-T = floor((n_samples - win) / shift) + 1 frames. Log compression uses
-log(max(x, 1e-10)) so silence maps to a finite floor.
+T = floor((n_samples - win) / shift) + 1 frames (`frame_count`). Log
+compression uses log(max(x, 1e-10)) so silence maps to a finite floor.
 """
 
 from __future__ import annotations
@@ -78,13 +78,18 @@ def _framing(sample_rate: int) -> tuple:
             int(round(FRAME_SHIFT * sample_rate)))
 
 
-def frame_signal(x: np.ndarray, win: int, shift: int) -> np.ndarray:
-    """Slice a signal into overlapping frames of `win` samples every `shift`."""
-    if len(x) < win:
-        raise ValueError(f"signal of {len(x)} samples is shorter than one {win}-sample window")
-    n = (len(x) - win) // shift + 1
-    idx = shift * np.arange(n)[:, None] + np.arange(win)[None, :]
-    return x[idx]
+def frame_count(wav: Waveform) -> int:
+    """T, the number of frames every extractor gives for `wav`.
+
+    Known before any feature is computed, so datasets size their arrays
+    from it. ValueError if `wav` is shorter than one analysis window.
+    """
+    win_n, shift_n = _framing(wav.sample_rate)
+    n_samples = len(wav.samples)
+    if n_samples < win_n:
+        raise ValueError(f"signal of {n_samples} samples is shorter than "
+                         f"one {win_n}-sample window")
+    return (n_samples - win_n) // shift_n + 1
 
 
 def hz_to_mel(f):
@@ -128,10 +133,19 @@ def mel_filterbank_weights(n_bands: int, sample_rate: int) -> np.ndarray:
 
 
 def logmel_filterbank(wav: Waveform, n_bands: int = 40) -> np.ndarray:
-    """Log mel filterbank energies, shape (T, n_bands)."""
+    """Log mel filterbank energies, shape (T, n_bands).
+
+    Windowed frames are written straight into the FFT's zero-padded input,
+    so the transform holds two (T, FFT_SIZE) arrays at most.
+    """
     win_n, shift_n = _framing(wav.sample_rate)
-    frames = frame_signal(wav.samples, win_n, shift_n) * np.hamming(win_n)
-    spectrum = np.abs(np.fft.rfft(frames, FFT_SIZE, axis=1)) ** 2
+    n_frames = frame_count(wav)
+    frames = np.zeros((n_frames, max(win_n, FFT_SIZE)))
+    np.multiply(sliding_window_view(wav.samples, win_n)[::shift_n][:n_frames],
+                np.hamming(win_n), out=frames[:, :win_n])
+    spectrum = np.fft.rfft(frames, FFT_SIZE, axis=1)
+    del frames
+    spectrum = np.abs(spectrum) ** 2
     weights = mel_filterbank_weights(n_bands, wav.sample_rate)
     energies = spectrum @ weights.T
     return np.log(np.maximum(energies, LOG_FLOOR))
@@ -189,13 +203,12 @@ def nmc_features(wav: Waveform, n_coeffs: int = 40) -> np.ndarray:
     power. Per frame, the log envelope energies across bands are compressed
     with a DCT to n_coeffs coefficients.
     """
+    n_frames = frame_count(wav)
     win_n, shift_n = _framing(wav.sample_rate)
-    if len(wav.samples) < win_n:
-        raise ValueError("waveform shorter than one analysis window")
     bandpasses, envelope_lp = _am_subband_bank(n_coeffs, wav.sample_rate)
     # sosfilt accepts only writable coefficients: filter with copies
     bank, lowpass = np.array(bandpasses), envelope_lp.copy()
-    energies = np.empty((len(bank), (len(wav.samples) - win_n) // shift_n + 1))
+    energies = np.empty((len(bank), n_frames))
     for lo in range(0, len(bank), _NMC_BLOCK):
         hi = lo + _NMC_BLOCK
         _envelope_energies(wav.samples, bank[lo:hi], lowpass, win_n, shift_n,
@@ -294,13 +307,10 @@ def _write_nmc_sidecar(path: Path, key: bytes, feats: np.ndarray) -> None:
 def _cached_nmc(wav: Waveform, n_coeffs: int):
     """One waveform's NMC, and (sidecar, key) if it was computed for one."""
     sidecar = _nmc_sidecar(wav)
-    win_n, shift_n = _framing(wav.sample_rate)
-    if sidecar is None or len(wav.samples) < win_n:  # too short: raises
+    if sidecar is None:
         return nmc_features(wav, n_coeffs), None
     key = _nmc_key(wav, n_coeffs)
-    feats = _read_nmc_sidecar(sidecar, key,
-                              (len(wav.samples) - win_n) // shift_n + 1,
-                              n_coeffs)
+    feats = _read_nmc_sidecar(sidecar, key, frame_count(wav), n_coeffs)
     if feats is not None:
         return feats, None
     return nmc_features(wav, n_coeffs), (sidecar, key)
@@ -358,14 +368,35 @@ def nmc_map(waveforms: list, n_coeffs: int = 40) -> list:
     return out
 
 
+def _sum_rows(chunks) -> np.ndarray:
+    """Sum of the rows of a series of (T_u, D) arrays, added in row order.
+
+    numpy sums axis 0 of a C-ordered array of two or more columns one row
+    after another, so carrying the sum so far as a first row into each
+    array's sum gives the bits of the sum over their concatenation.
+    """
+    total = None
+    for rows in chunks:
+        total = np.add.reduce(np.ascontiguousarray(rows) if total is None
+                              else np.concatenate([total[None], rows]), axis=0)
+    return total
+
+
 def norm_stats(per_utt_frames: list) -> NormStats:
     """Per-dimension mean and population std over the stacked frames.
 
-    Stds below STD_FLOOR are floored, so constant columns normalize to zero.
+    The sums run utterance by utterance, so no stacked copy, and no copy of
+    its deviations from the mean, is ever built; for C-ordered frames of two
+    or more columns the results equal the mean and std of
+    np.concatenate(per_utt_frames) bit for bit. Stds below STD_FLOOR are
+    floored, so constant columns normalize to zero.
     """
-    frames = np.concatenate(per_utt_frames, axis=0)
-    return NormStats(frames.mean(axis=0),
-                     np.maximum(frames.std(axis=0), STD_FLOOR))
+    n = sum(len(f) for f in per_utt_frames)
+    if n == 0:
+        raise ValueError("norm_stats needs at least one frame")
+    mean = _sum_rows(per_utt_frames) / n
+    var = _sum_rows(np.square(f - mean) for f in per_utt_frames) / n
+    return NormStats(mean, np.maximum(np.sqrt(var), STD_FLOOR))
 
 
 def splice_indices(n_frames: int, spec: SpliceSpec) -> np.ndarray:

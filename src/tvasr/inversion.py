@@ -96,7 +96,8 @@ def _inversion_dataset(utts, feats: list, cfg: InversionConfig,
                        stats: NormStats) -> FrameDataset:
     """inversion_dataset given each utterance's unnormalized NMC frames."""
     return utterance_dataset(
-        {"acoustic": [(f - stats.mean) / stats.std for f in feats]},
+        {"acoustic": (lambda u: (feats[u] - stats.mean) / stats.std,
+                      [len(f) for f in feats])},
         {"acoustic": cfg.splice},
         [u.tvs.frames.astype(np.float32) for u in utts])
 
@@ -106,11 +107,13 @@ def train_inversion_model(corpus: ParallelCorpus, cfg: InversionConfig):
 
     Returns (InversionModel, TrainResult). The Z-normalization statistics
     are estimated on the training split only and frozen into the model.
+    ConfigError if the train or the cv split is empty.
     """
-    train_utts = corpus.split_utts("train")
+    train_utts, _ = corpus.training_splits()
     train_feats = nmc_map([u.waveform for u in train_utts], cfg.n_coeffs)
     stats = norm_stats(train_feats)
     train_set = _inversion_dataset(train_utts, train_feats, cfg, stats)
+    del train_feats  # the dataset holds its own copy; free it before training
     cv_set = inversion_dataset(corpus, "cv", cfg, stats)
 
     net = build_inversion_net(cfg, seed=cfg.train.rng_seed)
@@ -137,7 +140,8 @@ def tvs_from_features(model: InversionModel,
                       feats: np.ndarray) -> TVTrajectory:
     """Predict tract variables from one utterance's inversion_features."""
     frames, indices = stack_utterances(
-        [(feats - model.stats.mean) / model.stats.std], model.splice)
+        lambda _: (feats - model.stats.mean) / model.stats.std, [len(feats)],
+        model.splice)
     spliced = frames[indices].reshape(len(feats), -1)
     pred = forward(model.net, {"acoustic": spliced}, mode="eval")
     return TVTrajectory(np.clip(pred.astype(np.float64), 0.0, 1.0),

@@ -22,8 +22,9 @@ from .corpus import ParallelCorpus, Utterance
 from .errors import ConfigError, FormatError
 from .evaluate import (WerReport, collapse_labels, combine_reports,
                        greedy_decode, levenshtein_wer)
-from .features import (NormStats, SpliceSpec, append_deltas, logmel_filterbank,
-                       norm_stats, norm_stats_to_bytes, read_norm_stats)
+from .features import (NormStats, SpliceSpec, append_deltas, frame_count,
+                       logmel_filterbank, norm_stats, norm_stats_to_bytes,
+                       read_norm_stats)
 from .nn import NetworkGraph, network_from_bytes, network_to_bytes
 from .records import Reader, read_file
 from .synth import default_inventory
@@ -50,32 +51,41 @@ def make_acoustic_dataset(corpus: ParallelCorpus, utts, spec: ArchSpec,
     """Frame dataset over `utts` for one architecture.
 
     Always provides the "acoustic" stream; adds the "tv" stream, spliced
-    from each utterance's `tvs`, for fcnn.
+    from each utterance's `tvs`, for fcnn. Each utterance's acoustic_frames
+    are computed as the dataset is written, so one at a time is held.
     """
-    frames = [acoustic_frames(u, spec.n_bands) for u in utts]
-    return _acoustic_dataset(utts, frames, spec, stats)
+    return _acoustic_dataset(
+        utts, lambda u: acoustic_frames(utts[u], spec.n_bands), spec, stats)
 
 
-def _acoustic_dataset(utts, frames: list, spec: ArchSpec,
+def _acoustic_dataset(utts, frames, spec: ArchSpec,
                       stats: NormStats) -> FrameDataset:
-    """make_acoustic_dataset given each utterance's acoustic_frames."""
-    streams = {"acoustic": [(f - stats.mean) / stats.std for f in frames]}
+    """make_acoustic_dataset given `frames(u)`, utterance u's acoustic_frames."""
+    streams = {"acoustic": (lambda u: (frames(u) - stats.mean) / stats.std,
+                            [frame_count(u.waveform) for u in utts])}
     splices = {"acoustic": SpliceSpec((spec.context - 1) // 2, spec.context // 2)}
     if spec.kind == "fcnn":
-        streams["tv"] = [u.tvs.frames for u in utts]
+        streams["tv"] = (lambda u: utts[u].tvs.frames,
+                         [u.tvs.n_frames for u in utts])
         splices["tv"] = SpliceSpec((spec.tv_context - 1) // 2, spec.tv_context // 2)
     return utterance_dataset(streams, splices, [u.labels for u in utts])
 
 
 def train_acoustic_model(corpus: ParallelCorpus, spec: ArchSpec,
                          cfg: TrainConfig, on_epoch=None):
-    """Train one acoustic model; returns (TrainResult, NormStats)."""
-    train_utts = corpus.split_utts("train")
+    """Train one acoustic model; returns (TrainResult, NormStats).
+
+    The train split's acoustic_frames are computed once, for both the
+    statistics and the training set. ConfigError if the train or the cv
+    split is empty.
+    """
+    train_utts, cv_utts = corpus.training_splits()
     train_frames = [acoustic_frames(u, spec.n_bands) for u in train_utts]
     stats = norm_stats(train_frames)
-    train_set = _acoustic_dataset(train_utts, train_frames, spec, stats)
+    train_set = _acoustic_dataset(train_utts, train_frames.__getitem__, spec,
+                                  stats)
     del train_frames  # the dataset holds its own copy; free it before training
-    cv_set = make_acoustic_dataset(corpus, corpus.split_utts("cv"), spec, stats)
+    cv_set = make_acoustic_dataset(corpus, cv_utts, spec, stats)
     net = build_network(spec, seed=cfg.rng_seed)
     result = run_training(net, train_set, cv_set, cfg, loss="ce",
                           cv_metric="frame_error", on_epoch=on_epoch)

@@ -29,8 +29,8 @@ _PHASE_CODES = {"constant": 0, "halving": 1, "stopped": 2}
 # Frames per eval-mode forward in predict_dataset. For a paper fCNN, the
 # frequency im2col matrix of 2,048 frames alone is 110 MB; with 256 frames
 # a whole CV pass stays under 30 MiB. Changing it can change the outputs'
-# last bits, since a BLAS product's rows depend on its row count when that
-# count is small (see predict_dataset).
+# last bits, since a BLAS product's row can get other bits at another row
+# count (see predict_dataset).
 _PREDICT_CHUNK = 256
 
 
@@ -131,32 +131,50 @@ class FrameDataset:
         return inputs, self.targets[idx]
 
 
-def stack_utterances(per_utt: list, splice: SpliceSpec):
-    """Stack per-utterance (T_u, D) arrays and build clamped splice indices."""
-    frames = np.concatenate(per_utt, axis=0).astype(np.float32)
-    indices = []
+def stack_utterances(rows, lengths: list, splice: SpliceSpec):
+    """Stack utterances' frames into one float32 array, with splice indices.
+
+    `rows(u)` returns utterance u's (T_u, D) float64 frames, of which the
+    first lengths[u] are kept. The stacked array is allocated once, and each
+    utterance is written into it as soon as it is produced, so no more than
+    one utterance's float64 frames are held at a time; the float32 values
+    are the same bits as a float64 concatenation cast to float32. Splice
+    indices are clamped to each utterance's kept frames.
+    """
+    if not lengths:
+        raise ValueError("no utterances to stack")
+    n_total = sum(lengths)
+    frames = None
+    indices = np.empty((n_total, splice.width), dtype=np.int64)
     offset = 0
-    for arr in per_utt:
-        t = arr.shape[0]
-        indices.append(splice_indices(t, splice) + offset)
+    for u, t in enumerate(lengths):
+        utt = rows(u)
+        if len(utt) < t:
+            raise ShapeError(f"utterance {u} has {len(utt)} frames, "
+                             f"fewer than the {t} to keep")
+        if frames is None:
+            frames = np.empty((n_total,) + utt.shape[1:], dtype=np.float32)
+        frames[offset:offset + t] = utt[:t]
+        indices[offset:offset + t] = splice_indices(t, splice) + offset
         offset += t
-    return frames, np.concatenate(indices, axis=0)
+    return frames, indices
 
 
 def utterance_dataset(streams: dict, splices: dict,
                       targets: list) -> FrameDataset:
     """FrameDataset from per-utterance arrays: the one frames -> dataset path.
 
-    `streams` maps each input name to one (T_u, D) array per utterance and
-    `splices` gives its SpliceSpec; `targets` holds one array per utterance.
-    Each utterance is cut to its shortest array before stacking, so every
-    stream and the targets agree frame for frame.
+    `streams` maps each input name to (rows, counts): counts[u] is the
+    number of frames utterance u has in that stream, known before any of
+    them is computed, and rows(u) returns those frames as float64, already
+    normalized. `splices` gives each stream's SpliceSpec and `targets` holds
+    one array per utterance. Each utterance is cut to its shortest stream or
+    target, so every stream and the targets agree frame for frame.
     """
-    lengths = [min(len(a) for a in arrays)
-               for arrays in zip(targets, *streams.values())]
-    stacked = {name: stack_utterances([a[:t] for a, t in zip(arrays, lengths)],
-                                      splices[name])
-               for name, arrays in streams.items()}
+    lengths = [min(c) for c in zip(map(len, targets),
+                                   *(counts for _, counts in streams.values()))]
+    stacked = {name: stack_utterances(rows, lengths, splices[name])
+               for name, (rows, _) in streams.items()}
     return FrameDataset(stacked, np.concatenate(
         [a[:t] for a, t in zip(targets, lengths)], axis=0))
 
@@ -203,10 +221,14 @@ def predict_dataset(net: NetworkGraph, dataset: FrameDataset) -> np.ndarray:
     The forward runs on _PREDICT_CHUNK frames at a time, so its peak memory
     does not grow with the dataset. The outputs are deterministic for that
     fixed chunk size, but a frame's last bits can depend on the chunk it
-    falls in: on OpenBLAS, a GEMM row's bits depend on the product's row
-    count when that count is small (under about 50 rows for the paper
-    trunk's 1024 x 21 output layer), so a short last chunk, or one forward
-    per utterance, can give different bits from a 256-frame chunk.
+    falls in: on OpenBLAS, a GEMM row's bits can depend on the product's
+    row count, so a short last chunk, or one forward per utterance, can
+    give different bits from a 256-frame chunk. Measured on a 2-core x86
+    machine, they do for the paper trunk's 1024 x 21 output layer below 47
+    rows, for the paper inversion output (2048 x 8) below 62 rows, and for
+    the toy fCNN's 40 x 8 time convolution at every per-utterance row count
+    tried (299 to 1,430). At a fixed 256 rows no shape tried depended on a
+    row's position or its neighbours.
     """
     outputs = []
     for start in range(0, len(dataset), _PREDICT_CHUNK):

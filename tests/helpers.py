@@ -230,9 +230,18 @@ def reference_nmc(samples, sample_rate, n_coeffs=40):
 
 
 # ---------------------------------------------------------------------------
-# Frame-dataset oracle: one utterance, one frame, one context offset at a
-# time, with its own edge clamping; nothing here comes from tvasr.training.
+# Frame-dataset oracles: one utterance, one frame, one context offset at a
+# time, with their own edge clamping; nothing here comes from tvasr.training.
 # ---------------------------------------------------------------------------
+
+def _cut_lengths(streams, targets):
+    """Each utterance's frame count: the shortest of its arrays."""
+    lengths = []
+    for u, target in enumerate(targets):
+        lengths.append(min([len(target)] + [len(arrays[u]) for arrays, _, _
+                                            in streams.values()]))
+    return lengths
+
 
 def reference_frame_dataset(streams, targets):
     """Spliced inputs and targets of a frame dataset, built frame by frame.
@@ -242,10 +251,7 @@ def reference_frame_dataset(streams, targets):
     and its targets); context frames past either end of the cut utterance
     repeat its first or last frame.
     """
-    lengths = []
-    for u, target in enumerate(targets):
-        lengths.append(min([len(target)] + [len(arrays[u]) for arrays, _, _
-                                            in streams.values()]))
+    lengths = _cut_lengths(streams, targets)
     inputs = {}
     for name, (arrays, left, right) in streams.items():
         rows = []
@@ -264,3 +270,34 @@ def reference_frame_dataset(streams, targets):
     flat_targets = [target[i] for target, t in zip(targets, lengths)
                     for i in range(t)]
     return inputs, np.array(flat_targets)
+
+
+def reference_stacked_streams(streams, targets):
+    """Each stream's stacked float32 frames and splice indices, frame by
+    frame, and the stacked targets.
+
+    Same arguments and cut as reference_frame_dataset. A frame is cast to
+    float32 on its own, and an index row names the stacked rows of its
+    context frames, clamped to the cut utterance.
+    """
+    lengths = _cut_lengths(streams, targets)
+    out = {}
+    for name, (arrays, left, right) in streams.items():
+        frames, indices = [], []
+        offset = 0
+        for arr, t in zip(arrays, lengths):
+            for i in range(t):
+                frames.append(np.asarray(arr[i], dtype=np.float32))
+                indices.append([offset + min(max(i + k, 0), t - 1)
+                                for k in range(-left, right + 1)])
+            offset += t
+        out[name] = (np.array(frames), np.array(indices))
+    flat_targets = [target[i] for target, t in zip(targets, lengths)
+                    for i in range(t)]
+    return out, np.array(flat_targets)
+
+
+def reference_norm_stats(per_utt):
+    """Mean and population std, floored at 1e-8, of the concatenated frames."""
+    frames = np.concatenate(per_utt, axis=0)
+    return frames.mean(axis=0), np.maximum(frames.std(axis=0), 1e-8)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tvasr.audio import Waveform, write_wav
-from tvasr import cli, features
+from tvasr import cli, features, inversion, pipeline
 from tvasr.cli import main
 from tvasr.corpus import build_parallel_corpus, read_corpus, write_corpus
 from tvasr.features import (load_feature_matrix, nmc_features,
@@ -485,6 +485,29 @@ class TestFlagsThatWouldDoNothing:
                     "--inversion-model", tmp_path / "missing.ckpt"]) == 2
         assert "--inversion-model" in capsys.readouterr().err
         assert not (tmp_path / "results.tsv").exists()
+
+
+@pytest.mark.parametrize("split", ["train", "cv"])
+@pytest.mark.parametrize("command", [["train", "--arch", "cnn"],
+                                     ["train-inversion"]])
+def test_empty_training_split_exit_2(corpus_dir, tmp_path, monkeypatch,
+                                     capsys, command, split):
+    """A manifest without train or without cv rows is refused, naming the
+    split, before any feature is computed."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    manifest = corpus / "manifest.tsv"
+    manifest.write_text("".join(row + "\n" for row in
+                                manifest.read_text().splitlines()
+                                if row.split("\t")[1] != split))
+
+    def no_features(*args):
+        raise AssertionError("features computed for an empty split")
+
+    monkeypatch.setattr(pipeline, "acoustic_frames", no_features)
+    monkeypatch.setattr(inversion, "nmc_map", no_features)
+    assert run([*command, "--corpus", corpus, "--out", tmp_path / "out"]) == 2
+    assert f"no utterances in split '{split}'" in capsys.readouterr().err
 
 
 def fmx_bytes(frames, shift=0.01):

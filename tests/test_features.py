@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 from scipy.signal import butter, sosfilt
 
-from helpers import reference_logmel, reference_nmc
+from helpers import reference_logmel, reference_nmc, reference_norm_stats
 from tvasr import features
 from tvasr.audio import Waveform, read_wav, write_wav
 from tvasr.errors import FormatError
 from tvasr.features import (LOG_FLOOR, SpliceSpec, _am_subband_bank,
-                            _usable_cpus, append_deltas,
+                            _usable_cpus, append_deltas, frame_count,
                             hz_to_mel, load_feature_matrix, logmel_filterbank,
                             mel_band_edges, mel_filterbank_weights, mel_to_hz,
                             nmc_features, nmc_map, norm_stats,
@@ -153,6 +153,15 @@ class TestFrontEndsMatchOracles:
             wav = self.utterance(rate, n, seed)
             assert np.array_equal(logmel_filterbank(wav, n_bands),
                                   reference_logmel(wav.samples, rate, n_bands))
+
+    def test_frame_count_is_every_extractors_length(self):
+        for seed, (rate, n, n_coeffs) in enumerate(self.CASES):
+            wav = self.utterance(rate, n, seed)
+            assert frame_count(wav) == len(logmel_filterbank(wav)) == len(
+                nmc_features(wav, n_coeffs)) == len(
+                reference_logmel(wav.samples, rate))
+        with pytest.raises(ValueError, match="shorter than one 400-sample"):
+            frame_count(self.utterance(16000, 399, 0))
 
 
 class TestCachedFilterDesigns:
@@ -391,7 +400,8 @@ def z_normalized(frames, stats):
 
 def spliced(per_utt, spec):
     """Spliced rows of stacked utterances, as FrameDataset.gather builds them."""
-    frames, indices = stack_utterances(per_utt, spec)
+    frames, indices = stack_utterances(per_utt.__getitem__,
+                                       [len(a) for a in per_utt], spec)
     return frames[indices].reshape(len(indices), -1)
 
 
@@ -423,6 +433,46 @@ class TestZNormalize:
         once = z_normalized(frames, norm_stats([frames]))
         twice = z_normalized(once, norm_stats([once]))
         assert np.max(np.abs(twice - once)) <= 1e-9
+
+
+class TestStreamedNormStats:
+    """norm_stats sums utterance by utterance, with the bits of one numpy
+    reduction over the concatenated frames."""
+
+    @staticmethod
+    def assert_same_bits(per_utt):
+        stats = norm_stats(per_utt)
+        mean, std = reference_norm_stats(per_utt)
+        assert stats.mean.tobytes() == mean.tobytes()
+        assert stats.std.tobytes() == std.tobytes()
+
+    @pytest.mark.parametrize("width", [2, 7, 120])
+    def test_ragged_utterances_of_mixed_magnitudes(self, width):
+        rng = np.random.default_rng(width)
+        lengths = rng.integers(1, 300, 80)
+        lengths[5] = 1
+        scales = 10.0 ** rng.integers(-9, 10, width)
+        offsets = rng.standard_normal(width) * 1e4 * scales
+        self.assert_same_bits([rng.standard_normal((t, width)) * scales
+                               + offsets for t in lengths])
+
+    def test_single_frame_utterances_and_constant_columns(self):
+        rng = np.random.default_rng(11)
+        per_utt = [np.column_stack([np.full(t, 7.0), rng.standard_normal(t)])
+                   for t in (1, 1, 3, 1)]
+        self.assert_same_bits(per_utt)
+        assert norm_stats(per_utt).std[0] == 1e-8
+
+    def test_log_mel_features(self):
+        utts = [append_deltas(logmel_filterbank(
+            TestFrontEndsMatchOracles.utterance(SR, n, seed)))
+            for seed, n in enumerate((400, 560, 5000, 16000, 1234))]
+        self.assert_same_bits(utts)
+
+    def test_no_frames_rejected(self):
+        for per_utt in ([], [np.zeros((0, 3))]):
+            with pytest.raises(ValueError, match="at least one frame"):
+                norm_stats(per_utt)
 
 
 class TestSplice:

@@ -7,13 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import reference_frame_dataset
+from helpers import (reference_frame_dataset, reference_norm_stats,
+                     reference_stacked_streams)
 
-from tvasr import pipeline, training
+from tvasr import inversion, pipeline, training
 from tvasr.architectures import ARCH_KINDS, ArchSpec, build_network
 from tvasr.corpus import ParallelCorpus, build_parallel_corpus
 from tvasr.errors import DivergenceError, FormatError, StateError
-from tvasr.features import SpliceSpec, nmc_features, norm_stats
+from tvasr.features import SpliceSpec, frame_count, nmc_features, norm_stats
 from tvasr.inversion import (InversionConfig, build_inversion_net,
                              inversion_dataset)
 from tvasr.nn import (Activation, Dense, NetworkGraph, Softmax, Stream,
@@ -36,7 +37,8 @@ def make_dataset(n=400, dim=10, n_classes=3, seed=0, separation=2.5):
     centers = rng.standard_normal((n_classes, dim)) * separation
     labels = rng.integers(0, n_classes, n)
     frames = centers[labels] + rng.standard_normal((n, dim))
-    streams = {"acoustic": stack_utterances([frames], SpliceSpec(0, 0))}
+    streams = {"acoustic": stack_utterances(
+        [frames].__getitem__, [n], SpliceSpec(0, 0))}
     return FrameDataset(streams, labels)
 
 
@@ -324,7 +326,8 @@ class TestStackUtterances:
     def test_splice_respects_utterance_boundaries(self):
         a = np.full((3, 2), 1.0)
         b = np.full((3, 2), 2.0)
-        frames, indices = stack_utterances([a, b], SpliceSpec(1, 1))
+        frames, indices = stack_utterances([a, b].__getitem__, [3, 3],
+                                           SpliceSpec(1, 1))
         spliced = frames[indices].reshape(6, 6)
         # last frame of utterance a must replicate within a, not peek into b
         assert np.all(spliced[2] == 1.0)
@@ -450,29 +453,78 @@ def cut_corpus():
     return ParallelCorpus(utts, corpus.n_classes)
 
 
-@pytest.mark.parametrize("kind", ["cnn", "tfcnn", "fcnn"])
-def test_acoustic_dataset_matches_frame_by_frame_oracle(cut_corpus, kind):
-    corpus = cut_corpus
+@pytest.fixture(scope="module")
+def tv_cut_corpus(cut_corpus):
+    """cut_corpus whose first train and first cv utterances have TVs three
+    frames shorter than their audio and labels, so only the fCNN and the
+    inversion datasets cut them."""
+    utts = list(cut_corpus.utterances)
+    for split in ("train", "cv"):
+        i = utts.index(cut_corpus.split_utts(split)[0])
+        tvs = utts[i].tvs
+        utts[i] = replace(utts[i], tvs=TVTrajectory(tvs.frames[:-3],
+                                                    tvs.frame_shift))
+    return ParallelCorpus(utts, cut_corpus.n_classes)
+
+
+def toy_spec(kind, corpus, **fields):
+    return pipeline.scale_arch_spec(
+        ArchSpec(kind=kind, n_classes=corpus.n_classes, **fields), "toy")
+
+
+def acoustic_oracle(utts, frames, spec, mean, std):
+    """reference_stacked_streams arguments of an acoustic dataset."""
+    streams = {"acoustic": ([(f - mean) / std for f in frames],
+                            (spec.context - 1) // 2, spec.context // 2)}
+    if spec.kind == "fcnn":
+        streams["tv"] = ([u.tvs.frames for u in utts],
+                         (spec.tv_context - 1) // 2, spec.tv_context // 2)
+    return streams, [u.labels for u in utts]
+
+
+def assert_same_dataset(dataset, expected, targets):
+    """Stacked frames, splice indices and targets equal, bit for bit."""
+    assert dataset.streams.keys() == expected.keys()
+    for name, (frames, indices) in expected.items():
+        got_frames, got_indices = dataset.streams[name]
+        assert got_frames.dtype == np.float32, name
+        assert got_frames.shape == frames.shape, name
+        assert got_frames.tobytes() == frames.tobytes(), name
+        assert np.array_equal(got_indices, indices), name
+    assert dataset.targets.dtype == targets.dtype
+    assert dataset.targets.tobytes() == targets.tobytes()
+
+
+class _Captured(Exception):
+    """Raised in place of training, carrying its train and cv sets."""
+
+
+def capture_datasets(monkeypatch, module):
+    def fake_run_training(net, train_set, cv_set, *args, **kwargs):
+        raise _Captured(train_set, cv_set)
+    monkeypatch.setattr(module, "run_training", fake_run_training)
+
+
+@pytest.mark.parametrize("kind", ["dnn", "cnn", "tfcnn", "fcnn"])
+def test_acoustic_dataset_matches_frame_by_frame_oracle(tv_cut_corpus, kind):
+    corpus = tv_cut_corpus
     utts = corpus.split_utts("test") + corpus.split_utts("cv")
-    spec = pipeline.scale_arch_spec(
-        ArchSpec(kind=kind, n_classes=corpus.n_classes, context=5,
-                 tv_context=7), "toy")
+    spec = toy_spec(kind, corpus, context=5, tv_context=7)
     stats = pipeline.acoustic_norm_stats(corpus)
     dataset = pipeline.make_acoustic_dataset(corpus, utts, spec, stats)
     inputs, targets = dataset.gather(np.arange(len(dataset)))
 
-    streams = {"acoustic": ([(pipeline.acoustic_frames(u) - stats.mean)
-                             / stats.std for u in utts], 2, 2)}
-    if kind == "fcnn":
-        streams["tv"] = ([u.tvs.frames for u in utts], 3, 3)
-    expected, expected_targets = reference_frame_dataset(
-        streams, [u.labels for u in utts])
-    assert len(dataset) < sum(len(pipeline.acoustic_frames(u)) for u in utts)
+    frames = [pipeline.acoustic_frames(u) for u in utts]
+    streams, labels = acoustic_oracle(utts, frames, spec, stats.mean,
+                                      stats.std)
+    expected, expected_targets = reference_frame_dataset(streams, labels)
+    assert len(dataset) < sum(map(len, frames))
     assert inputs.keys() == expected.keys()
     for name in expected:
         assert inputs[name].dtype == expected[name].dtype
         assert np.array_equal(inputs[name], expected[name]), name
     assert np.array_equal(targets, expected_targets)
+    assert_same_dataset(dataset, *reference_stacked_streams(streams, labels))
 
 
 def test_inversion_dataset_matches_frame_by_frame_oracle(cut_corpus):
@@ -490,6 +542,73 @@ def test_inversion_dataset_matches_frame_by_frame_oracle(cut_corpus):
     assert np.array_equal(inputs["acoustic"], expected["acoustic"])
     assert targets.dtype == np.float32
     assert np.array_equal(targets, expected_targets.astype(np.float32))
+
+
+class TestOnePassDatasets:
+    def test_fcnn_dataset_is_cut_to_its_tvs(self, tv_cut_corpus):
+        corpus = tv_cut_corpus
+        stats = pipeline.acoustic_norm_stats(corpus)
+        sizes = {kind: len(pipeline.make_acoustic_dataset(
+            corpus, corpus.utterances, toy_spec(kind, corpus), stats))
+            for kind in ("cnn", "fcnn")}
+        assert sizes["fcnn"] == sizes["cnn"] - 6
+
+    def test_train_acoustic_model_datasets(self, tv_cut_corpus, monkeypatch):
+        """The train set, written from the frames the statistics were
+        computed on, and the cv set match the oracle."""
+        corpus = tv_cut_corpus
+        spec = toy_spec("fcnn", corpus)
+        capture_datasets(monkeypatch, pipeline)
+        with pytest.raises(_Captured) as caught:
+            pipeline.train_acoustic_model(corpus, spec, TrainConfig())
+        frames = {split: [pipeline.acoustic_frames(u)
+                          for u in corpus.split_utts(split)]
+                  for split in ("train", "cv")}
+        mean, std = reference_norm_stats(frames["train"])
+        for split, dataset in zip(("train", "cv"), caught.value.args):
+            expected, targets = reference_stacked_streams(*acoustic_oracle(
+                corpus.split_utts(split), frames[split], spec, mean, std))
+            assert_same_dataset(dataset, expected, targets)
+
+    def test_train_inversion_model_datasets(self, tv_cut_corpus, monkeypatch):
+        corpus = tv_cut_corpus
+        cfg = InversionConfig.toy(splice=SpliceSpec(3, 2))
+        capture_datasets(monkeypatch, inversion)
+        with pytest.raises(_Captured) as caught:
+            inversion.train_inversion_model(corpus, cfg)
+        feats = {split: [nmc_features(u.waveform)
+                         for u in corpus.split_utts(split)]
+                 for split in ("train", "cv")}
+        mean, std = reference_norm_stats(feats["train"])
+        for split, dataset in zip(("train", "cv"), caught.value.args):
+            utts = corpus.split_utts(split)
+            expected, targets = reference_stacked_streams(
+                {"acoustic": ([(f - mean) / std for f in feats[split]], 3, 2)},
+                [u.tvs.frames for u in utts])
+            assert_same_dataset(dataset, expected, targets.astype(np.float32))
+            assert len(dataset) == sum(map(len, feats[split])) - 3
+
+    def test_peak_is_the_dataset_plus_one_utterance(self, cut_corpus):
+        """Building a dataset holds at most one utterance's float64
+        features beside the arrays it returns."""
+        corpus = cut_corpus
+        utts = corpus.utterances
+        assert len(utts) >= 20
+        spec = toy_spec("fcnn", corpus)
+        stats = pipeline.acoustic_norm_stats(corpus)
+        pipeline.make_acoustic_dataset(corpus, utts[:1], spec, stats)  # warm
+        one_utt = max(frame_count(u.waveform) for u in utts) * 8 * (
+            spec.n_feature_streams * spec.n_bands)
+        tracemalloc.start()
+        try:
+            dataset = pipeline.make_acoustic_dataset(corpus, utts, spec, stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        own = dataset.targets.nbytes + sum(
+            frames.nbytes + indices.nbytes
+            for frames, indices in dataset.streams.values())
+        assert peak <= own + one_utt + 2**20, (peak, own, one_utt)
 
 
 def test_one_frame_dataset_path():
