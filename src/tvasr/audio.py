@@ -19,6 +19,9 @@ from .errors import ConfigError, FormatError
 from .records import Reader, read_file
 
 DEFAULT_SAMPLE_RATE = 16000
+# The frame grid of every front end and of the synthesizer, in seconds.
+FRAME_WIN = 0.025
+FRAME_SHIFT = 0.010
 
 _WAV_SCALE = 32768.0
 
@@ -49,6 +52,19 @@ class Waveform:
     @property
     def duration(self) -> float:
         return len(self.samples) / self.sample_rate
+
+
+def frame_samples(sample_rate: int) -> tuple:
+    """Analysis window and frame shift in samples at `sample_rate`.
+
+    ValueError if the shift rounds to no sample.
+    """
+    win_n = int(round(FRAME_WIN * sample_rate))
+    shift_n = int(round(FRAME_SHIFT * sample_rate))
+    if shift_n < 1:
+        raise ValueError(f"{sample_rate} Hz is too low a rate for the "
+                         f"{FRAME_SHIFT * 1000:g} ms frame shift")
+    return win_n, shift_n
 
 
 def _parse_wav(r: Reader) -> Waveform:

@@ -36,14 +36,8 @@ from .synth import TV_CHANNELS
 from .training import TrainConfig
 
 
-def _parse_bool(value: str) -> bool:
-    if value.lower() not in ("1", "true", "yes", "0", "false", "no"):
-        raise ConfigError(f"{value!r} is not a boolean (1/true/yes or 0/false/no)")
-    return value.lower() in ("1", "true", "yes")
-
-
 # TrainConfig annotations are strings under `from __future__ import annotations`
-_TRAIN_KEYS = {f.name: {"int": int, "float": float, "bool": _parse_bool}[f.type]
+_TRAIN_KEYS = {f.name: {"int": int, "float": float}[f.type]
                for f in dataclass_fields(TrainConfig) if f.name != "rng_seed"}
 
 _CORPUS_KEYS = {

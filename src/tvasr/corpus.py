@@ -90,9 +90,14 @@ def build_parallel_corpus(n_utts: int, severity_range=(0.0, 0.0),
     """Generate n_utts clean utterances plus one noisy copy of each.
 
     Words come from `default_vocabulary()` and noise from `NOISE_KINDS`.
+    ConfigError unless both ranges are finite with min <= max.
     """
     if n_utts < 10:
         raise ConfigError(f"corpus needs at least 10 utterances, got {n_utts}")
+    for name, (low, high) in (("severity", severity_range), ("snr", snr_range)):
+        if not -np.inf < low <= high < np.inf:  # so that NaN fails too
+            raise ConfigError(f"{name} range [{low}, {high}] is not finite "
+                              "with min <= max")
     vocab = default_vocabulary()
     n_train, n_cv, _ = split_sizes(n_utts)
 
@@ -106,7 +111,7 @@ def build_parallel_corpus(n_utts: int, severity_range=(0.0, 0.0),
         labels = frame_labels(score, tvs.n_frames)
         kind = NOISE_KINDS[int(rng.integers(len(NOISE_KINDS)))]
         snr = float(rng.uniform(*snr_range))
-        noise = generate_noise(kind, len(clean.samples), rng, clean.sample_rate)
+        noise = generate_noise(kind, len(clean.samples), rng)
         noisy = mix_noise_at_snr(clean, noise, snr)
         split = _split_of(index, n_train, n_cv)
         base = f"utt{index:05d}"

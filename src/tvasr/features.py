@@ -30,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct
 from scipy.signal import butter, sosfilt
 
-from .audio import Waveform
+from .audio import Waveform, frame_samples
 from .errors import FormatError
 from .records import Reader, read_file
 from .synth import N_TVS, TVTrajectory
@@ -38,8 +38,6 @@ from .synth import N_TVS, TVTrajectory
 LOG_FLOOR = 1e-10
 STD_FLOOR = 1e-8
 FFT_SIZE = 512
-FRAME_WIN = 0.025  # seconds
-FRAME_SHIFT = 0.010
 
 _FMX_MAGIC = b"FMX1"
 _NMC_MAGIC = b"NMC1"
@@ -72,19 +70,14 @@ class NormStats:
     std: np.ndarray
 
 
-def _framing(sample_rate: int) -> tuple:
-    """Analysis window and frame shift in samples."""
-    return (int(round(FRAME_WIN * sample_rate)),
-            int(round(FRAME_SHIFT * sample_rate)))
-
-
 def frame_count(wav: Waveform) -> int:
     """T, the number of frames every extractor gives for `wav`.
 
     Known before any feature is computed, so datasets size their arrays
-    from it. ValueError if `wav` is shorter than one analysis window.
+    from it. ValueError if `wav` is shorter than one analysis window, or
+    if its rate is too low for the frame grid.
     """
-    win_n, shift_n = _framing(wav.sample_rate)
+    win_n, shift_n = frame_samples(wav.sample_rate)
     n_samples = len(wav.samples)
     if n_samples < win_n:
         raise ValueError(f"signal of {n_samples} samples is shorter than "
@@ -138,7 +131,7 @@ def logmel_filterbank(wav: Waveform, n_bands: int = 40) -> np.ndarray:
     Windowed frames are written straight into the FFT's zero-padded input,
     so the transform holds two (T, FFT_SIZE) arrays at most.
     """
-    win_n, shift_n = _framing(wav.sample_rate)
+    win_n, shift_n = frame_samples(wav.sample_rate)
     n_frames = frame_count(wav)
     frames = np.zeros((n_frames, max(win_n, FFT_SIZE)))
     np.multiply(sliding_window_view(wav.samples, win_n)[::shift_n][:n_frames],
@@ -204,7 +197,7 @@ def nmc_features(wav: Waveform, n_coeffs: int = 40) -> np.ndarray:
     with a DCT to n_coeffs coefficients.
     """
     n_frames = frame_count(wav)
-    win_n, shift_n = _framing(wav.sample_rate)
+    win_n, shift_n = frame_samples(wav.sample_rate)
     bandpasses, envelope_lp = _am_subband_bank(n_coeffs, wav.sample_rate)
     # sosfilt accepts only writable coefficients: filter with copies
     bank, lowpass = np.array(bandpasses), envelope_lp.copy()

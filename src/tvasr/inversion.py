@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import Waveform
+from .audio import DEFAULT_SAMPLE_RATE, Waveform
 from .corpus import ParallelCorpus
 from .errors import FormatError
-from .features import (FRAME_SHIFT, NormStats, SpliceSpec, nmc_map,
-                       norm_stats, norm_stats_to_bytes, read_norm_stats)
+from .features import (NormStats, SpliceSpec, nmc_map, norm_stats,
+                       norm_stats_to_bytes, read_norm_stats)
 from .nn import (Activation, Conv1d, Dense, MaxPool1d, NetworkGraph, Stream,
                  forward, network_from_bytes, network_to_bytes)
 from .records import Reader, read_file
@@ -117,8 +117,7 @@ def train_inversion_model(corpus: ParallelCorpus, cfg: InversionConfig):
     cv_set = inversion_dataset(corpus, "cv", cfg, stats)
 
     net = build_inversion_net(cfg, seed=cfg.train.rng_seed)
-    result = run_training(net, train_set, cv_set, cfg.train, loss="mse",
-                          cv_metric="mse")
+    result = run_training(net, train_set, cv_set, cfg.train)
     return InversionModel(result.best_net, stats, cfg.n_coeffs, cfg.splice), result
 
 
@@ -129,10 +128,10 @@ def inversion_features(model: InversionModel, waveforms: list) -> list:
     threads (`nmc_map`).
     """
     for audio in waveforms:
-        if audio.sample_rate != 16000:
+        if audio.sample_rate != DEFAULT_SAMPLE_RATE:
             raise ValueError(
-                f"{audio.sample_rate} Hz input unsupported (expected 16000; "
-                "resampling is out of scope)")
+                f"{audio.sample_rate} Hz input unsupported (expected "
+                f"{DEFAULT_SAMPLE_RATE}; resampling is out of scope)")
     return nmc_map(waveforms, model.n_coeffs)
 
 
@@ -144,8 +143,7 @@ def tvs_from_features(model: InversionModel,
         model.splice)
     spliced = frames[indices].reshape(len(feats), -1)
     pred = forward(model.net, {"acoustic": spliced}, mode="eval")
-    return TVTrajectory(np.clip(pred.astype(np.float64), 0.0, 1.0),
-                        FRAME_SHIFT)
+    return TVTrajectory(np.clip(pred.astype(np.float64), 0.0, 1.0))
 
 
 def invert_many(model: InversionModel, waveforms: list) -> list:

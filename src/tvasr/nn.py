@@ -15,7 +15,8 @@ accumulate in double precision.
 The mutation contract is single-threaded: `forward(..., mode="train")`
 caches activations on the layers; `backward` reads that cache, and
 `sgd_step` reads it, updates the parameters and drops it. Eval-mode forward
-caches nothing and is safe on a shared graph.
+caches nothing and is safe on a shared graph. A softmax may only end the
+trunk, and the loss gradient of such a net is taken at its logits.
 """
 
 from __future__ import annotations
@@ -361,18 +362,17 @@ class Softmax:
         e = np.exp(z)
         y = (e / e.sum(axis=1, keepdims=True)).astype(x.dtype)
         if train:
-            self._cache = (x, y)
+            self._cache = x
         return y
 
     def backward(self, dy):
-        _, y = self._cache
-        inner = (dy * y).sum(axis=1, keepdims=True)
-        return y * (dy - inner), []
+        """The loss gradient of a softmax net is taken at its logits."""
+        return dy, []
 
     def cached_input(self):
         if self._cache is None:
             raise StateError("softmax layer has no cached activations")
-        return self._cache[0]
+        return self._cache
 
     def clone(self):
         return Softmax()
@@ -424,11 +424,15 @@ class NetworkGraph:
     def shape_ledger(self):
         """Per-layer (scope, kind, in_dim, out_dim) entries, validating the chain.
 
-        A conv1d layer may only be the first layer of a stream.
+        A conv1d layer may only be the first layer of a stream, and a
+        softmax only the last layer of the trunk.
         """
         inner = [l for st in self.streams for l in st.layers[1:]] + self.trunk
         if any(layer.kind == "conv1d" for layer in inner):
             raise ConfigError("a conv1d layer must be the first layer of a stream")
+        body = self.all_layers()[:-1] if self.trunk else self.all_layers()
+        if any(layer.kind == "softmax" for layer in body):
+            raise ConfigError("a softmax layer may only end the trunk")
         ledger = []
         for s, stream in enumerate(self.streams):
             d = stream.input_dim
@@ -457,9 +461,15 @@ class NetworkGraph:
         ledger = self.shape_ledger()
         return ledger[-1][3] if ledger else int(sum(self.stream_out_dims()))
 
+    @property
+    def ends_in_softmax(self) -> bool:
+        """A classifier: trained by cross-entropy, its loss gradient taken at
+        the logits, and scored by frame error; other nets use MSE."""
+        return bool(self.trunk) and self.trunk[-1].kind == "softmax"
+
     def cached_logits(self):
         """Input of the final softmax layer from the last train-mode forward."""
-        if not self.trunk or self.trunk[-1].kind != "softmax":
+        if not self.ends_in_softmax:
             raise StateError("network does not end with a softmax layer")
         if not self._train_ready:
             raise StateError("no cached activations; run forward in train mode")
@@ -569,14 +579,12 @@ def forward(net: NetworkGraph, inputs, mode: str = "eval"):
     return h
 
 
-def _check_backprop(net: NetworkGraph, at_logits: bool) -> None:
+def _check_backprop(net: NetworkGraph) -> None:
     if not net._train_ready:
         raise StateError("backward requires a preceding train-mode forward")
-    if at_logits and (not net.trunk or net.trunk[-1].kind != "softmax"):
-        raise StateError("at_logits requires a trailing softmax layer")
 
 
-def _backprop(net: NetworkGraph, loss_grad, at_logits: bool, visit) -> None:
+def _backprop(net: NetworkGraph, loss_grad, visit) -> None:
     """Backpropagate loss_grad through the cached forward pass.
 
     Calls visit(layer, grads, where) for every layer, from the output to
@@ -584,14 +592,10 @@ def _backprop(net: NetworkGraph, loss_grad, at_logits: bool, visit) -> None:
     returns. By then the layer's gradient with respect to its input is
     built, so the visitor may change the layer's parameters or drop its
     cache: nothing later reads them. `where` names the layer, e.g.
-    "trunk layer 6 (dense)". Layers without a backward of their own (the
-    at-logits softmax, a ReLU folded into its pool) get no gradients.
+    "trunk layer 6 (dense)". Layers without parameters, and a ReLU folded
+    into its pool, get no gradients.
     """
-    trunk = net.trunk
-    if at_logits:
-        trunk = trunk[:-1]
-        visit(net.trunk[-1], [], f"trunk layer {len(trunk)} (softmax)")
-    dy = _backward_chain(trunk, np.asarray(loss_grad, dtype=net.dtype),
+    dy = _backward_chain(net.trunk, np.asarray(loss_grad, dtype=net.dtype),
                          "trunk", visit)
     offset = 0
     for s, (stream, width) in enumerate(zip(net.streams,
@@ -601,22 +605,22 @@ def _backprop(net: NetworkGraph, loss_grad, at_logits: bool, visit) -> None:
         offset += width
 
 
-def backward(net: NetworkGraph, loss_grad, at_logits: bool = False) -> Gradients:
+def backward(net: NetworkGraph, loss_grad) -> Gradients:
     """Parameter gradients of a loss gradient, through the cached forward pass.
 
-    No gradient with respect to the network inputs is built. With
-    at_logits=True the gradient is taken with respect to the input of a
-    final softmax layer (the fused softmax/cross-entropy path); otherwise it
-    is with respect to the network output. The caches and parameters are
-    left as they are; `sgd_step` is the training step.
+    No gradient with respect to the network inputs is built. The gradient
+    is taken with respect to the logits of a net that ends in a softmax
+    (see NetworkGraph.ends_in_softmax), else with respect to the network
+    output. The caches and parameters are left as they are; `sgd_step` is
+    the training step.
     """
-    _check_backprop(net, at_logits)
+    _check_backprop(net)
     grads_by_id = {}
 
     def keep(layer, grads, where):
         grads_by_id[id(layer)] = grads
 
-    _backprop(net, loss_grad, at_logits, keep)
+    _backprop(net, loss_grad, keep)
     return Gradients([grads_by_id[id(layer)] for layer in net.all_layers()], {})
 
 
@@ -624,8 +628,7 @@ def backward(net: NetworkGraph, loss_grad, at_logits: bool = False) -> Gradients
 _SGD_BLOCK = 1 << 16
 
 
-def sgd_step(net: NetworkGraph, loss_grad, lr: float,
-             at_logits: bool = False) -> None:
+def sgd_step(net: NetworkGraph, loss_grad, lr: float) -> None:
     """One plain SGD update, p <- p - lr * g, from a loss gradient.
 
     Takes the loss gradient that `backward` takes, after a train-mode
@@ -643,7 +646,7 @@ def sgd_step(net: NetworkGraph, loss_grad, lr: float,
     if not 0 <= lr < np.inf:
         raise ValueError(f"learning rate must be finite and non-negative, "
                          f"got {lr}")
-    _check_backprop(net, at_logits)
+    _check_backprop(net)
     net._train_ready = False  # the caches go as the layers consume them
 
     def update(layer, grads, where):
@@ -654,7 +657,7 @@ def sgd_step(net: NetworkGraph, loss_grad, lr: float,
     # An overflowing block sum is no error: the exact test decides. An
     # update that overflows leaves p infinite, and the next loss is too.
     with np.errstate(over="ignore"):
-        _backprop(net, loss_grad, at_logits, update)
+        _backprop(net, loss_grad, update)
 
 
 def _sgd_update(where: str, p, g, rate) -> None:

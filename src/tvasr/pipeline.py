@@ -87,8 +87,7 @@ def train_acoustic_model(corpus: ParallelCorpus, spec: ArchSpec,
     del train_frames  # the dataset holds its own copy; free it before training
     cv_set = make_acoustic_dataset(corpus, cv_utts, spec, stats)
     net = build_network(spec, seed=cfg.rng_seed)
-    result = run_training(net, train_set, cv_set, cfg, loss="ce",
-                          cv_metric="frame_error", on_epoch=on_epoch)
+    result = run_training(net, train_set, cv_set, cfg, on_epoch=on_epoch)
     return result, stats
 
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.signal import lfilter
 
-from .audio import Waveform
+from .audio import DEFAULT_SAMPLE_RATE, FRAME_SHIFT, Waveform, frame_samples
 
 TV_CHANNELS = (
     "lip_aperture",
@@ -44,6 +44,8 @@ _LA, _LP, _TBL, _TBD, _TTL, _TTD, _VEL, _GLO = range(N_TVS)
 
 # Time constant of the critically damped articulator response.
 TV_TIME_CONSTANT = 0.040
+# Pitch of the synthesizer's glottal pulse train, in Hz.
+F0 = 100.0
 
 
 @dataclass
@@ -51,7 +53,7 @@ class TVTrajectory:
     """Per-frame tract-variable matrix, shape (T, 8), entries in [0, 1]."""
 
     frames: np.ndarray
-    frame_shift: float = 0.010
+    frame_shift: float = FRAME_SHIFT
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
@@ -232,28 +234,27 @@ def critically_damped_smooth(track: np.ndarray, frame_shift: float,
     return y
 
 
-def render_tvs(score: GesturalScore, frame_shift: float = 0.010) -> TVTrajectory:
-    """Render the score to per-frame TVs.
+def render_tvs(score: GesturalScore) -> TVTrajectory:
+    """Render the score to per-frame TVs, one every FRAME_SHIFT.
 
     Each channel holds the neutral 0.5 outside gestures and the gesture
     target inside (later gestures win on overlap); the piecewise track is
     smoothed by the critically damped articulator response.
     """
-    n_frames = max(1, int(round(score.duration / frame_shift)))
-    centers = (np.arange(n_frames) + 0.5) * frame_shift
+    n_frames = max(1, int(round(score.duration / FRAME_SHIFT)))
+    centers = (np.arange(n_frames) + 0.5) * FRAME_SHIFT
     out = np.empty((n_frames, N_TVS))
     for tv in range(N_TVS):
         track = np.full(n_frames, NEUTRAL_TV)
         for g in score.tv_gestures[tv]:
             track[(centers >= g.onset) & (centers < g.offset)] = g.target
-        out[:, tv] = critically_damped_smooth(track, frame_shift)
-    return TVTrajectory(np.clip(out, 0.0, 1.0), frame_shift)
+        out[:, tv] = critically_damped_smooth(track, FRAME_SHIFT)
+    return TVTrajectory(np.clip(out, 0.0, 1.0))
 
 
-def frame_labels(score: GesturalScore, n_frames: int,
-                 frame_shift: float = 0.010) -> np.ndarray:
+def frame_labels(score: GesturalScore, n_frames: int) -> np.ndarray:
     """Per-frame unit class ids (silence 0 outside gestures, later unit wins)."""
-    centers = (np.arange(n_frames) + 0.5) * frame_shift
+    centers = (np.arange(n_frames) + 0.5) * FRAME_SHIFT
     labels = np.zeros(n_frames, dtype=np.int64)
     for seg in score.segments:
         labels[(centers >= seg.onset) & (centers < seg.offset)] = seg.class_id
@@ -271,22 +272,23 @@ def _formants(tvs: np.ndarray) -> np.ndarray:
     return np.stack([f1, f2, f3], axis=1)
 
 
-def synthesize_speech_from_tvs(tv: TVTrajectory, rng_seed,
-                               sample_rate: int = 16000,
-                               win: float = 0.025,
-                               f0: float = 100.0) -> Waveform:
-    """Source-filter synthesis from a TV trajectory.
+def synthesize_speech_from_tvs(tv: TVTrajectory, rng_seed) -> Waveform:
+    """Source-filter synthesis of DEFAULT_SAMPLE_RATE audio from TVs.
 
-    The glottis TV mixes a pulse train at `f0` with white noise per sample;
+    The glottis TV mixes a pulse train at F0 with white noise per sample;
     the mix drives three cascaded two-pole resonators whose coefficients are
     updated every frame from the formant map. The output length is
-    (T-1)*shift + win samples so that the standard 25 ms / 10 ms framing of
-    the audio yields exactly T frames; the waveform is peak-normalized
-    to 0.9. Identical seed and TVs give bit-identical audio.
+    (T-1)*shift + win samples so that the frame grid of the front ends
+    (FRAME_WIN windows every FRAME_SHIFT) yields exactly T frames; the
+    waveform is peak-normalized to 0.9. Identical seed and TVs give
+    bit-identical audio. ValueError if `tv` is not on that grid.
     """
+    if tv.frame_shift != FRAME_SHIFT:
+        raise ValueError(f"TV frame shift {tv.frame_shift} s is not the "
+                         f"{FRAME_SHIFT} s frame grid")
     rng = np.random.default_rng(rng_seed)
-    shift_n = int(round(tv.frame_shift * sample_rate))
-    win_n = int(round(win * sample_rate))
+    sample_rate = DEFAULT_SAMPLE_RATE
+    win_n, shift_n = frame_samples(sample_rate)
     t_frames = tv.n_frames
     n = (t_frames - 1) * shift_n + win_n
 
@@ -294,7 +296,7 @@ def synthesize_speech_from_tvs(tv: TVTrajectory, rng_seed,
     sample_pos = np.arange(n)
     glottis = np.interp(sample_pos, centers, tv.frames[:, _GLO])
 
-    phase = np.cumsum(np.full(n, f0 / sample_rate))
+    phase = np.cumsum(np.full(n, F0 / sample_rate))
     pulses = np.zeros(n)
     pulses[np.diff(np.floor(phase), prepend=0.0) > 0] = 3.0
     noise = rng.normal(0.0, 0.15, n)
@@ -329,10 +331,10 @@ def synthesize_speech_from_tvs(tv: TVTrajectory, rng_seed,
 NOISE_KINDS = ("white", "pink", "am", "hum")
 
 
-def generate_noise(kind: str, n_samples: int, rng: np.random.Generator,
-                   sample_rate: int = 16000) -> Waveform:
-    """Generate one noise segment (RMS 0.1) of the requested kind."""
-    t = np.arange(n_samples) / sample_rate
+def generate_noise(kind: str, n_samples: int,
+                   rng: np.random.Generator) -> Waveform:
+    """One DEFAULT_SAMPLE_RATE noise segment (RMS 0.1) of the requested kind."""
+    t = np.arange(n_samples) / DEFAULT_SAMPLE_RATE
     if kind == "white":
         x = rng.normal(0.0, 1.0, n_samples)
     elif kind == "pink":
@@ -349,4 +351,4 @@ def generate_noise(kind: str, n_samples: int, rng: np.random.Generator,
     else:
         raise ValueError(f"unknown noise kind {kind!r}")
     x = x * (0.1 / max(np.sqrt(np.mean(np.square(x))), 1e-12))
-    return Waveform(np.clip(x, -1.0, 1.0), sample_rate)
+    return Waveform(np.clip(x, -1.0, 1.0))

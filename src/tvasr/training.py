@@ -4,9 +4,9 @@ Epochs run at a constant initial learning rate (0.008 for four epochs by
 default); afterwards the rate halves whenever the relative cross-validation
 improvement falls below the halving threshold, and training stops once the
 improvement falls below the stop threshold or the CV error increases.
-`halve_always_after_first` switches to the classic variant that keeps
-halving every epoch once the first halving fired.
 
+A network whose trunk ends in a softmax is trained with softmax
+cross-entropy and scored by frame error; any other with MSE.
 Shuffling is seeded per epoch from (rng_seed, epoch).
 """
 
@@ -43,7 +43,6 @@ class TrainConfig:
     stop_threshold: float = 0.001
     max_epochs: int = 20
     rng_seed: int = 0
-    halve_always_after_first: bool = False
 
     def __post_init__(self):
         # each test is written so that NaN fails it
@@ -91,7 +90,7 @@ def schedule_update(state: TrainState, new_cv_error: float,
         if phase == "halving":
             if new_cv_error > prev or improvement < cfg.stop_threshold:
                 phase = "stopped"
-            elif improvement < cfg.halving_threshold or cfg.halve_always_after_first:
+            elif improvement < cfg.halving_threshold:
                 lr /= 2.0
         elif improvement < cfg.halving_threshold:
             lr /= 2.0
@@ -180,7 +179,7 @@ def utterance_dataset(streams: dict, splices: dict,
 
 
 def train_epoch(net: NetworkGraph, dataset: FrameDataset, lr: float,
-                batch_size: int, rng_seed, loss: str = "ce") -> float:
+                batch_size: int, rng_seed) -> float:
     """One shuffled pass of mini-batch SGD; returns the mean training loss.
 
     The shuffle order comes solely from rng_seed (pass [seed, epoch] for the
@@ -197,17 +196,15 @@ def train_epoch(net: NetworkGraph, dataset: FrameDataset, lr: float,
         idx = order[start:start + batch_size]
         inputs, targets = dataset.gather(idx)
         out = forward(net, inputs, mode="train")
-        if loss == "ce":
+        if net.ends_in_softmax:
             value, grad = softmax_cross_entropy(net.cached_logits(), targets)
-        elif loss == "mse":
-            value, grad = mse_loss(out, targets)
         else:
-            raise ValueError(f"unknown loss {loss!r}")
+            value, grad = mse_loss(out, targets)
         if not np.isfinite(value):
             raise DivergenceError(
                 f"batch {batch}: non-finite training loss {value}")
         try:
-            sgd_step(net, grad, lr, at_logits=loss == "ce")
+            sgd_step(net, grad, lr)
         except DivergenceError as exc:
             raise DivergenceError(f"batch {batch}: {exc}") from exc
         total += value * len(idx)
@@ -238,16 +235,13 @@ def predict_dataset(net: NetworkGraph, dataset: FrameDataset) -> np.ndarray:
     return np.concatenate(outputs, axis=0)
 
 
-def evaluate_dataset(net: NetworkGraph, dataset: FrameDataset,
-                     metric: str = "frame_error") -> float:
-    """CV error: frame classification error for "ce" nets, else MSE."""
+def evaluate_dataset(net: NetworkGraph, dataset: FrameDataset) -> float:
+    """CV error: frame classification error for softmax nets, else MSE."""
     out = predict_dataset(net, dataset)
-    if metric == "frame_error":
+    if net.ends_in_softmax:
         return float(np.mean(out.argmax(axis=1) != dataset.targets))
-    if metric == "mse":
-        return float(np.mean(np.square(
-            out.astype(np.float64) - dataset.targets.astype(np.float64))))
-    raise ValueError(f"unknown metric {metric!r}")
+    return float(np.mean(np.square(
+        out.astype(np.float64) - dataset.targets.astype(np.float64))))
 
 
 @dataclass
@@ -266,14 +260,14 @@ class TrainResult:
 
 
 def run_training(net: NetworkGraph, train_set: FrameDataset,
-                 cv_set: FrameDataset, cfg: TrainConfig, loss: str = "ce",
-                 cv_metric: str = "frame_error",
+                 cv_set: FrameDataset, cfg: TrainConfig,
                  on_epoch=None) -> TrainResult:
     """Drive train_epoch under the halving schedule until it stops.
 
     `net` is updated in place; the returned best_net is a copy of the
     parameters at the minimum CV error. Epoch seeds derive from
-    (cfg.rng_seed, epoch).
+    (cfg.rng_seed, epoch). A DivergenceError names the epoch, counted
+    from 1.
     """
     state = TrainState(lr=cfg.initial_lr)
     best_net = net.copy()
@@ -281,9 +275,12 @@ def run_training(net: NetworkGraph, train_set: FrameDataset,
     while state.phase != "stopped" and state.epoch < cfg.max_epochs:
         epoch = state.epoch + 1
         lr = state.lr
-        train_loss = train_epoch(net, train_set, lr, cfg.batch_size,
-                                 [cfg.rng_seed, epoch], loss)
-        cv_error = evaluate_dataset(net, cv_set, cv_metric)
+        try:
+            train_loss = train_epoch(net, train_set, lr, cfg.batch_size,
+                                     [cfg.rng_seed, epoch])
+        except DivergenceError as exc:
+            raise DivergenceError(f"epoch {epoch}: {exc}") from exc
+        cv_error = evaluate_dataset(net, cv_set)
         improved = cv_error < state.best_cv_error
         state = schedule_update(state, cv_error, cfg)
         if improved:

@@ -28,7 +28,7 @@ def analytic_gradients(net: NetworkGraph, inputs, targets, loss: str):
     out = forward(net, inputs, mode="train")
     if loss == "ce":
         _, grad = softmax_cross_entropy(net.cached_logits(), targets)
-        return backward(net, grad, at_logits=True)
+        return backward(net, grad)
     _, grad = mse_loss(out, targets)
     return backward(net, grad)
 

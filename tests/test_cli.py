@@ -91,6 +91,20 @@ class TestCorpusGen:
         config.write_text("n_utterances = 50\n")
         assert run(["corpus-gen", "--out", tmp_path, "--config", config]) == 2
 
+    @pytest.mark.parametrize("lines,name", [
+        ("snr_max = inf", "snr"), ("severity_min = nan", "severity"),
+        ("snr_min = 90", "snr"),
+        ("severity_min = 0.7\nseverity_max = 0.3", "severity")],
+        ids=["snr-max-inf", "severity-min-nan", "snr-min-above-max",
+             "severity-min-above-max"])
+    def test_bad_range_exit_2(self, lines, name, tmp_path, capsys):
+        config = tmp_path / "c.conf"
+        config.write_text(lines + "\n")
+        out = tmp_path / "corpus"
+        assert run(["corpus-gen", "--out", out, "--config", config]) == 2
+        assert f"error: {name} range" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_fcnn_logs_constant_lr_for_first_epochs(self, trained_dir):
@@ -627,6 +641,19 @@ def test_damaged_corpus_exit_1(damage, corpus_dir, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("rate", [1, 50])
+def test_rate_too_low_for_the_frame_grid_exit_2(rate, corpus_dir, tmp_path,
+                                                capsys):
+    corpus = copy_with_inv_files(corpus_dir, tmp_path, lambda u: False)
+    write_wav(corpus / "utt00000.wav", Waveform(np.zeros(50), rate))
+    assert run(["train", "--arch", "dnn", "--corpus", corpus,
+                "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "frame shift" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "dnn.ckpt").exists()
+
+
 class TestTrainConfigValues:
     @pytest.mark.parametrize("line", [
         "batch_size = -5", "batch_size = 0", "max_epochs = 0",
@@ -647,23 +674,6 @@ class TestTrainConfigValues:
         assert run(["train", "--arch", "dnn", "--corpus", corpus_dir,
                     "--out", tmp_path, "--config", config]) == 2
         assert "hidden_width='wide': not an integer" in capsys.readouterr().err
-
-
-class TestBooleanConfigValues:
-    @pytest.mark.parametrize("value,expected", [
-        ("1", True), ("true", True), ("YES", True),
-        ("0", False), ("False", False), ("no", False)])
-    def test_accepted_words(self, value, expected):
-        (parsed,) = cli._split_config({"halve_always_after_first": value},
-                                      cli._TRAIN_KEYS)
-        assert parsed == {"halve_always_after_first": expected}
-
-    def test_other_value_exit_2(self, corpus_dir, tmp_path, capsys):
-        config = tmp_path / "t.conf"
-        config.write_text("halve_always_after_first = banana\n")
-        assert run(["train", "--arch", "dnn", "--corpus", corpus_dir,
-                    "--out", tmp_path, "--config", config]) == 2
-        assert "'banana' is not a boolean" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad_std", [np.nan, 0.0, -1.0])

@@ -162,6 +162,9 @@ class TestFrontEndsMatchOracles:
                 reference_logmel(wav.samples, rate))
         with pytest.raises(ValueError, match="shorter than one 400-sample"):
             frame_count(self.utterance(16000, 399, 0))
+        for rate in (1, 50):  # the 10 ms shift rounds to no sample
+            with pytest.raises(ValueError, match="too low a rate"):
+                frame_count(self.utterance(rate, 400, 0))
 
 
 class TestCachedFilterDesigns:

@@ -232,7 +232,7 @@ class TestBackward:
         labels = RNG.integers(0, 4, 7)
         forward(net, x, mode="train")
         _, g = softmax_cross_entropy(net.cached_logits(), labels)
-        grads = backward(net, g, at_logits=True)
+        grads = backward(net, g)
         # the chain rule by hand, in the order backward applies it
         h = hidden.forward(first.forward(x, False), False)
         dz = g @ second.weight.T * h * (1.0 - h)
@@ -250,7 +250,7 @@ class TestBackward:
         forward(net, x, mode="train")
         _, grad = softmax_cross_entropy(net.cached_logits(),
                                         np.array([0, 1, 3]))
-        grads = backward(net, grad, at_logits=True)
+        grads = backward(net, grad)
         assert grads.input_grads == {}
         assert len(grads.by_layer) == len(net.all_layers())
 
@@ -341,7 +341,7 @@ class TestReluFoldedIntoPool:
         labels = RNG.integers(0, 5, 12)
         forward(net, x, mode="train")
         _, g = softmax_cross_entropy(net.cached_logits(), labels)
-        grads = backward(net, g, at_logits=True)
+        grads = backward(net, g)
         assert relu._cache is None and pool._cache[2] is not None
         # the unfused chain, one layer at a time
         h = pool.forward(relu.forward(conv.forward(x, True), True), True)
@@ -414,7 +414,7 @@ class TestSgdStep:
         forward(net, x, mode="train")
         _, grad = softmax_cross_entropy(net.cached_logits(),
                                         RNG.integers(0, 3, 5))
-        sgd_step(net, grad, lr=0.0, at_logits=True)
+        sgd_step(net, grad, lr=0.0)
         after = [p for l in net.all_layers() for p in l.param_arrays()]
         for b, a in zip(before, after):
             assert np.array_equal(b, a)
@@ -525,7 +525,7 @@ class TestSgdStep:
         y = RNG.integers(0, 4, 16)
         forward(net, x, mode="train")
         loss0, grad = softmax_cross_entropy(net.cached_logits(), y)
-        sgd_step(net, grad, lr=1e-4, at_logits=True)
+        sgd_step(net, grad, lr=1e-4)
         forward(net, x, mode="train")
         loss1, _ = softmax_cross_entropy(net.cached_logits(), y)
         assert loss1 <= loss0 + 1e-6
@@ -541,19 +541,19 @@ class TestOneLayerAtATime:
         forward(net, x, mode="train")
         _, grad = softmax_cross_entropy(net.cached_logits(),
                                         RNG.integers(0, 4, 5))
-        sgd_step(net, grad, 0.1, at_logits=True)
+        sgd_step(net, grad, 0.1)
         assert all(layer._cache is None for layer in net.all_layers())
         with pytest.raises(StateError):
-            sgd_step(net, grad, 0.1, at_logits=True)
+            sgd_step(net, grad, 0.1)
         with pytest.raises(StateError):
-            backward(net, grad, at_logits=True)
+            backward(net, grad)
 
     def test_folded_relu_and_softmax_caches_dropped(self):
         net = conv_net(activation="relu", seed=32)
         forward(net, np.abs(RNG.standard_normal((4, 30))), mode="train")
         _, grad = softmax_cross_entropy(net.cached_logits(),
                                         RNG.integers(0, 5, 4))
-        sgd_step(net, grad, 0.1, at_logits=True)
+        sgd_step(net, grad, 0.1)
         assert all(layer._cache is None for layer in net.all_layers())
 
     def test_missing_forward_refused_before_anything_changes(self):
@@ -598,7 +598,7 @@ class TestOneLayerAtATime:
         grad = np.full((3, 2), np.nan)
         message = rf"^non-finite gradient in {re.escape(where)}$"
         with pytest.raises(DivergenceError, match=message):
-            sgd_step(net, grad, 0.1, at_logits=scope == "trunk")
+            sgd_step(net, grad, 0.1)
 
 
 class TestGlorotBlocks:
@@ -720,6 +720,15 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="first layer"):
             NetworkGraph([Stream("acoustic", 30, [])], [conv], np.float64)
 
+    @pytest.mark.parametrize("stream,trunk", [
+        ([], [Dense(4, 3), Softmax(), Dense(3, 2)]),
+        ([Dense(4, 3), Softmax()], []),
+    ], ids=["mid-trunk", "end-of-stream"])
+    def test_softmax_that_does_not_end_the_trunk_rejected(self, stream,
+                                                          trunk):
+        with pytest.raises(ConfigError, match="only end the trunk"):
+            NetworkGraph([Stream("acoustic", 4, stream)], trunk, np.float64)
+
 
 class TestCheckpointFormat:
     """NNG1 network records, as bundles and inversion models hold them."""
@@ -773,6 +782,15 @@ class TestCheckpointFormat:
         path = tmp_path / "net.nng"
         self.save(path, net)
         with pytest.raises(FormatError, match="first layer"):
+            self.load(path)
+
+    def test_softmax_before_the_end_of_the_trunk_rejected(self, tmp_path):
+        net = dense_net([4, 3], dtype=np.float32)
+        # break the softmax-last rule after construction has checked it
+        net.trunk.append(Dense(3, 2, dtype=np.float32))
+        path = tmp_path / "net.nng"
+        self.save(path, net)
+        with pytest.raises(FormatError, match="only end the trunk"):
             self.load(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

@@ -1,4 +1,5 @@
-"""Every public name of the package has a caller outside the tests.
+"""Every public name of the package has a caller outside the tests, and
+every call signature the README quotes is the code's.
 
 A module-level function or class of src/tvasr, or a method of such a class,
 counts as used when its name appears as a whole word in another line of the
@@ -8,6 +9,8 @@ pyproject.toml.
 """
 
 import ast
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -46,3 +49,25 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                 or any(word.search(text) for text in elsewhere)):
             unused.append(qualname)
     assert unused == []
+
+
+def test_readme_signatures_list_the_code_parameters():
+    """A quoted `name(a, b=...)` of a tvasr function names its parameters."""
+    functions = {}
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"tvasr.{path.stem}")
+        for name, fn in vars(module).items():
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                functions.setdefault(name, []).append(fn)
+    text = (ROOT / "README.md").read_text()
+    checked, wrong = [], []
+    for name, params in re.findall(r"`(?:\w+\.)*(\w+)\(([^`()]*)\)`", text):
+        if name not in functions:
+            continue
+        quoted = [p.split("=")[0].strip() for p in params.split(",")
+                  if p.strip()]
+        for fn in functions[name]:
+            checked.append(name)
+            if quoted != list(inspect.signature(fn).parameters):
+                wrong.append(f"{name}({params})")
+    assert checked and wrong == []

@@ -147,6 +147,11 @@ class TestSynthesize:
         # the standard front end then yields exactly 60 frames
         assert len(logmel_filterbank(wav)) == 60
 
+    def test_trajectory_off_the_frame_grid_rejected(self):
+        tvs = TVTrajectory(np.full((5, N_TVS), 0.5), 0.0125)
+        with pytest.raises(ValueError, match="frame grid"):
+            synthesize_speech_from_tvs(tvs, 0)
+
     def test_peak_normalized(self):
         wav = synthesize_speech_from_tvs(self.constant_tvs(), 1)
         assert np.max(np.abs(wav.samples)) == pytest.approx(0.9, abs=1e-12)

@@ -103,14 +103,6 @@ class TestSchedule:
         assert states[5].lr == 0.004
         assert states[6].lr == 0.004  # 16% improvement: no further halving
 
-    def test_classic_variant_halves_every_epoch(self):
-        cfg = default_config(halve_always_after_first=True)
-        errors = [10, 9, 8, 7, 6, 5.99, 5.0, 4.0]
-        states = drive_schedule(errors, cfg)
-        assert states[5].lr == 0.004
-        assert states[6].lr == 0.002
-        assert states[7].lr == 0.001
-
     def test_phases_never_go_backwards_and_lr_never_increases(self):
         cfg = default_config(max_epochs=50)
         order = {"constant": 0, "halving": 1, "stopped": 2}
@@ -167,7 +159,7 @@ class TestTrainEpoch:
     def test_frame_error_metric(self):
         net = make_net(seed=5)
         ds = make_dataset(seed=5)
-        err = evaluate_dataset(net, ds, "frame_error")
+        err = evaluate_dataset(net, ds)
         assert 0.0 <= err <= 1.0
 
 
@@ -223,6 +215,14 @@ def step_kinds():
 STEP_KINDS = step_kinds()
 
 
+@pytest.mark.parametrize("kind,build,loss", STEP_KINDS,
+                         ids=[k[0] for k in STEP_KINDS])
+def test_only_acoustic_models_end_in_a_softmax(kind, build, loss):
+    """The last layer fixes the loss: cross-entropy for every ARCH_KINDS
+    network, MSE for the inversion net."""
+    assert build(np.float32, "relu").ends_in_softmax == (loss == "ce")
+
+
 def loss_gradient(net, dataset, loss):
     """One train-mode forward on the whole dataset; (loss, its gradient)."""
     inputs, targets = dataset.gather(np.arange(len(dataset)))
@@ -245,12 +245,12 @@ class TestSgdStepIsBackwardThenUpdate:
         ds.targets = (rng.integers(0, 6, 40) if loss == "ce"
                       else rng.standard_normal((40, 8)))
         _, grad = loss_gradient(ref, ds, loss)
-        grads = backward(ref, grad, at_logits=loss == "ce")
+        grads = backward(ref, grad)
         want = [p - p.dtype.type(lr) * g
                 for layer, gs in zip(ref.all_layers(), grads.by_layer)
                 for p, g in zip(layer.param_arrays(), gs)]
         _, grad = loss_gradient(net, ds, loss)
-        sgd_step(net, grad, lr, at_logits=loss == "ce")
+        sgd_step(net, grad, lr)
         got = [p for layer in net.all_layers() for p in layer.param_arrays()]
         assert len(got) == len(want)
         for a, b in zip(got, want):
@@ -273,7 +273,7 @@ class TestSgdStepIsBackwardThenUpdate:
             rest = tracemalloc.get_traced_memory()[0]
             forward(net, inputs, mode="train")
             _, grad = softmax_cross_entropy(net.cached_logits(), targets)
-            sgd_step(net, grad, 0.01, at_logits=True)
+            sgd_step(net, grad, 0.01)
             peak = tracemalloc.get_traced_memory()[1] - rest
         finally:
             tracemalloc.stop()
@@ -308,8 +308,8 @@ class TestTrainEpochDivergence:
     def test_gradient_divergence_names_the_batch(self, monkeypatch):
         calls = []
 
-        def failing_step(net, grad, lr, at_logits=False):
-            calls.append(at_logits)
+        def failing_step(net, grad, lr):
+            calls.append(lr)
             if len(calls) == 3:
                 raise DivergenceError("non-finite gradient in trunk layer 2 "
                                       "(dense)")
@@ -319,7 +319,7 @@ class TestTrainEpochDivergence:
                            match=r"^batch 2: non-finite gradient in trunk "
                                  r"layer 2 \(dense\)$"):
             train_epoch(make_net(), make_dataset(n=100), 0.1, 16, [0, 1])
-        assert calls == [True] * 3
+        assert calls == [0.1] * 3
 
 
 class TestStackUtterances:
@@ -369,6 +369,14 @@ class TestRunTraining:
                                   make_dataset(seed=80), cfg)
             outs.append(result.state.cv_error_history)
         assert outs[0] == outs[1]
+
+    def test_divergence_names_the_epoch(self):
+        train_set = make_dataset(seed=9)
+        train_set.streams["acoustic"][0][17] = np.nan
+        with pytest.raises(DivergenceError, match=r"^epoch 1: batch \d+: "
+                                                  r"non-finite training loss"):
+            run_training(make_net(seed=9), train_set, make_dataset(seed=90),
+                         default_config(initial_lr=0.5, max_epochs=3))
 
 
 class TestCheckpoints:
