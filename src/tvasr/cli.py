@@ -143,9 +143,9 @@ def cmd_invert(args) -> int:
         print("no input files")
         return 0
     # Read every input and compute its NMC features before writing anything,
-    # so a bad file leaves no output. The NMC of all files also comes before
-    # the first forward (see invert_many); only the features are kept, not
-    # the waveforms.
+    # so a bad file, or a ground truth off the WAV's frame grid, leaves no
+    # output. The NMC of all files also comes before the first forward (see
+    # invert_many); only the features are kept, not the waveforms.
     wav_paths = [Path(p) for p in args.wavs]
     truth_by_wav, feats = {}, []
     for start in range(0, len(wav_paths), _INVERT_GROUP):
@@ -155,18 +155,22 @@ def cmd_invert(args) -> int:
             truth_path = wav_path.parent / (wav_path.stem + ".tv.fmx")
             if truth_path.exists():
                 truth_by_wav[wav_path] = load_feature_matrix(truth_path).frames
-        feats += inversion_features(model, waveforms)
+        feats += inversion_features(model, waveforms)  # checks the rates
+        for wav_path, wav_feats in zip(wav_paths[start:], feats[start:]):
+            truth = truth_by_wav.get(wav_path)
+            if truth is not None and len(truth) != len(wav_feats):
+                raise FormatError(f"{wav_path.with_suffix('.tv.fmx')}: "
+                                  f"{len(truth)} TV rows for the "
+                                  f"{len(wav_feats)} frames of {wav_path}")
     preds, truths = [], []
     for wav_path, wav_feats in zip(wav_paths, feats):
         tvs = tvs_from_features(model, wav_feats)
         out_path = wav_path.parent / (wav_path.stem + ".inv.fmx")
         save_feature_matrix(out_path, tvs)
         print(f"{wav_path} -> {out_path}")
-        truth = truth_by_wav.get(wav_path)
-        if truth is not None:
-            t = min(len(truth), tvs.n_frames)
-            preds.append(tvs.frames[:t])
-            truths.append(truth[:t])
+        if wav_path in truth_by_wav:
+            preds.append(tvs.frames)
+            truths.append(truth_by_wav[wav_path])
     if preds:
         r = pearson_per_tv(np.concatenate(preds), np.concatenate(truths))
         print("per-TV Pearson r:")
@@ -179,7 +183,8 @@ def _use_inverted_tvs(utts, inverted, inversion_model, manifest_dir) -> None:
     """Set each utterance's `tvs` to inverted TVs, in place, if `inverted`.
 
     They come from the inversion model when one is given, else from the
-    precomputed <id>.inv.fmx next to the manifest.
+    precomputed <id>.inv.fmx next to the manifest; FormatError for a file
+    that does not hold one row per label of its utterance.
     """
     if not inverted:
         if inversion_model:
@@ -198,6 +203,9 @@ def _use_inverted_tvs(utts, inverted, inversion_model, manifest_dir) -> None:
                 f"missing inverted TV file {inv_path} "
                 "(run the invert subcommand or pass --inversion-model)")
         utt.tvs = load_feature_matrix(inv_path)
+        if utt.tvs.n_frames != len(utt.labels):
+            raise FormatError(f"{inv_path}: {utt.tvs.n_frames} TV rows for "
+                              f"the {len(utt.labels)} labels of {utt.utt_id}")
 
 
 def cmd_train(args) -> int:
@@ -276,7 +284,9 @@ def cmd_evaluate(args) -> int:
     ]
     text = "\n".join(lines)
     print(text)
-    with open(out / f"eval-{bundle.spec.kind}-{args.split}.txt", "w",
+    # the two fCNN variants keep their reports apart in one --out
+    variant = "-inverted" if inverted else ""
+    with open(out / f"eval-{bundle.spec.kind}{variant}-{args.split}.txt", "w",
               encoding="utf-8") as fh:
         fh.write(text + "\n")
     with open(out / "results.tsv", "a", encoding="utf-8") as fh:

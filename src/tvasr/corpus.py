@@ -18,9 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import Waveform, mix_noise_at_snr, read_wav, write_wav
+from .audio import (DEFAULT_SAMPLE_RATE, Waveform, mix_noise_at_snr, read_wav,
+                    write_wav)
 from .errors import ConfigError, FormatError
-from .features import load_feature_matrix, save_feature_matrix
+from .features import frame_count, load_feature_matrix, save_feature_matrix
 from .synth import (NOISE_KINDS, TVTrajectory, default_inventory,
                     default_vocabulary, frame_labels, generate_gestural_score,
                     generate_noise, n_gesture_classes, render_tvs,
@@ -188,11 +189,33 @@ def _read_targets(tv_path: Path, label_path: Path):
     return tvs, labels
 
 
+def _read_entry_wav(wav_path: Path, tvs: TVTrajectory, labels: np.ndarray,
+                    tv_path: Path, label_path: Path) -> Waveform:
+    """An entry's WAV, checked to be on the frame grid of its TVs and labels:
+    DEFAULT_SAMPLE_RATE audio with one frame per TV row and per label."""
+    wav = read_wav(wav_path)
+    if wav.sample_rate != DEFAULT_SAMPLE_RATE:
+        raise FormatError(f"{wav_path}: {wav.sample_rate} Hz, not the corpus "
+                          f"rate of {DEFAULT_SAMPLE_RATE} Hz")
+    try:
+        t = frame_count(wav)
+    except ValueError as exc:
+        raise FormatError(f"{wav_path}: {exc}") from exc
+    for path, n, what in ((tv_path, tvs.n_frames, "TV rows"),
+                          (label_path, len(labels), "labels")):
+        if n != t:
+            raise FormatError(f"{path}: {n} {what} for the {t} frames "
+                              f"of {wav_path}")
+    return wav
+
+
 def read_corpus(manifest_path) -> ParallelCorpus:
     """Load a corpus written by write_corpus back into memory.
 
     Its classes are the gesture classes of the synthesizer, as in
-    build_parallel_corpus; classes.txt is not read.
+    build_parallel_corpus; classes.txt is not read. FormatError naming the
+    file unless each entry's WAV is at DEFAULT_SAMPLE_RATE and its frame
+    count, TV rows and labels agree.
     """
     manifest = Path(manifest_path)
     base = manifest.parent
@@ -215,11 +238,12 @@ def read_corpus(manifest_path) -> ParallelCorpus:
         if utt_id in seen:
             raise FormatError(f"{manifest}: duplicate utterance id {utt_id!r}")
         seen.add(utt_id)
-        wav = read_wav(base / wav_name)
         if (tv_name, label_name) not in shared:
             shared[tv_name, label_name] = _read_targets(base / tv_name,
                                                         base / label_name)
         tvs, labels = shared[tv_name, label_name]
+        wav = _read_entry_wav(base / wav_name, tvs, labels, base / tv_name,
+                              base / label_name)
         source_id = Path(tv_name).name.split(".")[0]
         utterances.append(Utterance(utt_id, split, wav, tvs, labels,
                                     transcript.split(), source_id))

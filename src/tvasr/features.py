@@ -30,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct
 from scipy.signal import butter, sosfilt
 
-from .audio import Waveform, frame_samples
+from .audio import FRAME_SHIFT, Waveform, frame_samples
 from .errors import FormatError
 from .records import Reader, read_file
 from .synth import N_TVS, TVTrajectory
@@ -412,9 +412,9 @@ def read_norm_stats(r: Reader, d: int) -> NormStats:
 
 
 def save_feature_matrix(path, tvs: TVTrajectory) -> None:
-    """Write FMX1: T, D = 8, layout (8, 1, 1), shift, then float32 frames."""
+    """Write FMX1: T, D = 8, layout (8, 1, 1), FRAME_SHIFT, float32 frames."""
     header = struct.pack("<4sIIIIId", _FMX_MAGIC, tvs.n_frames, N_TVS,
-                         N_TVS, 1, 1, tvs.frame_shift)
+                         N_TVS, 1, 1, FRAME_SHIFT)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(tvs.frames.astype("<f4").tobytes())
@@ -426,8 +426,10 @@ def _parse_feature_matrix(r: Reader) -> TVTrajectory:
     if layout != [N_TVS, N_TVS, 1, 1]:
         raise FormatError(f"dimension and layout {layout} are not a TV "
                           f"trajectory's [{N_TVS}, {N_TVS}, 1, 1]")
-    return TVTrajectory(r.array("<f4", (t, N_TVS)).astype(np.float64),
-                        frame_shift)
+    if frame_shift != FRAME_SHIFT:
+        raise FormatError(f"frame shift {frame_shift} s is not the "
+                          f"{FRAME_SHIFT} s frame grid")
+    return TVTrajectory(r.array("<f4", (t, N_TVS)).astype(np.float64))
 
 
 def load_feature_matrix(path) -> TVTrajectory:

@@ -96,8 +96,7 @@ def _inversion_dataset(utts, feats: list, cfg: InversionConfig,
                        stats: NormStats) -> FrameDataset:
     """inversion_dataset given each utterance's unnormalized NMC frames."""
     return utterance_dataset(
-        {"acoustic": (lambda u: (feats[u] - stats.mean) / stats.std,
-                      [len(f) for f in feats])},
+        {"acoustic": lambda u: (feats[u] - stats.mean) / stats.std},
         {"acoustic": cfg.splice},
         [u.tvs.frames.astype(np.float32) for u in utts])
 

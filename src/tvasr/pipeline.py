@@ -6,8 +6,9 @@ and spliced over 17 frames at batch time. The fCNN additionally consumes
 spliced tract variables, always read from each utterance's `tvs`: ground
 truth as loaded from the corpus, or inverted TVs that the caller put there
 (the CLI's `--tv-source inverted` does so, from an inversion model or from
-`<id>.inv.fmx` files). Each utterance is cut to the shortest of the arrays
-its dataset reads: acoustic frames, labels and, for the fCNN, TVs.
+`<id>.inv.fmx` files). Every array a dataset reads of an utterance
+(acoustic frames, labels and, for the fCNN, TVs) has one row per label on
+the 10 ms frame grid, or building the dataset raises ShapeError.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .corpus import ParallelCorpus, Utterance
 from .errors import ConfigError, FormatError
 from .evaluate import (WerReport, collapse_labels, combine_reports,
                        greedy_decode, levenshtein_wer)
-from .features import (NormStats, SpliceSpec, append_deltas, frame_count,
+from .features import (NormStats, SpliceSpec, append_deltas,
                        logmel_filterbank, norm_stats, norm_stats_to_bytes,
                        read_norm_stats)
 from .nn import NetworkGraph, network_from_bytes, network_to_bytes
@@ -61,12 +62,10 @@ def make_acoustic_dataset(corpus: ParallelCorpus, utts, spec: ArchSpec,
 def _acoustic_dataset(utts, frames, spec: ArchSpec,
                       stats: NormStats) -> FrameDataset:
     """make_acoustic_dataset given `frames(u)`, utterance u's acoustic_frames."""
-    streams = {"acoustic": (lambda u: (frames(u) - stats.mean) / stats.std,
-                            [frame_count(u.waveform) for u in utts])}
+    streams = {"acoustic": lambda u: (frames(u) - stats.mean) / stats.std}
     splices = {"acoustic": SpliceSpec((spec.context - 1) // 2, spec.context // 2)}
     if spec.kind == "fcnn":
-        streams["tv"] = (lambda u: utts[u].tvs.frames,
-                         [u.tvs.n_frames for u in utts])
+        streams["tv"] = lambda u: utts[u].tvs.frames
         splices["tv"] = SpliceSpec((spec.tv_context - 1) // 2, spec.tv_context // 2)
     return utterance_dataset(streams, splices, [u.labels for u in utts])
 

@@ -50,10 +50,10 @@ F0 = 100.0
 
 @dataclass
 class TVTrajectory:
-    """Per-frame tract-variable matrix, shape (T, 8), entries in [0, 1]."""
+    """Tract-variable matrix, shape (T, 8), entries in [0, 1], one row
+    every FRAME_SHIFT."""
 
     frames: np.ndarray
-    frame_shift: float = FRAME_SHIFT
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
@@ -65,9 +65,6 @@ class TVTrajectory:
             raise ValueError("TV trajectory contains non-finite values")
         if self.frames.min() < -1e-9 or self.frames.max() > 1.0 + 1e-9:
             raise ValueError("TV values must lie in [0, 1]")
-        if not 0.0 < self.frame_shift < np.inf:
-            raise ValueError(f"frame shift {self.frame_shift} is not finite "
-                             "and positive")
 
     @property
     def n_frames(self) -> int:
@@ -219,15 +216,16 @@ def generate_gestural_score(rng_seed, vocab, dysarthria_severity: float,
     return GesturalScore(duration, tv_gestures, segments), transcript
 
 
-def critically_damped_smooth(track: np.ndarray, frame_shift: float,
+def critically_damped_smooth(track: np.ndarray,
                              init: float = NEUTRAL_TV) -> np.ndarray:
-    """Critically damped second-order response to a piecewise target track.
+    """Critically damped second-order response to a piecewise target track
+    sampled every FRAME_SHIFT.
 
     Implemented as two cascaded one-pole lowpass filters with the articulator
     time constant; the output is a convex average of past targets, so it is
     monotone for steps and never overshoots the track's range.
     """
-    alpha = np.exp(-frame_shift / TV_TIME_CONSTANT)
+    alpha = np.exp(-FRAME_SHIFT / TV_TIME_CONSTANT)
     y = np.asarray(track, dtype=np.float64)
     for _ in range(2):
         y = lfilter([1.0 - alpha], [1.0, -alpha], y, zi=[alpha * init])[0]
@@ -248,7 +246,7 @@ def render_tvs(score: GesturalScore) -> TVTrajectory:
         track = np.full(n_frames, NEUTRAL_TV)
         for g in score.tv_gestures[tv]:
             track[(centers >= g.onset) & (centers < g.offset)] = g.target
-        out[:, tv] = critically_damped_smooth(track, FRAME_SHIFT)
+        out[:, tv] = critically_damped_smooth(track)
     return TVTrajectory(np.clip(out, 0.0, 1.0))
 
 
@@ -281,11 +279,8 @@ def synthesize_speech_from_tvs(tv: TVTrajectory, rng_seed) -> Waveform:
     (T-1)*shift + win samples so that the frame grid of the front ends
     (FRAME_WIN windows every FRAME_SHIFT) yields exactly T frames; the
     waveform is peak-normalized to 0.9. Identical seed and TVs give
-    bit-identical audio. ValueError if `tv` is not on that grid.
+    bit-identical audio.
     """
-    if tv.frame_shift != FRAME_SHIFT:
-        raise ValueError(f"TV frame shift {tv.frame_shift} s is not the "
-                         f"{FRAME_SHIFT} s frame grid")
     rng = np.random.default_rng(rng_seed)
     sample_rate = DEFAULT_SAMPLE_RATE
     win_n, shift_n = frame_samples(sample_rate)

@@ -133,12 +133,12 @@ class FrameDataset:
 def stack_utterances(rows, lengths: list, splice: SpliceSpec):
     """Stack utterances' frames into one float32 array, with splice indices.
 
-    `rows(u)` returns utterance u's (T_u, D) float64 frames, of which the
-    first lengths[u] are kept. The stacked array is allocated once, and each
-    utterance is written into it as soon as it is produced, so no more than
-    one utterance's float64 frames are held at a time; the float32 values
-    are the same bits as a float64 concatenation cast to float32. Splice
-    indices are clamped to each utterance's kept frames.
+    `rows(u)` returns utterance u's lengths[u] frames as float64; ShapeError
+    if it returns any other number. The stacked array is allocated once,
+    and each utterance is written into it as soon as it is produced, so no
+    more than one utterance's float64 frames are held at a time; the
+    float32 values are the same bits as a float64 concatenation cast to
+    float32. Splice indices are clamped to each utterance's frames.
     """
     if not lengths:
         raise ValueError("no utterances to stack")
@@ -148,12 +148,11 @@ def stack_utterances(rows, lengths: list, splice: SpliceSpec):
     offset = 0
     for u, t in enumerate(lengths):
         utt = rows(u)
-        if len(utt) < t:
-            raise ShapeError(f"utterance {u} has {len(utt)} frames, "
-                             f"fewer than the {t} to keep")
+        if len(utt) != t:
+            raise ShapeError(f"utterance {u} has {len(utt)} frames, not {t}")
         if frames is None:
             frames = np.empty((n_total,) + utt.shape[1:], dtype=np.float32)
-        frames[offset:offset + t] = utt[:t]
+        frames[offset:offset + t] = utt
         indices[offset:offset + t] = splice_indices(t, splice) + offset
         offset += t
     return frames, indices
@@ -163,19 +162,16 @@ def utterance_dataset(streams: dict, splices: dict,
                       targets: list) -> FrameDataset:
     """FrameDataset from per-utterance arrays: the one frames -> dataset path.
 
-    `streams` maps each input name to (rows, counts): counts[u] is the
-    number of frames utterance u has in that stream, known before any of
-    them is computed, and rows(u) returns those frames as float64, already
-    normalized. `splices` gives each stream's SpliceSpec and `targets` holds
-    one array per utterance. Each utterance is cut to its shortest stream or
-    target, so every stream and the targets agree frame for frame.
+    `streams` maps each input name to rows, where rows(u) returns utterance
+    u's frames as float64, already normalized. `splices` gives each
+    stream's SpliceSpec and `targets` holds one array per utterance. Every
+    stream must give an utterance one frame per target row, or ShapeError:
+    the frames line up by construction, never by cutting.
     """
-    lengths = [min(c) for c in zip(map(len, targets),
-                                   *(counts for _, counts in streams.values()))]
+    lengths = [len(a) for a in targets]
     stacked = {name: stack_utterances(rows, lengths, splices[name])
-               for name, (rows, _) in streams.items()}
-    return FrameDataset(stacked, np.concatenate(
-        [a[:t] for a, t in zip(targets, lengths)], axis=0))
+               for name, rows in streams.items()}
+    return FrameDataset(stacked, np.concatenate(targets, axis=0))
 
 
 def train_epoch(net: NetworkGraph, dataset: FrameDataset, lr: float,

@@ -234,24 +234,25 @@ def reference_nmc(samples, sample_rate, n_coeffs=40):
 # time, with their own edge clamping; nothing here comes from tvasr.training.
 # ---------------------------------------------------------------------------
 
-def _cut_lengths(streams, targets):
-    """Each utterance's frame count: the shortest of its arrays."""
+def _utterance_lengths(streams, targets):
+    """Each utterance's frame count: its targets' length, which every stream
+    must have too, so that no oracle can agree with a silent cut."""
     lengths = []
     for u, target in enumerate(targets):
-        lengths.append(min([len(target)] + [len(arrays[u]) for arrays, _, _
-                                            in streams.values()]))
+        for name, (arrays, _, _) in streams.items():
+            assert len(arrays[u]) == len(target), (name, u)
+        lengths.append(len(target))
     return lengths
 
 
 def reference_frame_dataset(streams, targets):
     """Spliced inputs and targets of a frame dataset, built frame by frame.
 
-    `streams` maps an input name to (per-utterance arrays, left, right).
-    Each utterance is first cut to the shortest of its arrays (every stream
-    and its targets); context frames past either end of the cut utterance
-    repeat its first or last frame.
+    `streams` maps an input name to (per-utterance arrays, left, right);
+    every array has its utterance's target length. Context frames past
+    either end of an utterance repeat its first or last frame.
     """
-    lengths = _cut_lengths(streams, targets)
+    lengths = _utterance_lengths(streams, targets)
     inputs = {}
     for name, (arrays, left, right) in streams.items():
         rows = []
@@ -276,11 +277,11 @@ def reference_stacked_streams(streams, targets):
     """Each stream's stacked float32 frames and splice indices, frame by
     frame, and the stacked targets.
 
-    Same arguments and cut as reference_frame_dataset. A frame is cast to
-    float32 on its own, and an index row names the stacked rows of its
-    context frames, clamped to the cut utterance.
+    Same arguments as reference_frame_dataset. A frame is cast to float32
+    on its own, and an index row names the stacked rows of its context
+    frames, clamped to the utterance.
     """
-    lengths = _cut_lengths(streams, targets)
+    lengths = _utterance_lengths(streams, targets)
     out = {}
     for name, (arrays, left, right) in streams.items():
         frames, indices = [], []

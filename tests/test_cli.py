@@ -234,6 +234,22 @@ class TestEvaluate:
             texts.append((tmp_path / "eval-fcnn-test.txt").read_text())
         assert texts[0] == texts[1]
 
+    def test_both_fcnn_reports_kept_in_one_directory(self, trained_dir,
+                                                     corpus_dir, tmp_path):
+        corpus = copy_with_inv_files(corpus_dir, tmp_path,
+                                     lambda u: u.split == "test")
+        bundle = load_acoustic_bundle(trained_dir / "fcnn.ckpt")
+        bundle.tv_source = "inverted"
+        inverted = tmp_path / "inverted.ckpt"
+        save_acoustic_bundle(inverted, bundle)
+        out = tmp_path / "results"
+        for ckpt in (trained_dir / "fcnn.ckpt", inverted):
+            assert run(["evaluate", "--checkpoint", ckpt, "--corpus", corpus,
+                        "--out", out]) == 0
+        assert sorted(p.name for p in out.glob("eval-*.txt")) == [
+            "eval-fcnn-inverted-test.txt", "eval-fcnn-test.txt"]
+        assert len((out / "results.tsv").read_text().splitlines()) == 2
+
     def test_unreadable_corpus_exit_1(self, trained_dir, tmp_path):
         (tmp_path / "manifest.tsv").write_text("\n")
         assert run(["evaluate", "--checkpoint", trained_dir / "fcnn.ckpt",
@@ -341,6 +357,8 @@ class TestInvertCommand:
         model = self.make_model(tmp_path / "inv.ckpt")
         wav = tmp_path / "slow.wav"
         write_wav(wav, Waveform(np.zeros(4000), 8000))
+        # the rate is refused before the ground truth's rows are compared
+        (tmp_path / "slow.tv.fmx").write_bytes(fmx_bytes(np.full((23, 8), 0.5)))
         assert run(["invert", "--model", model, wav]) == 2
 
     def test_bad_truth_file_writes_nothing(self, tmp_path, capsys):
@@ -546,13 +564,16 @@ DAMAGED_TVS = {
     "9-columns": lambda f: fmx_bytes(np.hstack([f, f[:, :1]])),
     "2-columns": lambda f: fmx_bytes(f[:, :2]),
     "zero-shift": lambda f: fmx_bytes(f, shift=0.0),
+    # well-formed, but off the frame grid of the utterance's audio and labels
+    "20-ms-shift": lambda f: fmx_bytes(f, shift=0.02),
+    "row-dropped": lambda f: fmx_bytes(f[:-1]),
 }
 
 
 @pytest.mark.parametrize("damage", sorted(DAMAGED_TVS))
 class TestDamagedTvFiles:
-    """A .tv.fmx or .inv.fmx that is not a TV trajectory makes every command
-    that reads it exit 1, never 2 or a traceback."""
+    """A .tv.fmx or .inv.fmx that is not a TV trajectory of its utterance
+    makes every command that reads it exit 1, never 2 or a traceback."""
 
     @staticmethod
     def damage_file(path, damage):
@@ -642,16 +663,72 @@ def test_damaged_corpus_exit_1(damage, corpus_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("rate", [1, 50])
-def test_rate_too_low_for_the_frame_grid_exit_2(rate, corpus_dir, tmp_path,
+def test_rate_too_low_for_the_frame_grid_exit_1(rate, corpus_dir, tmp_path,
                                                 capsys):
     corpus = copy_with_inv_files(corpus_dir, tmp_path, lambda u: False)
-    write_wav(corpus / "utt00000.wav", Waveform(np.zeros(50), rate))
+    bad = corpus / "utt00000.wav"
+    write_wav(bad, Waveform(np.zeros(50), rate))
     assert run(["train", "--arch", "dnn", "--corpus", corpus,
-                "--out", tmp_path / "out"]) == 2
+                "--out", tmp_path / "out"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "frame shift" in err
+    assert err.startswith(f"error: {bad}: ")
     assert "Traceback" not in err
-    assert not (tmp_path / "out" / "dnn.ckpt").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def wav_at_rate(rate):
+    def damage(corpus):
+        path = corpus / "utt00000.wav"
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<I", data, 24, rate)  # the fmt chunk's sample rate
+        path.write_bytes(bytes(data))
+        return path
+    return damage
+
+
+def wav_shorter_than_a_window(corpus):
+    path = corpus / "utt00000.wav"
+    write_wav(path, Waveform(np.zeros(399)))
+    return path
+
+
+def label_line_dropped(corpus):
+    path = corpus / "utt00000.labels"
+    path.write_text("".join(path.read_text().splitlines(True)[:-1]))
+    return path
+
+
+def tv_file(damage):
+    return lambda corpus: TestDamagedTvFiles.damage_file(
+        corpus / "utt00000.tv.fmx", damage)
+
+
+# One change each that takes a corpus entry off the 10 ms frame grid; each
+# returns the file it changed.
+OFF_THE_GRID = {
+    "wav-8000-hz": wav_at_rate(8000),
+    "wav-1-hz": wav_at_rate(1),
+    "wav-399-samples": wav_shorter_than_a_window,
+    "label-line-dropped": label_line_dropped,
+    "tv-row-dropped": tv_file("row-dropped"),
+    "tv-20-ms-shift": tv_file("20-ms-shift"),
+}
+
+
+@pytest.mark.parametrize("command", [["train", "--arch", "cnn"],
+                                     ["train-inversion"]])
+@pytest.mark.parametrize("damage", sorted(OFF_THE_GRID))
+def test_corpus_off_the_frame_grid_exit_1(damage, command, corpus_dir,
+                                          tmp_path, capsys):
+    corpus = copy_with_inv_files(corpus_dir, tmp_path, lambda u: False)
+    bad = OFF_THE_GRID[damage](corpus)
+    files = sorted(corpus.iterdir())
+    assert run(command + ["--corpus", corpus, "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    assert sorted(corpus.iterdir()) == files
 
 
 class TestTrainConfigValues:

@@ -8,7 +8,7 @@ from tvasr import corpus as corpus_module
 from tvasr.corpus import (build_parallel_corpus, corpus_digest, read_corpus,
                           split_sizes, write_corpus)
 from tvasr.errors import ConfigError, FormatError
-from tvasr.features import load_feature_matrix as load, logmel_filterbank
+from tvasr.features import frame_count, load_feature_matrix as load
 from tvasr.synth import n_gesture_classes
 
 
@@ -65,10 +65,15 @@ class TestBuild:
         assert corpus_digest(other) != corpus_digest(small_corpus)
 
     def test_frame_count_consistency(self, small_corpus):
-        for utt in small_corpus.utterances[:20]:
-            t_audio = len(logmel_filterbank(utt.waveform))
-            assert abs(t_audio - utt.tvs.n_frames) <= 1
-            assert len(utt.labels) == utt.tvs.n_frames
+        """Every entry's audio frames, TV rows and labels agree exactly, up
+        to severity 0.7: the invariant read_corpus checks."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            severe = build_parallel_corpus(30, severity_range=(0.0, 0.7),
+                                           rng_seed=33)
+        for utt in small_corpus.utterances + severe.utterances:
+            assert frame_count(utt.waveform) == utt.tvs.n_frames \
+                == len(utt.labels), utt.utt_id
 
     def test_labels_are_gesture_classes_with_silent_edges(self, small_corpus):
         for utt in small_corpus.utterances[:10]:

@@ -12,9 +12,10 @@ from helpers import (reference_frame_dataset, reference_norm_stats,
 
 from tvasr import inversion, pipeline, training
 from tvasr.architectures import ARCH_KINDS, ArchSpec, build_network
-from tvasr.corpus import ParallelCorpus, build_parallel_corpus
-from tvasr.errors import DivergenceError, FormatError, StateError
-from tvasr.features import SpliceSpec, frame_count, nmc_features, norm_stats
+from tvasr.corpus import build_parallel_corpus
+from tvasr.errors import DivergenceError, FormatError, ShapeError, StateError
+from tvasr.features import (NormStats, SpliceSpec, frame_count, nmc_features,
+                            norm_stats)
 from tvasr.inversion import (InversionConfig, build_inversion_net,
                              inversion_dataset)
 from tvasr.nn import (Activation, Dense, NetworkGraph, Softmax, Stream,
@@ -25,7 +26,8 @@ from tvasr.training import (_PREDICT_CHUNK, EpochRecord, FrameDataset,
                             TrainConfig, TrainState, evaluate_dataset,
                             predict_dataset, run_training, schedule_update,
                             stack_utterances, train_epoch,
-                            train_state_from_bytes, train_state_to_bytes)
+                            train_state_from_bytes, train_state_to_bytes,
+                            utterance_dataset)
 from tvasr.synth import TVTrajectory
 
 RNG = np.random.default_rng(2718)
@@ -447,32 +449,11 @@ def test_train_acoustic_model_computes_logmel_once(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def cut_corpus():
-    """10-utterance corpus whose first test utterance has labels and TVs
-    two frames shorter than its audio."""
+def aligned_corpus():
+    """10-utterance corpus: audio frames, TVs and labels agree in number."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        corpus = build_parallel_corpus(10, rng_seed=5)
-    utts = list(corpus.utterances)
-    i = utts.index(corpus.split_utts("test")[0])
-    short = utts[i]
-    utts[i] = replace(short, labels=short.labels[:-2], tvs=TVTrajectory(
-        short.tvs.frames[:-2], short.tvs.frame_shift))
-    return ParallelCorpus(utts, corpus.n_classes)
-
-
-@pytest.fixture(scope="module")
-def tv_cut_corpus(cut_corpus):
-    """cut_corpus whose first train and first cv utterances have TVs three
-    frames shorter than their audio and labels, so only the fCNN and the
-    inversion datasets cut them."""
-    utts = list(cut_corpus.utterances)
-    for split in ("train", "cv"):
-        i = utts.index(cut_corpus.split_utts(split)[0])
-        tvs = utts[i].tvs
-        utts[i] = replace(utts[i], tvs=TVTrajectory(tvs.frames[:-3],
-                                                    tvs.frame_shift))
-    return ParallelCorpus(utts, cut_corpus.n_classes)
+        return build_parallel_corpus(10, rng_seed=5)
 
 
 def toy_spec(kind, corpus, **fields):
@@ -514,8 +495,8 @@ def capture_datasets(monkeypatch, module):
 
 
 @pytest.mark.parametrize("kind", ["dnn", "cnn", "tfcnn", "fcnn"])
-def test_acoustic_dataset_matches_frame_by_frame_oracle(tv_cut_corpus, kind):
-    corpus = tv_cut_corpus
+def test_acoustic_dataset_matches_frame_by_frame_oracle(aligned_corpus, kind):
+    corpus = aligned_corpus
     utts = corpus.split_utts("test") + corpus.split_utts("cv")
     spec = toy_spec(kind, corpus, context=5, tv_context=7)
     stats = pipeline.acoustic_norm_stats(corpus)
@@ -526,7 +507,7 @@ def test_acoustic_dataset_matches_frame_by_frame_oracle(tv_cut_corpus, kind):
     streams, labels = acoustic_oracle(utts, frames, spec, stats.mean,
                                       stats.std)
     expected, expected_targets = reference_frame_dataset(streams, labels)
-    assert len(dataset) < sum(map(len, frames))
+    assert len(dataset) == sum(map(len, frames))
     assert inputs.keys() == expected.keys()
     for name in expected:
         assert inputs[name].dtype == expected[name].dtype
@@ -535,36 +516,50 @@ def test_acoustic_dataset_matches_frame_by_frame_oracle(tv_cut_corpus, kind):
     assert_same_dataset(dataset, *reference_stacked_streams(streams, labels))
 
 
-def test_inversion_dataset_matches_frame_by_frame_oracle(cut_corpus):
+def test_inversion_dataset_matches_frame_by_frame_oracle(aligned_corpus):
     cfg = InversionConfig.toy(splice=SpliceSpec(3, 2))
-    utts = cut_corpus.split_utts("test")
+    utts = aligned_corpus.split_utts("test")
     feats = [nmc_features(u.waveform) for u in utts]
     stats = norm_stats(feats)
-    dataset = inversion_dataset(cut_corpus, "test", cfg, stats)
+    dataset = inversion_dataset(aligned_corpus, "test", cfg, stats)
     inputs, targets = dataset.gather(np.arange(len(dataset)))
 
     expected, expected_targets = reference_frame_dataset(
         {"acoustic": ([(f - stats.mean) / stats.std for f in feats], 3, 2)},
         [u.tvs.frames for u in utts])
-    assert len(dataset) == sum(len(f) for f in feats) - 2
+    assert len(dataset) == sum(len(f) for f in feats)
     assert np.array_equal(inputs["acoustic"], expected["acoustic"])
     assert targets.dtype == np.float32
     assert np.array_equal(targets, expected_targets.astype(np.float32))
 
 
 class TestOnePassDatasets:
-    def test_fcnn_dataset_is_cut_to_its_tvs(self, tv_cut_corpus):
-        corpus = tv_cut_corpus
-        stats = pipeline.acoustic_norm_stats(corpus)
-        sizes = {kind: len(pipeline.make_acoustic_dataset(
-            corpus, corpus.utterances, toy_spec(kind, corpus), stats))
-            for kind in ("cnn", "fcnn")}
-        assert sizes["fcnn"] == sizes["cnn"] - 6
+    @pytest.mark.parametrize("stream", ["acoustic", "tv"])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_stream_a_row_off_raises_shape_error(self, stream, extra):
+        targets = [np.zeros(5, dtype=np.int64), np.zeros(4, dtype=np.int64)]
+        rows = {"acoustic": [np.ones((5, 3)), np.ones((4, 3))],
+                "tv": [np.ones((5, 2)), np.ones((4, 2))]}
+        rows[stream][1] = np.ones((4 + extra, rows[stream][1].shape[1]))
+        with pytest.raises(ShapeError, match="utterance 1 has"):
+            utterance_dataset({k: v.__getitem__ for k, v in rows.items()},
+                              {k: SpliceSpec(1, 1) for k in rows}, targets)
 
-    def test_train_acoustic_model_datasets(self, tv_cut_corpus, monkeypatch):
+    def test_fcnn_dataset_with_short_tvs_raises_shape_error(self,
+                                                            aligned_corpus):
+        corpus = aligned_corpus
+        spec = toy_spec("fcnn", corpus)
+        utts = corpus.split_utts("test")
+        utts[0] = replace(utts[0], tvs=TVTrajectory(utts[0].tvs.frames[:-1]))
+        d = spec.n_feature_streams * spec.n_bands
+        with pytest.raises(ShapeError, match="utterance 0 has"):
+            pipeline.make_acoustic_dataset(
+                corpus, utts, spec, NormStats(np.zeros(d), np.ones(d)))
+
+    def test_train_acoustic_model_datasets(self, aligned_corpus, monkeypatch):
         """The train set, written from the frames the statistics were
         computed on, and the cv set match the oracle."""
-        corpus = tv_cut_corpus
+        corpus = aligned_corpus
         spec = toy_spec("fcnn", corpus)
         capture_datasets(monkeypatch, pipeline)
         with pytest.raises(_Captured) as caught:
@@ -578,8 +573,9 @@ class TestOnePassDatasets:
                 corpus.split_utts(split), frames[split], spec, mean, std))
             assert_same_dataset(dataset, expected, targets)
 
-    def test_train_inversion_model_datasets(self, tv_cut_corpus, monkeypatch):
-        corpus = tv_cut_corpus
+    def test_train_inversion_model_datasets(self, aligned_corpus,
+                                            monkeypatch):
+        corpus = aligned_corpus
         cfg = InversionConfig.toy(splice=SpliceSpec(3, 2))
         capture_datasets(monkeypatch, inversion)
         with pytest.raises(_Captured) as caught:
@@ -594,12 +590,12 @@ class TestOnePassDatasets:
                 {"acoustic": ([(f - mean) / std for f in feats[split]], 3, 2)},
                 [u.tvs.frames for u in utts])
             assert_same_dataset(dataset, expected, targets.astype(np.float32))
-            assert len(dataset) == sum(map(len, feats[split])) - 3
+            assert len(dataset) == sum(map(len, feats[split]))
 
-    def test_peak_is_the_dataset_plus_one_utterance(self, cut_corpus):
+    def test_peak_is_the_dataset_plus_one_utterance(self, aligned_corpus):
         """Building a dataset holds at most one utterance's float64
         features beside the arrays it returns."""
-        corpus = cut_corpus
+        corpus = aligned_corpus
         utts = corpus.utterances
         assert len(utts) >= 20
         spec = toy_spec("fcnn", corpus)
