@@ -19,8 +19,8 @@ import numpy as np
 from .architectures import (ARCH_KINDS, ArchSpec, arch_spec_from_config,
                             parse_kv_config)
 from .audio import read_wav
-from .corpus import (MANIFEST_NAME, build_parallel_corpus, corpus_digest,
-                     read_corpus, split_sizes, write_corpus)
+from .corpus import (MANIFEST_NAME, TRAINING_SPLITS, build_parallel_corpus,
+                     corpus_digest, read_corpus, split_sizes, write_corpus)
 from .errors import ConfigError, DivergenceError, FormatError, ShapeError
 from .evaluate import results_table
 from .features import load_feature_matrix, save_feature_matrix
@@ -32,7 +32,7 @@ from .pipeline import (AcousticModelBundle, TV_SOURCES, evaluate_acoustic_model,
                        features_label, load_acoustic_bundle,
                        save_acoustic_bundle, scale_arch_spec,
                        train_acoustic_model)
-from .synth import TV_CHANNELS
+from .synth import TV_CHANNELS, n_gesture_classes
 from .training import TrainConfig
 
 
@@ -111,11 +111,11 @@ def cmd_train_inversion(args) -> int:
     cfg_map = _load_config(args.config)
     (train_map,) = _split_config(cfg_map, _TRAIN_KEYS)
     train_cfg = TrainConfig(rng_seed=args.seed, **train_map)
-    corpus = read_corpus(_resolve_manifest(args.corpus))
     if args.scale == "toy":
         inv_cfg = InversionConfig.toy(train=train_cfg)
     else:
         inv_cfg = InversionConfig(train=train_cfg)
+    corpus = read_corpus(_resolve_manifest(args.corpus), TRAINING_SPLITS)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -179,17 +179,18 @@ def cmd_invert(args) -> int:
     return 0
 
 
-def _use_inverted_tvs(utts, inverted, inversion_model, manifest_dir) -> None:
-    """Set each utterance's `tvs` to inverted TVs, in place, if `inverted`.
+def _check_inversion_model(inverted, inversion_model) -> None:
+    if inversion_model and not inverted:
+        raise ConfigError("--inversion-model is read only for inverted TVs")
+
+
+def _use_inverted_tvs(utts, inversion_model, manifest_dir) -> None:
+    """Set each utterance's `tvs` to inverted TVs, in place.
 
     They come from the inversion model when one is given, else from the
     precomputed <id>.inv.fmx next to the manifest; FormatError for a file
     that does not hold one row per label of its utterance.
     """
-    if not inverted:
-        if inversion_model:
-            raise ConfigError("--inversion-model is read only for inverted TVs")
-        return
     if inversion_model:
         model = load_inversion_model(inversion_model)
         for utt, tvs in zip(utts, invert_many(model,
@@ -215,20 +216,22 @@ def cmd_train(args) -> int:
     inverted = args.tv_source == "inverted"
     if inverted and args.arch != "fcnn":
         raise ConfigError("--tv-source inverted applies only to --arch fcnn")
-    manifest = _resolve_manifest(args.corpus)
-    corpus = read_corpus(manifest)
-
     arch_map.setdefault("kind", args.arch)
     if arch_map["kind"] != args.arch:
         raise ConfigError(
             f"--arch {args.arch} conflicts with config kind={arch_map['kind']}")
-    arch_map.setdefault("n_classes", str(corpus.n_classes))
+    arch_map.setdefault("n_classes", str(n_gesture_classes()))
     spec = scale_arch_spec(arch_spec_from_config(arch_map), args.scale)
     train_cfg = TrainConfig(rng_seed=args.seed, **train_map)
+    _check_inversion_model(inverted, args.inversion_model)
 
+    # every flag and config value is checked before a corpus file is opened
+    manifest = _resolve_manifest(args.corpus)
+    corpus = read_corpus(manifest, TRAINING_SPLITS)
     train_utts, cv_utts = corpus.training_splits()
-    _use_inverted_tvs(train_utts + cv_utts, inverted, args.inversion_model,
-                      manifest.parent)
+    if inverted:
+        _use_inverted_tvs(train_utts + cv_utts, args.inversion_model,
+                          manifest.parent)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -260,13 +263,15 @@ def cmd_evaluate(args) -> int:
     tag = args.tag or manifest.parent.name
     if set(tag) & set("\t\n\r"):
         raise ConfigError(f"tag {tag!r} holds a tab or a line break")
-    corpus = read_corpus(manifest)
+    inverted = bundle.spec.kind == "fcnn" and bundle.tv_source == "inverted"
+    _check_inversion_model(inverted, args.inversion_model)
     noisy = {"all": None, "noisy": True, "clean": False}[args.subset]
-    utts = corpus.split_utts(args.split, noisy)
+    corpus = read_corpus(manifest, (args.split,), noisy)
+    utts = corpus.utterances
     if not utts:
         raise ConfigError(f"no utterances in split {args.split!r} ({args.subset})")
-    inverted = bundle.spec.kind == "fcnn" and bundle.tv_source == "inverted"
-    _use_inverted_tvs(utts, inverted, args.inversion_model, manifest.parent)
+    if inverted:
+        _use_inverted_tvs(utts, args.inversion_model, manifest.parent)
     report = evaluate_acoustic_model(bundle.net, corpus, utts, bundle.spec,
                                      bundle.stats)
 

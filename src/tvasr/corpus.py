@@ -28,6 +28,8 @@ from .synth import (NOISE_KINDS, TVTrajectory, default_inventory,
                     synthesize_speech_from_tvs)
 
 SPLITS = ("train", "cv", "test")
+# the splits that train and train-inversion read
+TRAINING_SPLITS = ("train", "cv")
 
 
 @dataclass
@@ -63,8 +65,8 @@ class ParallelCorpus:
 
     def training_splits(self) -> tuple:
         """The train and the cv utterances; ConfigError if either is empty."""
-        splits = tuple(self.split_utts(split) for split in ("train", "cv"))
-        for split, utts in zip(("train", "cv"), splits):
+        splits = tuple(self.split_utts(split) for split in TRAINING_SPLITS)
+        for split, utts in zip(TRAINING_SPLITS, splits):
             if not utts:
                 raise ConfigError(f"no utterances in split {split!r}")
         return splits
@@ -209,13 +211,21 @@ def _read_entry_wav(wav_path: Path, tvs: TVTrajectory, labels: np.ndarray,
     return wav
 
 
-def read_corpus(manifest_path) -> ParallelCorpus:
-    """Load a corpus written by write_corpus back into memory.
+def read_corpus(manifest_path, splits=SPLITS, noisy=None) -> ParallelCorpus:
+    """Load the entries of a corpus written by write_corpus that a caller uses.
+
+    The manifest is always read and checked whole: each row's field count,
+    its split and the uniqueness of its id. Only the entries of `splits`
+    are loaded, and with noisy=True or False only the noisy or the clean
+    ones, as ParallelCorpus.split_utts selects them, in manifest order. The
+    WAV, TV and label files of any other entry are never opened, so they
+    cannot fail the load. FormatError for a manifest with no rows; a
+    selection that matches no row gives a corpus with no utterances.
 
     Its classes are the gesture classes of the synthesizer, as in
     build_parallel_corpus; classes.txt is not read. FormatError naming the
-    file unless each entry's WAV is at DEFAULT_SAMPLE_RATE and its frame
-    count, TV rows and labels agree.
+    file unless each loaded entry's WAV is at DEFAULT_SAMPLE_RATE and its
+    frame count, TV rows and labels agree.
     """
     manifest = Path(manifest_path)
     base = manifest.parent
@@ -225,6 +235,8 @@ def read_corpus(manifest_path) -> ParallelCorpus:
             rows = [line.rstrip("\n") for line in fh if line.strip()]
     except UnicodeDecodeError as exc:
         raise FormatError(f"{manifest}: {exc}") from exc
+    if not rows:
+        raise FormatError(f"{manifest}: no utterances")
     # clean and noisy entries name the same TV and label files: load each
     # pair once and share it, as build_parallel_corpus does
     shared, seen = {}, set()
@@ -238,15 +250,16 @@ def read_corpus(manifest_path) -> ParallelCorpus:
         if utt_id in seen:
             raise FormatError(f"{manifest}: duplicate utterance id {utt_id!r}")
         seen.add(utt_id)
+        source_id = Path(tv_name).name.split(".")[0]
+        if split not in splits or (noisy is not None
+                                   and (utt_id != source_id) != noisy):
+            continue
         if (tv_name, label_name) not in shared:
             shared[tv_name, label_name] = _read_targets(base / tv_name,
                                                         base / label_name)
         tvs, labels = shared[tv_name, label_name]
         wav = _read_entry_wav(base / wav_name, tvs, labels, base / tv_name,
                               base / label_name)
-        source_id = Path(tv_name).name.split(".")[0]
         utterances.append(Utterance(utt_id, split, wav, tvs, labels,
                                     transcript.split(), source_id))
-    if not utterances:
-        raise FormatError(f"{manifest}: no utterances")
     return ParallelCorpus(utterances, n_gesture_classes())

@@ -104,9 +104,9 @@ class FrameDataset:
     """Frame-level dataset with lazy context splicing.
 
     Each stream holds the stacked unspliced frames of all utterances plus a
-    precomputed (n_frames, window) index matrix whose rows respect utterance
-    boundaries (edge frames replicate within the utterance). `gather`
-    assembles spliced mini-batch tensors on the fly.
+    precomputed int32 (n_frames, window) index matrix whose rows respect
+    utterance boundaries (edge frames replicate within the utterance).
+    `gather` assembles spliced mini-batch tensors on the fly.
     """
 
     def __init__(self, streams: dict, targets: np.ndarray):
@@ -138,13 +138,17 @@ def stack_utterances(rows, lengths: list, splice: SpliceSpec):
     and each utterance is written into it as soon as it is produced, so no
     more than one utterance's float64 frames are held at a time; the
     float32 values are the same bits as a float64 concatenation cast to
-    float32. Splice indices are clamped to each utterance's frames.
+    float32. Splice indices are int32, clamped to each utterance's frames;
+    ValueError for a stack of 2**31 frames or more, before any allocation.
     """
     if not lengths:
         raise ValueError("no utterances to stack")
     n_total = sum(lengths)
+    if n_total >= 2 ** 31:
+        raise ValueError(f"{n_total} frames to stack: int32 splice indices "
+                         "address fewer than 2**31")
     frames = None
-    indices = np.empty((n_total, splice.width), dtype=np.int64)
+    indices = np.empty((n_total, splice.width), dtype=np.int32)
     offset = 0
     for u, t in enumerate(lengths):
         utt = rows(u)

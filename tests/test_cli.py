@@ -7,8 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from tvasr.audio import Waveform, write_wav
+from tvasr.audio import Waveform, read_wav, write_wav
 from tvasr import cli, features, inversion, pipeline
+from tvasr import corpus as corpus_module
 from tvasr.cli import main
 from tvasr.corpus import build_parallel_corpus, read_corpus, write_corpus
 from tvasr.features import (load_feature_matrix, nmc_features,
@@ -729,6 +730,204 @@ def test_corpus_off_the_frame_grid_exit_1(damage, command, corpus_dir,
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
     assert sorted(corpus.iterdir()) == files
+
+
+def manifest_rows(corpus):
+    return [row.split("\t") for row in
+            (corpus / "manifest.tsv").read_text().splitlines()]
+
+
+def entry_files(corpus, splits):
+    """The WAV, TV and label files that the entries of `splits` name."""
+    return {name for _, split, *names, _ in manifest_rows(corpus)
+            if split in splits for name in names}
+
+
+def record_reads(monkeypatch):
+    """Record the name of each WAV and TV file the corpus reader opens."""
+    opened = []
+
+    def recording(load):
+        def wrapper(path):
+            opened.append(path.name)
+            return load(path)
+        return wrapper
+
+    monkeypatch.setattr(corpus_module, "read_wav", recording(read_wav))
+    monkeypatch.setattr(corpus_module, "load_feature_matrix",
+                        recording(load_feature_matrix))
+    return opened
+
+
+class TestEntriesRead:
+    """evaluate opens the files of its --split and --subset only, train and
+    train-inversion those of the train and cv splits; the manifest itself
+    is checked whole."""
+
+    @staticmethod
+    def without_training_files(corpus_dir, root):
+        """A copy of the corpus without the train and cv entries' files."""
+        corpus = copy_with_inv_files(corpus_dir, root, lambda u: False)
+        for name in entry_files(corpus, ("train", "cv")):
+            (corpus / name).unlink()
+        return corpus
+
+    @pytest.mark.parametrize("subset", ["all", "noisy", "clean"])
+    def test_evaluate_test_split_without_train_and_cv_files(
+            self, subset, trained_dir, corpus_dir, tmp_path, capsys):
+        full = copy_with_inv_files(corpus_dir, tmp_path / "full",
+                                   lambda u: False)
+        part = self.without_training_files(corpus_dir, tmp_path / "part")
+        outputs = []
+        for corpus in (full, part):
+            out = corpus.parent / "out"
+            assert run(["evaluate", "--checkpoint", trained_dir / "fcnn.ckpt",
+                        "--corpus", corpus, "--out", out,
+                        "--subset", subset]) == 0
+            captured = capsys.readouterr()
+            outputs.append((captured.out, captured.err,
+                            {p.name: p.read_bytes()
+                             for p in sorted(out.iterdir())}))
+        assert outputs[0] == outputs[1]
+        assert sorted(outputs[0][2]) == ["eval-fcnn-test.txt", "results.tsv"]
+
+    def test_evaluate_train_split_needs_its_files(self, trained_dir,
+                                                  corpus_dir, tmp_path,
+                                                  capsys):
+        part = self.without_training_files(corpus_dir, tmp_path)
+        assert run(["evaluate", "--checkpoint", trained_dir / "fcnn.ckpt",
+                    "--corpus", part, "--out", tmp_path / "out",
+                    "--split", "train"]) == 1
+        first_tv = manifest_rows(part)[0][3]
+        assert str(part / first_tv) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("split,subset", [
+        ("test", "noisy"), ("test", "clean"), ("test", "all"),
+        ("cv", "noisy"), ("train", "clean")])
+    def test_evaluate_opens_the_selected_files(self, split, subset,
+                                               trained_dir, corpus_dir,
+                                               tmp_path, monkeypatch):
+        opened = record_reads(monkeypatch)
+        assert run(["evaluate", "--checkpoint", trained_dir / "fcnn.ckpt",
+                    "--corpus", corpus_dir, "--out", tmp_path,
+                    "--split", split, "--subset", subset]) == 0
+        wanted = [(utt_id, wav, tv) for utt_id, s, wav, tv, *_ in
+                  manifest_rows(corpus_dir) if s == split
+                  and subset in ("all", "noisy" if utt_id.endswith("n")
+                                 else "clean")]
+        assert [name for name in opened if name.endswith(".wav")] == \
+            [wav for _, wav, _ in wanted]
+        assert [name for name in opened if name.endswith(".tv.fmx")] == \
+            list(dict.fromkeys(tv for *_, tv in wanted))
+
+    @pytest.mark.parametrize("command", [["train", "--arch", "cnn"],
+                                         ["train-inversion"]])
+    def test_training_ignores_a_damaged_test_wav(self, command, corpus_dir,
+                                                 tmp_path, monkeypatch):
+        config = tmp_path / "t.conf"
+        config.write_text("max_epochs = 1\n")
+        outputs, reads = [], []
+        for damaged in (False, True):
+            root = tmp_path / ("damaged" if damaged else "intact")
+            corpus = copy_with_inv_files(corpus_dir, root, lambda u: False)
+            rows = manifest_rows(corpus)
+            if damaged:
+                for _, split, wav, *_ in rows:
+                    if split == "test":
+                        (corpus / wav).write_bytes(b"RIFF")
+            opened = record_reads(monkeypatch)
+            assert run(command + ["--corpus", corpus, "--out", root / "out",
+                                  "--config", config]) == 0
+            monkeypatch.undo()
+            outputs.append({p.name: p.read_bytes()
+                            for p in sorted((root / "out").iterdir())})
+            reads.append([name for name in opened if name.endswith(".wav")])
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]) == 2  # the checkpoint and the log
+        assert reads[0] == reads[1] == [wav for _, split, wav, *_ in rows
+                                        if split != "test"]
+
+    @pytest.mark.parametrize("split", ["train", "cv"])
+    @pytest.mark.parametrize("command", [["train", "--arch", "cnn"],
+                                         ["train-inversion"]])
+    def test_training_refuses_a_damaged_wav_it_uses(self, command, split,
+                                                    corpus_dir, tmp_path,
+                                                    capsys):
+        corpus = copy_with_inv_files(corpus_dir, tmp_path, lambda u: False)
+        bad = corpus / [wav for utt_id, s, wav, *_ in manifest_rows(corpus)
+                        if s == split and utt_id.endswith("n")][-1]
+        bad.write_bytes(b"RIFF")
+        assert run(command + ["--corpus", corpus,
+                              "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_evaluate_empty_selection_exit_2(self, trained_dir, corpus_dir,
+                                             tmp_path, monkeypatch, capsys):
+        corpus = copy_with_inv_files(corpus_dir, tmp_path, lambda u: False)
+        manifest = corpus / "manifest.tsv"
+        manifest.write_text("".join("\t".join(row) + "\n"
+                                    for row in manifest_rows(corpus)
+                                    if row[1] != "test"))
+        opened = record_reads(monkeypatch)
+        assert run(["evaluate", "--checkpoint", trained_dir / "fcnn.ckpt",
+                    "--corpus", corpus, "--out", tmp_path / "out",
+                    "--subset", "noisy"]) == 2
+        assert ("error: no utterances in split 'test' (noisy)"
+                in capsys.readouterr().err)
+        assert opened == []
+        assert not (tmp_path / "out").exists()
+
+
+# Flag and config errors, each refused with exit 2 and this message before
+# any corpus file is read: (command and flags, config text, message)
+REFUSED_BEFORE_READING = {
+    "kind-conflict": (["train", "--arch", "cnn"], "kind = dnn",
+                      "--arch cnn conflicts with config kind=dnn"),
+    "arch-not-integer": (["train", "--arch", "dnn"], "hidden_width = wide",
+                         "config key hidden_width='wide': not an integer"),
+    "arch-n-tvs": (["train", "--arch", "fcnn"], "n_tvs = 4",
+                   "n_tvs=4 unsupported"),
+    "train-value": (["train", "--arch", "dnn"], "batch_size = 0",
+                    "batch_size must be at least 1"),
+    "inversion-model-for-ground-truth": (
+        ["train", "--arch", "fcnn", "--inversion-model", "missing.ckpt"], "",
+        "--inversion-model is read only for inverted TVs"),
+    "train-inversion-value": (["train-inversion"], "initial_lr = nan",
+                              "initial_lr must be finite and positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_BEFORE_READING))
+def test_flag_and_config_errors_before_the_corpus(case, corpus_dir, tmp_path,
+                                                  monkeypatch, capsys):
+    argv, config_text, message = REFUSED_BEFORE_READING[case]
+    config = tmp_path / "c.conf"
+    config.write_text(config_text + "\n")
+
+    def no_corpus(*args):
+        raise AssertionError("corpus read before the flags were checked")
+
+    monkeypatch.setattr(cli, "read_corpus", no_corpus)
+    assert run(argv + ["--corpus", corpus_dir, "--out", tmp_path / "out",
+                       "--config", config]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_inversion_model_refused_before_the_corpus(
+        trained_dir, corpus_dir, tmp_path, monkeypatch, capsys):
+    def no_corpus(*args):
+        raise AssertionError("corpus read before the flags were checked")
+
+    monkeypatch.setattr(cli, "read_corpus", no_corpus)
+    assert run(["evaluate", "--checkpoint", trained_dir / "fcnn.ckpt",
+                "--corpus", corpus_dir, "--out", tmp_path / "out",
+                "--inversion-model", tmp_path / "missing.ckpt"]) == 2
+    assert ("error: --inversion-model is read only for inverted TVs"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 class TestTrainConfigValues:

@@ -125,6 +125,84 @@ class TestDiskRoundtrip:
         assert len(read_corpus(manifest).utterances) == 40
         assert len(loads) == len(set(loads)) == 20
 
+    @pytest.mark.parametrize("splits,noisy", [
+        (("test",), True), (("test",), False), (("test",), None),
+        (("train", "cv"), None), (("cv",), True)])
+    def test_selection_loads_what_split_utts_selects(self, splits, noisy,
+                                                     written_corpus,
+                                                     monkeypatch):
+        manifest = written_corpus / "manifest.tsv"
+        whole = read_corpus(manifest)
+        wanted = [u for split in splits for u in whole.split_utts(split, noisy)]
+        wanted.sort(key=whole.utterances.index)
+        opened = []
+
+        def recording(load_fn):
+            def wrapper(path):
+                opened.append(path.name)
+                return load_fn(path)
+            return wrapper
+
+        monkeypatch.setattr(corpus_module, "read_wav",
+                            recording(corpus_module.read_wav))
+        monkeypatch.setattr(corpus_module, "load_feature_matrix",
+                            recording(load))
+        part = read_corpus(manifest, splits, noisy)
+        assert [u.utt_id for u in part.utterances] == [u.utt_id for u in wanted]
+        for loaded, full in zip(part.utterances, wanted):
+            assert loaded.split == full.split
+            assert loaded.source_id == full.source_id
+            assert loaded.transcript == full.transcript
+            assert loaded.waveform.samples.tobytes() == \
+                full.waveform.samples.tobytes()
+            assert loaded.tvs.frames.tobytes() == full.tvs.frames.tobytes()
+            assert loaded.labels.tobytes() == full.labels.tobytes()
+        # each selected WAV once, each source's TVs once, in manifest order
+        expected, sources = [], set()
+        for u in wanted:
+            if u.source_id not in sources:
+                sources.add(u.source_id)
+                expected.append(f"{u.source_id}.tv.fmx")
+            expected.append(f"{u.utt_id}.wav")
+        assert opened == expected
+
+    def test_unused_entries_files_never_opened(self, written_corpus, tmp_path):
+        manifest = TestDamagedCorpusFiles.copy(written_corpus, tmp_path)
+        rows = [r.split("\t") for r in manifest.read_text().splitlines()]
+        for _, split, *names, _ in rows:
+            if split != "test":
+                for name in names:
+                    (manifest.parent / name).unlink(missing_ok=True)
+        part = read_corpus(manifest, ("test",))
+        assert {u.split for u in part.utterances} == {"test"}
+        with pytest.raises(FileNotFoundError):
+            read_corpus(manifest, ("cv",))
+
+    def test_empty_selection_is_an_empty_corpus(self, written_corpus,
+                                                tmp_path):
+        manifest = TestDamagedCorpusFiles.copy(written_corpus, tmp_path)
+        manifest.write_text("".join(r + "\n" for r in
+                                    manifest.read_text().splitlines()
+                                    if "\ttest\t" not in r))
+        corpus = read_corpus(manifest, ("test",), True)
+        assert corpus.utterances == []
+        assert corpus.n_classes == n_gesture_classes()
+
+    @pytest.mark.parametrize("damage", ["duplicate", "unknown-split",
+                                        "five-fields"])
+    def test_manifest_checked_whole_for_any_selection(self, damage,
+                                                      written_corpus,
+                                                      tmp_path):
+        manifest = TestDamagedCorpusFiles.copy(written_corpus, tmp_path)
+        rows = manifest.read_text().splitlines()
+        rows.append({"duplicate": rows[0],
+                     "unknown-split": rows[0].replace("train", "dev", 1)
+                                              .replace("utt00000", "x", 1),
+                     "five-fields": rows[0].rsplit("\t", 1)[0]}[damage])
+        manifest.write_text("\n".join(rows) + "\n")
+        with pytest.raises(FormatError, match=f"{manifest}: "):
+            read_corpus(manifest, ("test",), True)
+
     def test_malformed_manifest_row(self, tmp_path):
         manifest = tmp_path / "manifest.tsv"
         manifest.write_text("only\tthree\tcolumns\n")

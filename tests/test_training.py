@@ -335,6 +335,18 @@ class TestStackUtterances:
         assert np.all(spliced[2] == 1.0)
         assert np.all(spliced[3] == 2.0)
 
+    def test_indices_are_int32(self):
+        _, indices = stack_utterances([np.zeros((4, 3))].__getitem__, [4],
+                                      SpliceSpec(2, 1))
+        assert indices.dtype == np.int32
+
+    def test_2_to_the_31_frames_refused_before_any_row(self):
+        def no_rows(u):
+            raise AssertionError("rows read for a stack that cannot be indexed")
+
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            stack_utterances(no_rows, [2 ** 30, 2 ** 30], SpliceSpec(8, 8))
+
     def test_gather_shapes(self):
         ds = make_dataset(n=50)
         inputs, labels = ds.gather(np.arange(7))
