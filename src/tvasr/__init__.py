@@ -19,11 +19,11 @@ from .evaluate import (WerReport, greedy_decode, levenshtein_wer,
 from .features import (NormStats, SpliceSpec, append_deltas,
                        load_feature_matrix, logmel_filterbank, nmc_features,
                        nmc_map, save_feature_matrix)
-from .inversion import (InversionConfig, InversionModel, invert, invert_many,
+from .inversion import (InversionConfig, InversionModel, invert,
                         load_inversion_model, save_inversion_model,
                         train_inversion_model)
-from .nn import (Gradients, NetworkGraph, backward, forward, mse_loss,
-                 sgd_step, softmax_cross_entropy)
+from .nn import (NetworkGraph, backward, forward, mse_loss, sgd_step,
+                 softmax_cross_entropy)
 from .synth import (GesturalScore, TVTrajectory, default_vocabulary,
                     generate_gestural_score, render_tvs,
                     synthesize_speech_from_tvs)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .nn import (Activation, Conv1d, Dense, MaxPool1d, NetworkGraph, Softmax,
-                 Stream)
+                 Stream, check_activation)
 from .synth import N_TVS
 
 ACOUSTIC_INPUT = "acoustic"
@@ -76,6 +76,7 @@ class ArchSpec:
                      "time_filters", "time_filter_width", "time_pool"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        check_activation(self.hidden_activation)
 
     @property
     def acoustic_dim(self) -> int:

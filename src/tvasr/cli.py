@@ -1,7 +1,9 @@
 """Batch command-line interface.
 
 Subcommands: corpus-gen, train-inversion, invert, train, evaluate, report.
-Every subcommand is deterministic given (config, seed).
+Every subcommand is deterministic given (config, seed). An inverted-TV fCNN
+reads its TVs from the <id>.inv.fmx files that `invert` writes; `train`
+alone may compute them instead, with --inversion-model.
 
 Exit codes: 0 success, 1 I/O or file-format error, 2 configuration or
 precondition error, 3 numerical failure during training.
@@ -24,7 +26,7 @@ from .corpus import (MANIFEST_NAME, TRAINING_SPLITS, build_parallel_corpus,
 from .errors import ConfigError, DivergenceError, FormatError, ShapeError
 from .evaluate import results_table
 from .features import load_feature_matrix, save_feature_matrix
-from .inversion import (InversionConfig, inversion_features, invert_many,
+from .inversion import (InversionConfig, inversion_features,
                         load_inversion_model, pearson_per_tv,
                         save_inversion_model, train_inversion_model,
                         tvs_from_features)
@@ -49,6 +51,17 @@ _CORPUS_KEYS = {
     "words_min": int,
     "words_max": int,
 }
+
+
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, checked as the flag is parsed."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a non-negative integer, got {text!r}")
 
 
 def _load_config(path) -> dict:
@@ -145,7 +158,7 @@ def cmd_invert(args) -> int:
     # Read every input and compute its NMC features before writing anything,
     # so a bad file, or a ground truth off the WAV's frame grid, leaves no
     # output. The NMC of all files also comes before the first forward (see
-    # invert_many); only the features are kept, not the waveforms.
+    # inversion_features); only the features are kept, not the waveforms.
     wav_paths = [Path(p) for p in args.wavs]
     truth_by_wav, feats = {}, []
     for start in range(0, len(wav_paths), _INVERT_GROUP):
@@ -179,30 +192,25 @@ def cmd_invert(args) -> int:
     return 0
 
 
-def _check_inversion_model(inverted, inversion_model) -> None:
-    if inversion_model and not inverted:
-        raise ConfigError("--inversion-model is read only for inverted TVs")
-
-
 def _use_inverted_tvs(utts, inversion_model, manifest_dir) -> None:
     """Set each utterance's `tvs` to inverted TVs, in place.
 
-    They come from the inversion model when one is given, else from the
-    precomputed <id>.inv.fmx next to the manifest; FormatError for a file
-    that does not hold one row per label of its utterance.
+    They come from the inversion model when one is given (train's
+    --inversion-model), else from the precomputed <id>.inv.fmx next to the
+    manifest; FormatError for a file that does not hold one row per label
+    of its utterance.
     """
     if inversion_model:
         model = load_inversion_model(inversion_model)
-        for utt, tvs in zip(utts, invert_many(model,
-                                              [u.waveform for u in utts])):
-            utt.tvs = tvs
+        feats = inversion_features(model, [u.waveform for u in utts])
+        for utt, utt_feats in zip(utts, feats):
+            utt.tvs = tvs_from_features(model, utt_feats)
         return
     for utt in utts:
         inv_path = manifest_dir / f"{utt.utt_id}.inv.fmx"
         if not inv_path.exists():
-            raise ConfigError(
-                f"missing inverted TV file {inv_path} "
-                "(run the invert subcommand or pass --inversion-model)")
+            raise ConfigError(f"missing inverted TV file {inv_path} "
+                              "(run the invert subcommand)")
         utt.tvs = load_feature_matrix(inv_path)
         if utt.tvs.n_frames != len(utt.labels):
             raise FormatError(f"{inv_path}: {utt.tvs.n_frames} TV rows for "
@@ -223,7 +231,8 @@ def cmd_train(args) -> int:
     arch_map.setdefault("n_classes", str(n_gesture_classes()))
     spec = scale_arch_spec(arch_spec_from_config(arch_map), args.scale)
     train_cfg = TrainConfig(rng_seed=args.seed, **train_map)
-    _check_inversion_model(inverted, args.inversion_model)
+    if args.inversion_model and not inverted:
+        raise ConfigError("--inversion-model is read only for inverted TVs")
 
     # every flag and config value is checked before a corpus file is opened
     manifest = _resolve_manifest(args.corpus)
@@ -264,14 +273,13 @@ def cmd_evaluate(args) -> int:
     if set(tag) & set("\t\n\r"):
         raise ConfigError(f"tag {tag!r} holds a tab or a line break")
     inverted = bundle.spec.kind == "fcnn" and bundle.tv_source == "inverted"
-    _check_inversion_model(inverted, args.inversion_model)
     noisy = {"all": None, "noisy": True, "clean": False}[args.subset]
     corpus = read_corpus(manifest, (args.split,), noisy)
     utts = corpus.utterances
     if not utts:
         raise ConfigError(f"no utterances in split {args.split!r} ({args.subset})")
     if inverted:
-        _use_inverted_tvs(utts, args.inversion_model, manifest.parent)
+        _use_inverted_tvs(utts, None, manifest.parent)
     report = evaluate_acoustic_model(bundle.net, corpus, utts, bundle.spec,
                                      bundle.stats)
 
@@ -335,14 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus-gen", help="generate a synthetic parallel corpus")
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--n-utts", type=int, default=None)
     p.set_defaults(func=cmd_corpus_gen)
 
     p = sub.add_parser("train-inversion", help="train the speech-inversion CNN")
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--scale", choices=("toy", "paper"), default="toy")
     p.add_argument("--corpus", required=True, help="corpus manifest or directory")
@@ -355,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train an acoustic model")
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--scale", choices=("toy", "paper"), default="toy")
     p.add_argument("--arch", choices=ARCH_KINDS, required=True)
@@ -370,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--split", choices=("train", "cv", "test"), default="test")
     p.add_argument("--subset", choices=("all", "noisy", "clean"), default="all")
-    p.add_argument("--inversion-model", default=None)
     p.add_argument("--tag", default=None, help="training-data tag for the results row")
     p.set_defaults(func=cmd_evaluate)
 

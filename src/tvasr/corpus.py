@@ -93,7 +93,8 @@ def build_parallel_corpus(n_utts: int, severity_range=(0.0, 0.0),
     """Generate n_utts clean utterances plus one noisy copy of each.
 
     Words come from `default_vocabulary()` and noise from `NOISE_KINDS`.
-    ConfigError unless both ranges are finite with min <= max.
+    ConfigError unless the severity and SNR ranges are finite with
+    min <= max, and the word range has 1 <= min <= max.
     """
     if n_utts < 10:
         raise ConfigError(f"corpus needs at least 10 utterances, got {n_utts}")
@@ -101,6 +102,10 @@ def build_parallel_corpus(n_utts: int, severity_range=(0.0, 0.0),
         if not -np.inf < low <= high < np.inf:  # so that NaN fails too
             raise ConfigError(f"{name} range [{low}, {high}] is not finite "
                               "with min <= max")
+    low, high = n_words_range
+    if not 1 <= low <= high:
+        raise ConfigError(f"word range [{low}, {high}] needs "
+                          "1 <= words_min <= words_max")
     vocab = default_vocabulary()
     n_train, n_cv, _ = split_sizes(n_utts)
 

@@ -21,7 +21,8 @@ from .errors import FormatError
 from .features import (NormStats, SpliceSpec, nmc_map, norm_stats,
                        norm_stats_to_bytes, read_norm_stats)
 from .nn import (Activation, Conv1d, Dense, MaxPool1d, NetworkGraph, Stream,
-                 forward, network_from_bytes, network_to_bytes)
+                 check_activation, forward, network_from_bytes,
+                 network_to_bytes)
 from .records import Reader, read_file
 from .synth import N_TVS, TVTrajectory
 from .training import (FrameDataset, TrainConfig, run_training,
@@ -41,6 +42,9 @@ class InversionConfig:
     dense_width: int = 2048
     activation: str = "sigmoid"
     train: TrainConfig = field(default_factory=TrainConfig)
+
+    def __post_init__(self):
+        check_activation(self.activation)
 
     @classmethod
     def toy(cls, **overrides) -> "InversionConfig":
@@ -124,7 +128,9 @@ def inversion_features(model: InversionModel, waveforms: list) -> list:
     """The unnormalized NMC frames `model` reads, for each waveform.
 
     Every waveform's sample rate is checked first; the NMC runs on parallel
-    threads (`nmc_map`).
+    threads (`nmc_map`). Compute all of them before the first forward:
+    forwards beside NMC threads would compete for the CPUs with BLAS's
+    threads, which keep spinning after each product.
     """
     for audio in waveforms:
         if audio.sample_rate != DEFAULT_SAMPLE_RATE:
@@ -145,20 +151,10 @@ def tvs_from_features(model: InversionModel,
     return TVTrajectory(np.clip(pred.astype(np.float64), 0.0, 1.0))
 
 
-def invert_many(model: InversionModel, waveforms: list) -> list:
-    """Predict tract variables for each utterance, clamped to [0, 1].
-
-    The NMC of every utterance is computed before the first network
-    forward: forwards running beside NMC threads would compete with BLAS's
-    own threads, which keep spinning after each product, for the same CPUs.
-    """
-    return [tvs_from_features(model, feats)
-            for feats in inversion_features(model, waveforms)]
-
-
 def invert(model: InversionModel, audio: Waveform) -> TVTrajectory:
     """Predict tract variables for one utterance, clamped to [0, 1]."""
-    return invert_many(model, [audio])[0]
+    (feats,) = inversion_features(model, [audio])
+    return tvs_from_features(model, feats)
 
 
 def pearson_per_tv(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:

@@ -1,14 +1,15 @@
 """Minimal layered network engine with exact backpropagation.
 
 Tensors are plain numpy arrays with frames on the leading axis. A network is
-one or more input streams (each a chain of layers), whose outputs are
-concatenated per frame and fed to a shared trunk. Single-stream networks are
-the degenerate case with no fusion. A convolution layer may only open a
-stream, so it reads a network input, and backpropagation yields parameter
-gradients only: nothing reads a gradient with respect to an input.
+one or more input streams (each a chain of layers on a named input; `forward`
+takes a dict of them), whose outputs are concatenated per frame and fed to a
+shared trunk. Single-stream networks are the degenerate case with no fusion.
+A convolution layer may only open a stream, so it reads a network input, and
+backpropagation yields parameter gradients only: nothing reads a gradient
+with respect to an input.
 
 Layer kinds: dense, 1-D convolution along a chosen axis of the flat feature
-vector, non-overlapping 1-D max pooling, elementwise activations, softmax.
+vector, non-overlapping 1-D max pooling, sigmoid or ReLU activations, softmax.
 Parameters are stored in the network's dtype (float32 by default); losses
 accumulate in double precision.
 
@@ -16,7 +17,8 @@ The mutation contract is single-threaded: `forward(..., mode="train")`
 caches activations on the layers; `backward` reads that cache, and
 `sgd_step` reads it, updates the parameters and drops it. Eval-mode forward
 caches nothing and is safe on a shared graph. A softmax may only end the
-trunk, and the loss gradient of such a net is taken at its logits.
+trunk; a train-mode forward of such a net returns its logits, the loss
+reads them, and its gradient is taken there.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .records import Reader
 _NNG_MAGIC = b"NNG1"
 
 _KIND_CODES = {"dense": 0, "conv1d": 1, "maxpool1d": 2, "activation": 3, "softmax": 4}
-_ACT_CODES = {"sigmoid": 0, "relu": 1, "linear": 2}
+_ACT_CODES = {"sigmoid": 0, "relu": 1}
 _AXIS_CODES = {"frequency": 0, "time": 1}
 
 
@@ -302,12 +304,17 @@ class MaxPool1d:
         return MaxPool1d(self.pool_size, self.n_positions, self.n_channels)
 
 
+def check_activation(fn: str) -> None:
+    """ConfigError unless fn names an activation: "sigmoid" or "relu"."""
+    if fn not in _ACT_CODES:
+        raise ConfigError(f"unknown activation {fn!r}")
+
+
 class Activation:
     kind = "activation"
 
     def __init__(self, fn: str = "sigmoid"):
-        if fn not in _ACT_CODES:
-            raise ConfigError(f"unknown activation {fn!r}")
+        check_activation(fn)
         self.fn = fn
         self._cache = None
 
@@ -320,12 +327,7 @@ class Activation:
         return []
 
     def forward(self, x, train):
-        if self.fn == "sigmoid":
-            y = expit(x)
-        elif self.fn == "relu":
-            y = np.maximum(x, 0)
-        else:
-            y = x
+        y = expit(x) if self.fn == "sigmoid" else np.maximum(x, 0)
         if train:
             self._cache = y
         return y
@@ -334,9 +336,7 @@ class Activation:
         y = self._cache
         if self.fn == "sigmoid":
             return dy * y * (1.0 - y), []
-        if self.fn == "relu":
-            return dy * (y > 0), []
-        return dy, []
+        return dy * (y > 0), []
 
     def clone(self):
         return Activation(self.fn)
@@ -357,22 +357,15 @@ class Softmax:
         return []
 
     def forward(self, x, train):
+        """Probabilities; the network's train-mode forward skips this layer."""
         z = np.asarray(x, dtype=np.float64)
         z = z - z.max(axis=1, keepdims=True)
         e = np.exp(z)
-        y = (e / e.sum(axis=1, keepdims=True)).astype(x.dtype)
-        if train:
-            self._cache = x
-        return y
+        return (e / e.sum(axis=1, keepdims=True)).astype(x.dtype)
 
     def backward(self, dy):
         """The loss gradient of a softmax net is taken at its logits."""
         return dy, []
-
-    def cached_input(self):
-        if self._cache is None:
-            raise StateError("softmax layer has no cached activations")
-        return self._cache
 
     def clone(self):
         return Softmax()
@@ -467,44 +460,11 @@ class NetworkGraph:
         the logits, and scored by frame error; other nets use MSE."""
         return bool(self.trunk) and self.trunk[-1].kind == "softmax"
 
-    def cached_logits(self):
-        """Input of the final softmax layer from the last train-mode forward."""
-        if not self.ends_in_softmax:
-            raise StateError("network does not end with a softmax layer")
-        if not self._train_ready:
-            raise StateError("no cached activations; run forward in train mode")
-        return self.trunk[-1].cached_input()
-
     def copy(self):
         streams = [Stream(s.input_name, s.input_dim, [l.clone() for l in s.layers])
                    for s in self.streams]
         trunk = [l.clone() for l in self.trunk]
         return NetworkGraph(streams, trunk, self.dtype)
-
-
-@dataclass
-class Gradients:
-    """One list of arrays per layer (matching param_arrays).
-
-    `input_grads` is always {}: backward builds no input gradients. The field
-    stays because the benchmark's traced run reads it.
-    """
-
-    by_layer: list
-    input_grads: dict
-
-
-def _as_input_dict(net: NetworkGraph, inputs) -> dict:
-    names = list(net.input_dims())
-    if isinstance(inputs, dict):
-        missing = [n for n in names if n not in inputs]
-        if missing:
-            raise ShapeError(f"missing network inputs: {missing}")
-        return inputs
-    if len(names) != 1:
-        raise ShapeError(
-            f"network needs inputs {names}; pass a dict of tensors")
-    return {names[0]: inputs}
 
 
 def _relu_folded(layers) -> list:
@@ -545,8 +505,13 @@ def _backward_chain(layers, dy, scope, visit):
     return dy
 
 
-def forward(net: NetworkGraph, inputs, mode: str = "eval"):
-    """Run all layers; in train mode, activations are cached for backward."""
+def forward(net: NetworkGraph, inputs: dict, mode: str = "eval"):
+    """Run all layers on the named inputs.
+
+    In train mode, activations are cached for backward, and a net that ends
+    in a softmax returns its logits, which the loss reads: the softmax
+    itself runs only in eval mode.
+    """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
     train = mode == "train"
@@ -556,13 +521,17 @@ def forward(net: NetworkGraph, inputs, mode: str = "eval"):
         net._train_ready = False
         for layer in net.all_layers():
             layer._cache = None
-    tensors = _as_input_dict(net, inputs)
     dims = net.input_dims()
+    if not isinstance(inputs, dict):
+        raise ShapeError(f"network inputs must be a dict keyed by {list(dims)}")
+    missing = [name for name in dims if name not in inputs]
+    if missing:
+        raise ShapeError(f"missing network inputs: {missing}")
 
     outputs = []
     n_frames = None
     for stream in net.streams:
-        x = np.asarray(tensors[stream.input_name], dtype=net.dtype)
+        x = np.asarray(inputs[stream.input_name], dtype=net.dtype)
         if x.ndim != 2 or x.shape[1] != dims[stream.input_name]:
             raise ShapeError(
                 f"input {stream.input_name!r}: expected (T, "
@@ -574,7 +543,8 @@ def forward(net: NetworkGraph, inputs, mode: str = "eval"):
         outputs.append(_forward_chain(stream.layers, x, train))
 
     h = outputs[0] if len(outputs) == 1 else np.concatenate(outputs, axis=1)
-    h = _forward_chain(net.trunk, h, train)
+    trunk = net.trunk[:-1] if train and net.ends_in_softmax else net.trunk
+    h = _forward_chain(trunk, h, train)
     net._train_ready = train
     return h
 
@@ -605,14 +575,15 @@ def _backprop(net: NetworkGraph, loss_grad, visit) -> None:
         offset += width
 
 
-def backward(net: NetworkGraph, loss_grad) -> Gradients:
+def backward(net: NetworkGraph, loss_grad) -> list:
     """Parameter gradients of a loss gradient, through the cached forward pass.
 
-    No gradient with respect to the network inputs is built. The gradient
-    is taken with respect to the logits of a net that ends in a softmax
-    (see NetworkGraph.ends_in_softmax), else with respect to the network
-    output. The caches and parameters are left as they are; `sgd_step` is
-    the training step.
+    Returns one list of arrays per layer of `net.all_layers()`, matching its
+    `param_arrays()`. No gradient with respect to the network inputs is
+    built. The gradient is taken with respect to what the train-mode forward
+    returned: the logits of a net that ends in a softmax (see
+    NetworkGraph.ends_in_softmax), else the network output. The caches and
+    parameters are left as they are; `sgd_step` is the training step.
     """
     _check_backprop(net)
     grads_by_id = {}
@@ -621,7 +592,7 @@ def backward(net: NetworkGraph, loss_grad) -> Gradients:
         grads_by_id[id(layer)] = grads
 
     _backprop(net, loss_grad, keep)
-    return Gradients([grads_by_id[id(layer)] for layer in net.all_layers()], {})
+    return [grads_by_id[id(layer)] for layer in net.all_layers()]
 
 
 # Elements per sgd_step block: a block of g, its product and p stay in cache.

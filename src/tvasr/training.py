@@ -195,11 +195,9 @@ def train_epoch(net: NetworkGraph, dataset: FrameDataset, lr: float,
     for batch, start in enumerate(range(0, len(dataset), batch_size)):
         idx = order[start:start + batch_size]
         inputs, targets = dataset.gather(idx)
-        out = forward(net, inputs, mode="train")
-        if net.ends_in_softmax:
-            value, grad = softmax_cross_entropy(net.cached_logits(), targets)
-        else:
-            value, grad = mse_loss(out, targets)
+        out = forward(net, inputs, mode="train")  # a softmax net's logits
+        loss = softmax_cross_entropy if net.ends_in_softmax else mse_loss
+        value, grad = loss(out, targets)
         if not np.isfinite(value):
             raise DivergenceError(
                 f"batch {batch}: non-finite training loss {value}")

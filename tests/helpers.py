@@ -18,18 +18,17 @@ from tvasr.nn import NetworkGraph, backward, forward, mse_loss, softmax_cross_en
 
 
 def net_loss(net: NetworkGraph, inputs, targets, loss: str) -> float:
+    """The loss of a train-mode forward: a softmax net's output is its logits."""
     out = forward(net, inputs, mode="train")
-    if loss == "ce":
-        return softmax_cross_entropy(net.cached_logits(), targets)[0]
-    return mse_loss(out, targets)[0]
+    loss_fn = softmax_cross_entropy if loss == "ce" else mse_loss
+    return loss_fn(out, targets)[0]
 
 
 def analytic_gradients(net: NetworkGraph, inputs, targets, loss: str):
+    """Per-layer parameter gradients, as `backward` returns them."""
     out = forward(net, inputs, mode="train")
-    if loss == "ce":
-        _, grad = softmax_cross_entropy(net.cached_logits(), targets)
-        return backward(net, grad)
-    _, grad = mse_loss(out, targets)
+    loss_fn = softmax_cross_entropy if loss == "ce" else mse_loss
+    _, grad = loss_fn(out, targets)
     return backward(net, grad)
 
 
@@ -43,11 +42,15 @@ def max_relative_gradient_error(net: NetworkGraph, inputs, targets,
                                 loss: str = "ce", eps: float = 1e-3) -> float:
     """Worst relative error between backprop and central finite differences.
 
-    Perturbs every parameter entry of the (double precision) network.
+    Perturbs every parameter entry of the (double precision) network. A
+    one-input net may be given its input as a bare array, as kink_margins
+    takes it; `forward` itself takes named inputs only.
     """
+    if not isinstance(inputs, dict):
+        inputs = {net.streams[0].input_name: inputs}
     grads = analytic_gradients(net, inputs, targets, loss)
     worst = 0.0
-    for layer, layer_grads in zip(net.all_layers(), grads.by_layer):
+    for layer, layer_grads in zip(net.all_layers(), grads):
         for param, grad in zip(layer.param_arrays(), layer_grads):
             flat_p = param.reshape(-1)
             flat_g = grad.reshape(-1)

@@ -34,13 +34,14 @@ class TestBuildDnn:
         net = build_network(spec)
         kinds = [l.kind for l in net.all_layers()]
         assert kinds == ["dense", "softmax"]
-        out = forward(net, RNG.standard_normal((3, spec.acoustic_dim)))
+        x = {"acoustic": RNG.standard_normal((3, spec.acoustic_dim))}
+        out = forward(net, x)
         assert out.shape == (3, 6)
 
     def test_forward_shape_contract(self):
         spec = toy_spec("dnn")
-        out = forward(build_network(spec),
-                      RNG.standard_normal((9, spec.acoustic_dim)))
+        x = {"acoustic": RNG.standard_normal((9, spec.acoustic_dim))}
+        out = forward(build_network(spec), x)
         assert out.shape == (9, 6)
 
 
@@ -93,7 +94,8 @@ class TestBuildTfcnn:
         spec = toy_spec("tfcnn")
         net = build_network(spec)
         assert [s.input_name for s in net.streams] == ["acoustic", "acoustic"]
-        out = forward(net, RNG.standard_normal((4, spec.acoustic_dim)))
+        x = {"acoustic": RNG.standard_normal((4, spec.acoustic_dim))}
+        out = forward(net, x)
         assert out.shape == (4, 6)
 
     def test_zeroed_time_stream_ignores_input_variation(self):
@@ -106,11 +108,12 @@ class TestBuildTfcnn:
         x2 = x1 + RNG.standard_normal((5, spec.acoustic_dim))
         # time-stream output is then input-independent, so network differences
         # come from the frequency stream alone; rebuild with frozen freq input
-        base = forward(net, x1)
+        base = forward(net, {"acoustic": x1})
         for layer in net.streams[0].layers:
             for p in layer.param_arrays():
                 p[...] = 0.0
-        flat1, flat2 = forward(net, x1), forward(net, x2)
+        flat1 = forward(net, {"acoustic": x1})
+        flat2 = forward(net, {"acoustic": x2})
         assert np.allclose(flat1, flat2)
         assert not np.allclose(base, flat1)
 
@@ -174,7 +177,7 @@ class TestBuildFcnn:
 
         xa = RNG.standard_normal((6, cnn_spec.acoustic_dim))
         tv = RNG.standard_normal((6, fcnn_spec.tv_dim))
-        out_cnn = forward(cnn, xa)
+        out_cnn = forward(cnn, {"acoustic": xa})
         out_fcnn = forward(fcnn, {"acoustic": xa, "tv": tv})
         assert np.allclose(out_cnn, out_fcnn, rtol=0, atol=1e-12)
 
@@ -234,6 +237,13 @@ class TestArchSpecValidation:
         # every corpus TV trajectory has 8 channels
         with pytest.raises(ConfigError, match=f"n_tvs={n_tvs} unsupported"):
             ArchSpec(kind="fcnn", n_classes=5, n_tvs=n_tvs)
+
+    @pytest.mark.parametrize("activation", ["linear", "banana"])
+    def test_unknown_activation(self, activation):
+        # checked with the spec, before any network or corpus is built
+        with pytest.raises(ConfigError,
+                           match=f"unknown activation '{activation}'"):
+            ArchSpec(kind="cnn", n_classes=5, hidden_activation=activation)
 
 
 class TestConfigFile:

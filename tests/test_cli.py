@@ -95,15 +95,26 @@ class TestCorpusGen:
     @pytest.mark.parametrize("lines,name", [
         ("snr_max = inf", "snr"), ("severity_min = nan", "severity"),
         ("snr_min = 90", "snr"),
-        ("severity_min = 0.7\nseverity_max = 0.3", "severity")],
+        ("severity_min = 0.7\nseverity_max = 0.3", "severity"),
+        ("words_min = 3\nwords_max = 1", "word"), ("words_min = -2", "word"),
+        ("words_min = 0\nwords_max = 0", "word")],
         ids=["snr-max-inf", "severity-min-nan", "snr-min-above-max",
-             "severity-min-above-max"])
+             "severity-min-above-max", "words-min-above-max",
+             "words-min-negative", "no-words"])
     def test_bad_range_exit_2(self, lines, name, tmp_path, capsys):
         config = tmp_path / "c.conf"
         config.write_text(lines + "\n")
         out = tmp_path / "corpus"
         assert run(["corpus-gen", "--out", out, "--config", config]) == 2
         assert f"error: {name} range" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "seven"])
+    def test_bad_seed_exit_2(self, seed, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        assert run(["corpus-gen", "--out", out, "--seed", seed]) == 2
+        assert (f"error: argument --seed: expected a non-negative integer, "
+                f"got '{seed}'" in capsys.readouterr().err)
         assert not out.exists()
 
 
@@ -513,11 +524,14 @@ class TestFlagsThatWouldDoNothing:
 
     def test_evaluate_inversion_model_for_ground_truth_fcnn(
             self, trained_dir, corpus_dir, tmp_path, capsys):
+        # evaluate reads an inverted-TV fCNN's TVs from <id>.inv.fmx only
         assert run(["evaluate", "--checkpoint", trained_dir / "fcnn.ckpt",
                     "--corpus", corpus_dir, "--out", tmp_path,
                     "--inversion-model", tmp_path / "missing.ckpt"]) == 2
-        assert "--inversion-model" in capsys.readouterr().err
+        assert ("unrecognized arguments: --inversion-model"
+                in capsys.readouterr().err)
         assert not (tmp_path / "results.tsv").exists()
+
 
 
 @pytest.mark.parametrize("split", ["train", "cv"])
@@ -896,6 +910,18 @@ REFUSED_BEFORE_READING = {
         "--inversion-model is read only for inverted TVs"),
     "train-inversion-value": (["train-inversion"], "initial_lr = nan",
                               "initial_lr must be finite and positive"),
+    "unknown-activation": (["train", "--arch", "cnn"],
+                           "hidden_activation = banana",
+                           "unknown activation 'banana'"),
+    "linear-activation": (["train", "--arch", "dnn"],
+                          "hidden_activation = linear",
+                          "unknown activation 'linear'"),
+    "train-negative-seed": (
+        ["train", "--arch", "cnn", "--seed", "-1"], "",
+        "argument --seed: expected a non-negative integer, got '-1'"),
+    "train-inversion-negative-seed": (
+        ["train-inversion", "--seed", "-1"], "",
+        "argument --seed: expected a non-negative integer, got '-1'"),
 }
 
 
@@ -925,7 +951,7 @@ def test_evaluate_inversion_model_refused_before_the_corpus(
     assert run(["evaluate", "--checkpoint", trained_dir / "fcnn.ckpt",
                 "--corpus", corpus_dir, "--out", tmp_path / "out",
                 "--inversion-model", tmp_path / "missing.ckpt"]) == 2
-    assert ("error: --inversion-model is read only for inverted TVs"
+    assert ("error: unrecognized arguments: --inversion-model"
             in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 

@@ -3,13 +3,13 @@ import pytest
 
 from helpers import count_parameters, reference_frame_dataset
 from tvasr.audio import Waveform
-from tvasr.errors import FormatError
+from tvasr.errors import ConfigError, FormatError
 from tvasr.features import NormStats, SpliceSpec, nmc_features
 from tvasr import inversion
 from tvasr.inversion import (InversionConfig, InversionModel,
-                             build_inversion_net, invert, invert_many,
+                             build_inversion_net, inversion_features, invert,
                              load_inversion_model, pearson_per_tv,
-                             save_inversion_model)
+                             save_inversion_model, tvs_from_features)
 from tvasr.nn import forward, network_to_bytes
 
 
@@ -26,7 +26,12 @@ class TestBuildInversionNet:
         net = build_inversion_net(cfg)
         assert net.output_dim() == 8
         x = np.random.default_rng(0).standard_normal((5, 40 * 17))
-        assert forward(net, x).shape == (5, 8)
+        assert forward(net, {"acoustic": x}).shape == (5, 8)
+
+    @pytest.mark.parametrize("activation", ["linear", "banana"])
+    def test_unknown_activation_refused(self, activation):
+        with pytest.raises(ConfigError, match="unknown activation"):
+            InversionConfig.toy(activation=activation)
 
     def test_full_scale_layer_sizes(self):
         cfg = InversionConfig()
@@ -91,6 +96,10 @@ class TestInvert:
 
 
 class TestInvertMany:
+    """Many utterances at once, as the invert command and train's
+    --inversion-model run them: inversion_features, then tvs_from_features
+    for each."""
+
     @staticmethod
     def waveforms(n):
         rng = np.random.default_rng(6)
@@ -100,7 +109,8 @@ class TestInvertMany:
     def test_equals_per_utterance_invert(self):
         model = untrained_model(seed=2)
         wavs = self.waveforms(7)
-        many = invert_many(model, wavs)
+        many = [tvs_from_features(model, feats)
+                for feats in inversion_features(model, wavs)]
         assert len(many) == len(wavs)
         for wav, tvs in zip(wavs, many):
             one = invert(model, wav)
@@ -109,14 +119,15 @@ class TestInvertMany:
     @pytest.mark.parametrize("where", [0, 3, 6])
     def test_non_16k_anywhere_rejected_before_any_forward(self, where,
                                                           monkeypatch):
-        forwards = []
-        monkeypatch.setattr(inversion, "forward",
-                            lambda *a, **k: forwards.append(a))
+        calls = []
+        for name in ("forward", "nmc_map"):
+            monkeypatch.setattr(inversion, name,
+                                lambda *a, **k: calls.append(a))
         wavs = self.waveforms(7)
         wavs[where] = Waveform(np.zeros(4000), 8000)
         with pytest.raises(ValueError, match="8000 Hz"):
-            invert_many(untrained_model(), wavs)
-        assert forwards == []
+            inversion_features(untrained_model(), wavs)
+        assert calls == []  # no NMC either
 
 
 class TestModelFile:

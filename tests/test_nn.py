@@ -14,6 +14,7 @@ from tvasr.nn import (_DRAW_BLOCK, _SGD_BLOCK, Activation, Conv1d, Dense,
                       backward,
                       forward, glorot_uniform, mse_loss, network_from_bytes,
                       network_to_bytes, sgd_step, softmax_cross_entropy)
+from tvasr import nn
 from tvasr.records import read_file
 
 RNG = np.random.default_rng(12345)
@@ -73,7 +74,7 @@ class TestForward:
         layer.weight = np.eye(4)
         net = NetworkGraph([Stream("acoustic", 4, [])], [layer], np.float64)
         x = RNG.standard_normal((6, 4))
-        assert np.array_equal(forward(net, x), x)
+        assert np.array_equal(forward(net, {"acoustic": x}), x)
 
     def test_conv_and_pool_positions(self):
         conv = Conv1d("frequency", 200, 8, 51, 40)
@@ -85,18 +86,18 @@ class TestForward:
 
     def test_softmax_rows_sum_to_one(self):
         net = dense_net([7, 5], seed=3)
-        out = forward(net, RNG.standard_normal((11, 7)))
+        out = forward(net, {"acoustic": RNG.standard_normal((11, 7))})
         assert np.all(np.abs(out.sum(axis=1) - 1.0) < 1e-9)
 
     def test_deterministic_bitwise(self):
         net = conv_net(seed=5)
-        x = RNG.standard_normal((9, 30))
+        x = {"acoustic": RNG.standard_normal((9, 30))}
         assert np.array_equal(forward(net, x), forward(net, x))
 
     def test_shape_mismatch_reports_input(self):
         net = dense_net([4, 2])
         with pytest.raises(ShapeError, match="acoustic"):
-            forward(net, np.zeros((3, 5)))
+            forward(net, {"acoustic": np.zeros((3, 5))})
 
     def test_missing_stream_input(self):
         net = two_stream_net()
@@ -113,17 +114,30 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward(net, np.zeros((2, 32)))
 
+    def test_single_array_rejected_for_one_input(self):
+        net = dense_net([4, 2])
+        with pytest.raises(ShapeError, match="dict"):
+            forward(net, np.zeros((3, 4)))
+
+    def test_train_mode_returns_the_logits(self):
+        net = dense_net([7, 5], seed=3)
+        dense, softmax = net.trunk
+        x = {"acoustic": RNG.standard_normal((11, 7))}
+        logits = forward(net, x, mode="train")
+        assert np.array_equal(logits, dense.forward(x["acoustic"], False))
+        assert np.array_equal(forward(net, x), softmax.forward(logits, False))
+
     def test_eval_mode_caches_nothing(self):
         net = dense_net([4, 3])
-        forward(net, np.zeros((2, 4)), mode="eval")
+        forward(net, {"acoustic": np.zeros((2, 4))}, mode="eval")
         with pytest.raises(StateError):
             backward(net, np.zeros((2, 3)))
 
     def test_train_forward_drops_the_previous_caches(self):
         net = conv_net(activation="relu", seed=6)
-        forward(net, RNG.standard_normal((4, 30)), mode="train")
+        forward(net, {"acoustic": RNG.standard_normal((4, 30))}, mode="train")
         with pytest.raises(ShapeError):
-            forward(net, np.zeros((4, 31)), mode="train")
+            forward(net, {"acoustic": np.zeros((4, 31))}, mode="train")
         assert all(layer._cache is None for layer in net.all_layers())
         with pytest.raises(StateError):
             backward(net, np.zeros((4, 5)))
@@ -134,7 +148,7 @@ class TestForward:
         net = NetworkGraph([Stream("acoustic", 54, [conv])], [], np.float64)
         channel_pattern = rng.standard_normal(6)
         x = np.tile(channel_pattern, (2, 9))  # every time position identical
-        out = forward(net, x).reshape(2, conv.out_positions, 4)
+        out = forward(net, {"acoustic": x}).reshape(2, conv.out_positions, 4)
         assert np.allclose(out, out[:, :1, :])
 
 
@@ -142,9 +156,9 @@ class TestBackward:
     def test_zero_loss_grad_gives_zero_param_grads(self):
         net = conv_net(seed=2)
         x = RNG.standard_normal((5, 30))
-        forward(net, x, mode="train")
+        forward(net, {"acoustic": x}, mode="train")
         grads = backward(net, np.zeros((5, 5)))
-        for layer_grads in grads.by_layer:
+        for layer_grads in grads:
             for g in layer_grads:
                 assert np.all(g == 0.0)
 
@@ -230,15 +244,15 @@ class TestBackward:
         first, hidden, second = net.trunk[:3]
         x = RNG.standard_normal((7, 6)).astype(np.float32)
         labels = RNG.integers(0, 4, 7)
-        forward(net, x, mode="train")
-        _, g = softmax_cross_entropy(net.cached_logits(), labels)
+        logits = forward(net, {"acoustic": x}, mode="train")
+        _, g = softmax_cross_entropy(logits, labels)
         grads = backward(net, g)
         # the chain rule by hand, in the order backward applies it
         h = hidden.forward(first.forward(x, False), False)
         dz = g @ second.weight.T * h * (1.0 - h)
         expected = [[x.T @ dz, dz.sum(axis=0)], [], [h.T @ g, g.sum(axis=0)],
                     []]
-        for got, want in zip(grads.by_layer, expected):
+        for got, want in zip(grads, expected):
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert a.dtype == np.float32 and np.array_equal(a, b)
@@ -247,12 +261,14 @@ class TestBackward:
         net = two_stream_net()
         x = {"acoustic": RNG.standard_normal((3, 32)),
              "tv": RNG.standard_normal((3, 15))}
-        forward(net, x, mode="train")
-        _, grad = softmax_cross_entropy(net.cached_logits(),
-                                        np.array([0, 1, 3]))
+        logits = forward(net, x, mode="train")
+        _, grad = softmax_cross_entropy(logits, np.array([0, 1, 3]))
         grads = backward(net, grad)
-        assert grads.input_grads == {}
-        assert len(grads.by_layer) == len(net.all_layers())
+        # one list per layer, matching its parameters, and nothing more
+        assert len(grads) == len(net.all_layers())
+        for layer, layer_grads in zip(net.all_layers(), grads):
+            assert ([g.shape for g in layer_grads]
+                    == [p.shape for p in layer.param_arrays()])
 
 
 def zero_filled_routing(pool, dy):
@@ -339,8 +355,8 @@ class TestReluFoldedIntoPool:
         dense, softmax = net.trunk
         x = np.maximum(RNG.standard_normal((12, 30)), 0).astype(np.float32)
         labels = RNG.integers(0, 5, 12)
-        forward(net, x, mode="train")
-        _, g = softmax_cross_entropy(net.cached_logits(), labels)
+        logits = forward(net, {"acoustic": x}, mode="train")
+        _, g = softmax_cross_entropy(logits, labels)
         grads = backward(net, g)
         assert relu._cache is None and pool._cache[2] is not None
         # the unfused chain, one layer at a time
@@ -349,14 +365,14 @@ class TestReluFoldedIntoPool:
         d_h, dense_grads = dense.backward(g)
         _, conv_grads = conv.backward(relu.backward(pool.backward(d_h)[0])[0])
         want = [conv_grads, [], [], dense_grads, []]
-        for got, expected in zip(grads.by_layer, want):
+        for got, expected in zip(grads, want):
             assert len(got) == len(expected)
             assert all(bit_equal(a, b) for a, b in zip(got, expected))
 
     def test_sigmoid_stream_is_not_folded(self):
         net = conv_net(activation="sigmoid", seed=22)
         _, act, pool = net.streams[0].layers
-        forward(net, RNG.standard_normal((5, 30)), mode="train")
+        forward(net, {"acoustic": RNG.standard_normal((5, 30))}, mode="train")
         assert act._cache is not None and pool._cache[2] is None
 
 
@@ -411,9 +427,8 @@ class TestSgdStep:
         net = dense_net([4, 3], seed=6)
         x = RNG.standard_normal((5, 4))
         before = [p.copy() for l in net.all_layers() for p in l.param_arrays()]
-        forward(net, x, mode="train")
-        _, grad = softmax_cross_entropy(net.cached_logits(),
-                                        RNG.integers(0, 3, 5))
+        logits = forward(net, {"acoustic": x}, mode="train")
+        _, grad = softmax_cross_entropy(logits, RNG.integers(0, 3, 5))
         sgd_step(net, grad, lr=0.0)
         after = [p for l in net.all_layers() for p in l.param_arrays()]
         for b, a in zip(before, after):
@@ -423,7 +438,7 @@ class TestSgdStep:
         net = one_dense_net(1, 1)
         layer = net.trunk[0]
         layer.weight[0, 0] = 1.0
-        forward(net, np.array([[1.0]]), mode="train")
+        forward(net, {"acoustic": np.array([[1.0]])}, mode="train")
         sgd_step(net, np.array([[2.0]]), lr=0.5)  # dw = db = 1 x 2
         assert layer.weight[0, 0] == 0.0 and layer.bias[0] == -1.0
 
@@ -432,9 +447,9 @@ class TestSgdStep:
         x, dy = RNG.standard_normal((4, 3)), RNG.standard_normal((4, 2))
         net_a, net_b = one_dense_net(3, 2, seed=7), one_dense_net(3, 2, seed=7)
         for _ in range(2):
-            forward(net_a, x, mode="train")
+            forward(net_a, {"acoustic": x}, mode="train")
             sgd_step(net_a, dy, lr=0.1)
-        forward(net_b, x, mode="train")
+        forward(net_b, {"acoustic": x}, mode="train")
         sgd_step(net_b, dy, lr=0.2)
         # equality up to one rounding: p - a - a vs p - 2a
         assert np.allclose(net_a.trunk[0].weight, net_b.trunk[0].weight,
@@ -445,20 +460,20 @@ class TestSgdStep:
         x = RNG.standard_normal((6, 40)).astype(np.float32)
         dy = RNG.standard_normal((6, 25)).astype(np.float32)
         net = one_dense_net(40, 25, np.float32, seed=9)
-        forward(net, x, mode="train")
-        g = backward(net, dy).by_layer[0]
+        forward(net, {"acoustic": x}, mode="train")
+        g = backward(net, dy)[0]
         expected = [p - (lr * d).astype(np.float32)
                     for p, d in zip(net.trunk[0].param_arrays(), g)]
         for rate in (lr, np.float64(lr), np.float32(lr)):
             net = one_dense_net(40, 25, np.float32, seed=9)
-            forward(net, x, mode="train")
+            forward(net, {"acoustic": x}, mode="train")
             sgd_step(net, dy, rate)
             for p, want in zip(net.trunk[0].param_arrays(), expected):
                 assert p.dtype == np.float32 and np.array_equal(p, want)
 
     def test_non_finite_gradient_raises(self):
         net = dense_net([2, 2], softmax=False)
-        forward(net, np.ones((2, 2)), mode="train")
+        forward(net, {"acoustic": np.ones((2, 2))}, mode="train")
         with pytest.raises(DivergenceError):
             sgd_step(net, np.array([[np.nan, 0], [0, 0.0]]), lr=0.1)
 
@@ -466,7 +481,7 @@ class TestSgdStep:
     def test_rejects_bad_learning_rate(self, lr):
         net = dense_net([3, 2], softmax=False, seed=4)
         before = net.trunk[0].weight.copy()
-        forward(net, np.ones((2, 3)), mode="train")
+        forward(net, {"acoustic": np.ones((2, 3))}, mode="train")
         with pytest.raises(ValueError, match="learning rate"):
             sgd_step(net, np.ones((2, 2)), lr)
         assert np.array_equal(net.trunk[0].weight, before)
@@ -508,14 +523,14 @@ class TestSgdStep:
     def test_non_contiguous_parameter_rejected(self):
         net = dense_net([3, 2], softmax=False)
         net.trunk[0].weight = np.ones((2, 3)).T  # an update would be lost
-        forward(net, np.ones((2, 3)), mode="train")
+        forward(net, {"acoustic": np.ones((2, 3))}, mode="train")
         with pytest.raises(ShapeError, match="contiguous"):
             sgd_step(net, np.ones((2, 2)), 0.1)
 
     def test_large_finite_gradient_is_not_divergence(self):
         # the block sum overflows to inf; the exact test finds no inf
         net = one_dense_net(2, 2, np.float32)
-        forward(net, np.ones((1, 2), np.float32), mode="train")
+        forward(net, {"acoustic": np.ones((1, 2), np.float32)}, mode="train")
         big = np.float32(3e38)
         sgd_step(net, np.full((1, 2), big), 0.0)  # dw and db are all big
 
@@ -523,11 +538,11 @@ class TestSgdStep:
         net = dense_net([6, 8, 4], seed=8)
         x = RNG.standard_normal((16, 6))
         y = RNG.integers(0, 4, 16)
-        forward(net, x, mode="train")
-        loss0, grad = softmax_cross_entropy(net.cached_logits(), y)
+        logits = forward(net, {"acoustic": x}, mode="train")
+        loss0, grad = softmax_cross_entropy(logits, y)
         sgd_step(net, grad, lr=1e-4)
-        forward(net, x, mode="train")
-        loss1, _ = softmax_cross_entropy(net.cached_logits(), y)
+        logits = forward(net, {"acoustic": x}, mode="train")
+        loss1, _ = softmax_cross_entropy(logits, y)
         assert loss1 <= loss0 + 1e-6
 
 
@@ -538,9 +553,8 @@ class TestOneLayerAtATime:
         net = two_stream_net(seed=31)
         x = {"acoustic": RNG.standard_normal((5, 32)),
              "tv": RNG.standard_normal((5, 15))}
-        forward(net, x, mode="train")
-        _, grad = softmax_cross_entropy(net.cached_logits(),
-                                        RNG.integers(0, 4, 5))
+        logits = forward(net, x, mode="train")
+        _, grad = softmax_cross_entropy(logits, RNG.integers(0, 4, 5))
         sgd_step(net, grad, 0.1)
         assert all(layer._cache is None for layer in net.all_layers())
         with pytest.raises(StateError):
@@ -550,9 +564,9 @@ class TestOneLayerAtATime:
 
     def test_folded_relu_and_softmax_caches_dropped(self):
         net = conv_net(activation="relu", seed=32)
-        forward(net, np.abs(RNG.standard_normal((4, 30))), mode="train")
-        _, grad = softmax_cross_entropy(net.cached_logits(),
-                                        RNG.integers(0, 5, 4))
+        x = {"acoustic": np.abs(RNG.standard_normal((4, 30)))}
+        logits = forward(net, x, mode="train")
+        _, grad = softmax_cross_entropy(logits, RNG.integers(0, 5, 4))
         sgd_step(net, grad, 0.1)
         assert all(layer._cache is None for layer in net.all_layers())
 
@@ -575,7 +589,7 @@ class TestOneLayerAtATime:
         dy = rng.standard_normal((frames, width)).astype(np.float32)
         weight_bytes = layers[0].weight.nbytes
         activation_bytes = x.nbytes
-        forward(net, x, mode="train")
+        forward(net, {"acoustic": x}, mode="train")
         tracemalloc.start()
         try:
             sgd_step(net, dy, 1e-3)
@@ -594,7 +608,7 @@ class TestOneLayerAtATime:
     ])
     def test_divergence_names_the_layer(self, scope, net, where):
         net = net()
-        forward(net, RNG.standard_normal((3, 3)), mode="train")
+        forward(net, {"acoustic": RNG.standard_normal((3, 3))}, mode="train")
         grad = np.full((3, 2), np.nan)
         message = rf"^non-finite gradient in {re.escape(where)}$"
         with pytest.raises(DivergenceError, match=message):
@@ -686,6 +700,11 @@ class TestSpecValidation:
     def test_bad_axis(self):
         with pytest.raises(ConfigError):
             Conv1d("depth", 4, 3, 3, 10)
+
+    @pytest.mark.parametrize("fn", ["linear", "tanh"])
+    def test_unknown_activation(self, fn):
+        with pytest.raises(ConfigError, match="unknown activation"):
+            Activation(fn)
 
     def test_bad_view_shape(self):
         with pytest.raises(ConfigError):
@@ -791,6 +810,15 @@ class TestCheckpointFormat:
         path = tmp_path / "net.nng"
         self.save(path, net)
         with pytest.raises(FormatError, match="only end the trunk"):
+            self.load(path)
+
+    def test_unknown_activation_code_rejected(self, tmp_path, monkeypatch):
+        net = dense_net([4, 3, 2], dtype=np.float32)
+        path = tmp_path / "net.nng"
+        monkeypatch.setitem(nn._ACT_CODES, "sigmoid", 2)  # once "linear"
+        self.save(path, net)
+        monkeypatch.undo()
+        with pytest.raises(FormatError, match="activation"):
             self.load(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

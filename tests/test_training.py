@@ -136,8 +136,8 @@ class TestTrainEpoch:
         for b, a in zip(before, after):
             assert np.array_equal(b, a)
         inputs, labels = ds.gather(np.arange(len(ds)))
-        forward(net, inputs, mode="train")
-        direct, _ = softmax_cross_entropy(net.cached_logits(), labels)
+        logits = forward(net, inputs, mode="train")
+        direct, _ = softmax_cross_entropy(logits, labels)
         assert loss == pytest.approx(direct, rel=1e-6)
 
     def test_separable_problem_loss_strictly_decreases(self):
@@ -229,9 +229,7 @@ def loss_gradient(net, dataset, loss):
     """One train-mode forward on the whole dataset; (loss, its gradient)."""
     inputs, targets = dataset.gather(np.arange(len(dataset)))
     out = forward(net, inputs, mode="train")
-    if loss == "ce":
-        return softmax_cross_entropy(net.cached_logits(), targets)
-    return mse_loss(out, targets)
+    return (softmax_cross_entropy if loss == "ce" else mse_loss)(out, targets)
 
 
 class TestSgdStepIsBackwardThenUpdate:
@@ -249,7 +247,7 @@ class TestSgdStepIsBackwardThenUpdate:
         _, grad = loss_gradient(ref, ds, loss)
         grads = backward(ref, grad)
         want = [p - p.dtype.type(lr) * g
-                for layer, gs in zip(ref.all_layers(), grads.by_layer)
+                for layer, gs in zip(ref.all_layers(), grads)
                 for p, g in zip(layer.param_arrays(), gs)]
         _, grad = loss_gradient(net, ds, loss)
         sgd_step(net, grad, lr)
@@ -273,8 +271,8 @@ class TestSgdStepIsBackwardThenUpdate:
         tracemalloc.start()
         try:
             rest = tracemalloc.get_traced_memory()[0]
-            forward(net, inputs, mode="train")
-            _, grad = softmax_cross_entropy(net.cached_logits(), targets)
+            logits = forward(net, inputs, mode="train")
+            _, grad = softmax_cross_entropy(logits, targets)
             sgd_step(net, grad, 0.01)
             peak = tracemalloc.get_traced_memory()[1] - rest
         finally:
@@ -303,9 +301,11 @@ class TestTrainEpochDivergence:
             train_epoch(net, ds, 0.1, 16, [1, 2])
         after = [p for l in net.all_layers() for p in l.param_arrays()]
         assert all(np.array_equal(b, a) for b, a in zip(before, after))
-        # no backward work either: the forward's caches are still there
+        # no backward work either: the forward's caches are still there (a
+        # train-mode forward stops at the softmax's input, the logits)
         assert net._train_ready
-        assert all(l._cache is not None for l in net.all_layers())
+        assert all(l._cache is not None for l in net.all_layers()
+                   if l.kind != "softmax")
 
     def test_gradient_divergence_names_the_batch(self, monkeypatch):
         calls = []
