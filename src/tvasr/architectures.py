@@ -16,14 +16,22 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError
-from .nn import (Activation, Conv1d, Dense, MaxPool1d, NetworkGraph, Softmax,
-                 Stream, check_activation)
+from .nn import (MAX_POOL_SIZE, Activation, Conv1d, Dense, MaxPool1d,
+                 NetworkGraph, Softmax, Stream, check_activation)
 from .synth import N_TVS
 
 ACOUSTIC_INPUT = "acoustic"
 TV_INPUT = "tv"
 
 ARCH_KINDS = ("dnn", "cnn", "tfcnn", "fcnn")
+
+# What a spec may ask for, so that `train` refuses a network or a batch that
+# cannot fit before it allocates anything. Criterion 2's paper fCNN has about
+# 26 M trainable values, and its frequency conv's im2col matrix holds 3.4 M
+# floats per 256-frame batch: each bound is 5-20 times that, 512 MiB and
+# 256 MiB of float32. Training holds several copies of each.
+MAX_PARAMETERS = 2**27
+MAX_BATCH_CONV_FLOATS = 2**26
 
 
 @dataclass
@@ -35,7 +43,8 @@ class ArchSpec:
     tfcnn consume acoustic features only; fcnn additionally needs the
     tract-variable layout for its time stream. n_feature_streams must be 3,
     the streams `pipeline.acoustic_frames` gives, and n_tvs must be N_TVS,
-    the channels of every corpus TV trajectory.
+    the channels of every corpus TV trajectory. A spec whose network would
+    have more than MAX_PARAMETERS trainable values is a ConfigError.
     """
 
     kind: str
@@ -77,6 +86,65 @@ class ArchSpec:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         check_activation(self.hidden_activation)
+        if self.n_parameters > MAX_PARAMETERS:
+            raise ConfigError(
+                f"the {self.kind} network would have {self.n_parameters:,} "
+                f"parameters, more than MAX_PARAMETERS = {MAX_PARAMETERS:,}; "
+                f"its size keys: {self._size_keys()}")
+
+    def _size_keys(self) -> str:
+        return ", ".join(f"{name}={getattr(self, name)}" for name in (
+            "n_hidden_layers", "hidden_width", "n_classes", "n_bands",
+            "context", "tv_context", "freq_filters", "freq_filter_width",
+            "freq_pool", "time_filters", "time_filter_width", "time_pool"))
+
+    def _convs(self) -> list:
+        """(positions, channels, filters, width, pool) of each convolution
+        that build_network gives this spec, frequency conv first."""
+        freq = (self.n_bands, self.n_feature_streams * self.context,
+                self.freq_filters, self.freq_filter_width, self.freq_pool)
+        time_input = {"tfcnn": (self.context,
+                                self.n_feature_streams * self.n_bands),
+                      "fcnn": (self.tv_context, self.n_tvs)}
+        if self.kind == "dnn":
+            return []
+        if self.kind == "cnn":
+            return [freq]
+        return [freq, (*time_input[self.kind], self.time_filters,
+                       self.time_filter_width, self.time_pool)]
+
+    @property
+    def n_parameters(self) -> int:
+        """Trainable values of build_network(self), in closed form."""
+        total, d = 0, self.acoustic_dim if self.kind == "dnn" else 0
+        for positions, channels, filters, width, pool in self._convs():
+            total += width * channels * filters + filters
+            d += max(0, positions - width + 1) // pool * filters
+        if self.n_hidden_layers:
+            h = self.hidden_width
+            total += d * h + h + (self.n_hidden_layers - 1) * (h * h + h)
+            d = h
+        return total + d * self.n_classes + self.n_classes
+
+    def check_buildable(self, batch_size: int) -> None:
+        """ConfigError unless build_network can build this spec and one
+        training batch's im2col matrix, the input a convolution copies out
+        and keeps for its backward, holds at most MAX_BATCH_CONV_FLOATS
+        floats. (Datasets need neither, so the spec itself does not check.)"""
+        for positions, channels, _, width, pool in self._convs():
+            if width > positions or pool > min(positions - width + 1,
+                                               MAX_POOL_SIZE):
+                raise ConfigError(
+                    f"a conv of width {width} pooled by {pool} does not fit "
+                    f"its {positions} positions (pools are at most "
+                    f"{MAX_POOL_SIZE}); its size keys: {self._size_keys()}")
+            floats = batch_size * (positions - width + 1) * width * channels
+            if floats > MAX_BATCH_CONV_FLOATS:
+                raise ConfigError(
+                    f"one batch of the {self.kind} network's convolution "
+                    f"input would hold {floats:,} floats, more than "
+                    f"MAX_BATCH_CONV_FLOATS = {MAX_BATCH_CONV_FLOATS:,}; "
+                    f"batch_size={batch_size}, {self._size_keys()}")
 
     @property
     def acoustic_dim(self) -> int:

@@ -231,6 +231,7 @@ def cmd_train(args) -> int:
     arch_map.setdefault("n_classes", str(n_gesture_classes()))
     spec = scale_arch_spec(arch_spec_from_config(arch_map), args.scale)
     train_cfg = TrainConfig(rng_seed=args.seed, **train_map)
+    spec.check_buildable(train_cfg.batch_size)
     if args.inversion_model and not inverted:
         raise ConfigError("--inversion-model is read only for inverted TVs")
 
@@ -297,10 +298,13 @@ def cmd_evaluate(args) -> int:
     ]
     text = "\n".join(lines)
     print(text)
-    # the two fCNN variants keep their reports apart in one --out
+    # the two fCNN variants, and the three subsets, keep their reports apart
+    # in one --out; a subset's rows form their own panel in `report`
     variant = "-inverted" if inverted else ""
-    with open(out / f"eval-{bundle.spec.kind}{variant}-{args.split}.txt", "w",
-              encoding="utf-8") as fh:
+    name = f"eval-{bundle.spec.kind}{variant}-{args.split}"
+    if args.subset != "all":
+        name, tag = f"{name}-{args.subset}", f"{tag} ({args.subset})"
+    with open(out / f"{name}.txt", "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
     with open(out / "results.tsv", "a", encoding="utf-8") as fh:
         fh.write("\t".join([bundle.spec.kind.upper(),

@@ -35,6 +35,22 @@ from .errors import FormatError
 from .records import Reader, read_file
 from .synth import N_TVS, TVTrajectory
 
+
+def _public_sosfilt(sos, x, zi):
+    """`sosfilt` along the rows of `x`, in place, in the argument order and
+    (rows, sections, 2) state layout of its compiled core."""
+    x[...], zf = sosfilt(sos, x, zi=np.moveaxis(zi, 1, 0))
+    zi[...] = np.moveaxis(zf, 0, 1)
+
+
+# NMC runs dozens of filters per utterance, so it calls sosfilt's compiled
+# core in place, without sosfilt's checks, input copy and axis moves; the
+# arithmetic, and so every bit, is the same.
+try:
+    from scipy.signal._sosfilt import _sosfilt
+except ImportError:  # a scipy without that core: the same bits, slower
+    _sosfilt = _public_sosfilt
+
 LOG_FLOOR = 1e-10
 STD_FLOOR = 1e-8
 FFT_SIZE = 512
@@ -199,7 +215,8 @@ def nmc_features(wav: Waveform, n_coeffs: int = 40) -> np.ndarray:
     n_frames = frame_count(wav)
     win_n, shift_n = frame_samples(wav.sample_rate)
     bandpasses, envelope_lp = _am_subband_bank(n_coeffs, wav.sample_rate)
-    # sosfilt accepts only writable coefficients: filter with copies
+    # the filter core's typed memoryviews take only writable coefficients:
+    # filter with copies of the shared read-only bank
     bank, lowpass = np.array(bandpasses), envelope_lp.copy()
     energies = np.empty((len(bank), n_frames))
     for lo in range(0, len(bank), _NMC_BLOCK):
@@ -217,14 +234,16 @@ def _envelope_energies(samples, bank, lowpass, win_n: int, shift_n: int,
     Every reduction runs along one band's contiguous sample axis, so each
     band gets the same arithmetic, in the same order, whatever the block.
     """
-    subs = np.empty((len(bank), len(samples)))
+    subs = np.repeat(samples[None, :], len(bank), axis=0)
     for b, sos in enumerate(bank):
-        subs[b] = sosfilt(sos, samples)
+        _sosfilt(sos, subs[b:b + 1], np.zeros((1, len(sos), 2)))
     power = np.mean(np.square(subs), axis=1)
-    envelopes = sosfilt(lowpass, np.maximum(subs, 0.0, out=subs), axis=-1)
-    envelopes /= np.sqrt(power + 1e-12)[:, None]
-    np.square(envelopes, out=envelopes)
-    windows = sliding_window_view(envelopes, win_n, axis=1)[:, ::shift_n]
+    # rectify, then lowpass to the envelopes, all in place
+    np.maximum(subs, 0.0, out=subs)
+    _sosfilt(lowpass, subs, np.zeros((len(bank), len(lowpass), 2)))
+    subs /= np.sqrt(power + 1e-12)[:, None]
+    np.square(subs, out=subs)
+    windows = sliding_window_view(subs, win_n, axis=1)[:, ::shift_n]
     np.mean(windows, axis=2, out=out)
 
 
@@ -314,9 +333,10 @@ def nmc_map(waveforms: list, n_coeffs: int = 40) -> list:
 
     The calling thread and one more thread per further CPU this process may
     run on (never more threads than waveforms) take waveforms in turn.
-    sosfilt and numpy's loops release the GIL, so utterances are computed
-    side by side, with the same bits as one at a time. If waveforms fail,
-    the first failing one's exception is raised once every thread is done.
+    The compiled sosfilt core and numpy's loops release the GIL, so
+    utterances are computed side by side, with the same bits as one at a
+    time. If waveforms fail, the first failing one's exception is raised
+    once every thread is done.
 
     The NMC of a waveform read from a file (`Waveform.path`) is kept in an
     NMC1 sidecar, <stem>.nmc next to that file. A sidecar whose key, frame

@@ -26,6 +26,20 @@ from scipy.signal import lfilter
 
 from .audio import DEFAULT_SAMPLE_RATE, FRAME_SHIFT, Waveform, frame_samples
 
+
+def _public_linear_filter(b, a, x, axis=-1, zi=None):
+    """`lfilter`, in the argument order of its compiled core."""
+    return lfilter(b, a, x, axis, zi)
+
+
+# Synthesis runs thousands of short filters per utterance, so it calls the
+# compiled core that lfilter returns through, without lfilter's per-call
+# checks; the arithmetic, and so every bit, is the same.
+try:
+    from scipy.signal._sigtools import _linear_filter
+except ImportError:  # a scipy without that core: the same bits, slower
+    _linear_filter = _public_linear_filter
+
 TV_CHANNELS = (
     "lip_aperture",
     "lip_protrusion",
@@ -226,9 +240,10 @@ def critically_damped_smooth(track: np.ndarray,
     monotone for steps and never overshoots the track's range.
     """
     alpha = np.exp(-FRAME_SHIFT / TV_TIME_CONSTANT)
+    b, a = np.array([1.0 - alpha]), np.array([1.0, -alpha])
     y = np.asarray(track, dtype=np.float64)
     for _ in range(2):
-        y = lfilter([1.0 - alpha], [1.0, -alpha], y, zi=[alpha * init])[0]
+        y = _linear_filter(b, a, y, -1, np.array([alpha * init]))[0]
     return y
 
 
@@ -300,17 +315,20 @@ def synthesize_speech_from_tvs(tv: TVTrajectory, rng_seed) -> Waveform:
     formants = _formants(tv.frames)
     radii = np.exp(-np.pi * np.asarray(_FORMANT_BANDWIDTHS) / sample_rate)
     out = excitation
+    b = np.empty(1)
     for k in range(3):
         r = radii[k]
         cos_t = np.cos(2.0 * np.pi * formants[:, k] / sample_rate)
+        gains = 1.0 - 2.0 * r * cos_t + r * r
+        a1s = -2.0 * r * cos_t
+        a = np.array([1.0, 0.0, r * r])
         y = np.empty(n)
         zi = np.zeros(2)
         for frame in range(t_frames):
             start = frame * shift_n
             stop = n if frame == t_frames - 1 else (frame + 1) * shift_n
-            b = [1.0 - 2.0 * r * cos_t[frame] + r * r]
-            a = [1.0, -2.0 * r * cos_t[frame], r * r]
-            y[start:stop], zi = lfilter(b, a, out[start:stop], zi=zi)
+            b[0], a[1] = gains[frame], a1s[frame]
+            y[start:stop], zi = _linear_filter(b, a, out[start:stop], -1, zi)
         out = y
 
     peak = np.max(np.abs(out))

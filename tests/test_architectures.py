@@ -4,10 +4,12 @@ import pytest
 from helpers import (count_parameters, draw_smooth_gradcheck_case,
                      max_relative_gradient_error)
 
-from tvasr.architectures import (ArchSpec, arch_spec_from_config, build_network,
+from tvasr.architectures import (ARCH_KINDS, MAX_PARAMETERS, ArchSpec,
+                                 arch_spec_from_config, build_network,
                                  parse_kv_config)
 from tvasr.errors import ConfigError, ShapeError
 from tvasr.nn import forward
+from tvasr.pipeline import scale_arch_spec
 
 RNG = np.random.default_rng(99)
 
@@ -218,6 +220,56 @@ class TestBuildFcnn:
 
 
 class TestArchSpecValidation:
+    @pytest.mark.parametrize("kind", ARCH_KINDS)
+    @pytest.mark.parametrize("scale", ["toy", "paper"])
+    def test_parameter_count_and_batch_check_of_every_scale(self, kind,
+                                                            scale):
+        spec = scale_arch_spec(ArchSpec(kind=kind, n_classes=21), scale)
+        assert spec.n_parameters == count_parameters(build_network(spec))
+        spec.check_buildable(256)
+
+    def test_criterion_2_fcnn_fits(self):
+        spec = ArchSpec(kind="fcnn", n_classes=42, n_hidden_layers=6,
+                        hidden_width=2048)
+        assert 25_000_000 < spec.n_parameters < MAX_PARAMETERS
+        spec.check_buildable(256)
+
+    @pytest.mark.parametrize("key,value", [
+        ("hidden_width", 100000000), ("context", 1000001),
+        ("n_bands", 100000), ("n_hidden_layers", 100000),
+        ("tv_context", 1000001)])
+    def test_oversized_network_refused(self, key, value):
+        with pytest.raises(ConfigError, match=f"MAX_PARAMETERS.*{key}={value}"):
+            ArchSpec(kind="fcnn", n_classes=21, **{key: value})
+
+    @pytest.mark.parametrize("kind,key,value", [
+        ("cnn", "freq_filter_width", 41), ("cnn", "freq_pool", 34),
+        ("tfcnn", "time_filter_width", 18), ("fcnn", "time_pool", 14),
+        ("cnn", "n_bands", 7), ("fcnn", "tv_context", 4)])
+    def test_conv_that_does_not_fit_refused(self, kind, key, value):
+        # found here, not by build_network after the corpus is read
+        spec = ArchSpec(kind=kind, n_classes=21, **{key: value})
+        with pytest.raises(ConfigError, match=f"does not fit.*{key}={value}"):
+            spec.check_buildable(1)
+
+    def test_pool_beyond_the_index_dtype_refused(self):
+        spec = ArchSpec(kind="cnn", n_classes=21, n_bands=400, freq_pool=300,
+                        n_hidden_layers=0)
+        with pytest.raises(ConfigError, match="at most 256"):
+            spec.check_buildable(1)
+
+    @pytest.mark.parametrize("kind,key,value", [
+        ("cnn", "n_bands", 30000), ("tfcnn", "n_bands", 20000),
+        ("fcnn", "tv_context", 400000)])
+    def test_oversized_conv_batch_refused(self, kind, key, value):
+        spec = ArchSpec(kind=kind, n_classes=21, n_hidden_layers=0,
+                        **{key: value})
+        spec.check_buildable(1)
+        with pytest.raises(ConfigError,
+                           match=f"MAX_BATCH_CONV_FLOATS.*batch_size=256.*"
+                                 f"{key}={value}"):
+            spec.check_buildable(256)
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             ArchSpec(kind="rnn", n_classes=5)

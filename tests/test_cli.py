@@ -2,6 +2,7 @@ import hashlib
 import re
 import shutil
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from tvasr.pipeline import (AcousticModelBundle, acoustic_norm_stats,
                             load_acoustic_bundle, save_acoustic_bundle,
                             scale_arch_spec)
 from tvasr.architectures import ArchSpec, build_network
+from tvasr.evaluate import results_table
 from tvasr.training import TrainState
 
 
@@ -261,6 +263,24 @@ class TestEvaluate:
         assert sorted(p.name for p in out.glob("eval-*.txt")) == [
             "eval-fcnn-inverted-test.txt", "eval-fcnn-test.txt"]
         assert len((out / "results.tsv").read_text().splitlines()) == 2
+
+    def test_each_subset_keeps_its_report_and_row(self, trained_dir,
+                                                  corpus_dir, tmp_path):
+        out = tmp_path / "results"
+        for subset in ("all", "noisy", "clean"):
+            assert run(["evaluate", "--checkpoint", trained_dir / "fcnn.ckpt",
+                        "--corpus", corpus_dir, "--out", out,
+                        "--subset", subset, "--tag", "toy"]) == 0
+        assert sorted(p.name for p in out.glob("eval-*.txt")) == [
+            "eval-fcnn-test-clean.txt", "eval-fcnn-test-noisy.txt",
+            "eval-fcnn-test.txt"]
+        rows = (out / "results.tsv").read_text().splitlines()
+        assert [row.split("\t")[2] for row in rows] == [
+            "toy", "toy (noisy)", "toy (clean)"]
+        # one panel per subset, so each row is its panel's best
+        table = results_table([(*row.split("\t")[:3], float(row.split("\t")[3]))
+                               for row in rows])
+        assert sum(line.endswith(" *") for line in table.splitlines()) == 3
 
     def test_unreadable_corpus_exit_1(self, trained_dir, tmp_path):
         (tmp_path / "manifest.tsv").write_text("\n")
@@ -803,7 +823,9 @@ class TestEntriesRead:
                             {p.name: p.read_bytes()
                              for p in sorted(out.iterdir())}))
         assert outputs[0] == outputs[1]
-        assert sorted(outputs[0][2]) == ["eval-fcnn-test.txt", "results.tsv"]
+        report = {"all": "eval-fcnn-test.txt"}.get(
+            subset, f"eval-fcnn-test-{subset}.txt")
+        assert sorted(outputs[0][2]) == [report, "results.tsv"]
 
     def test_evaluate_train_split_needs_its_files(self, trained_dir,
                                                   corpus_dir, tmp_path,
@@ -969,6 +991,34 @@ class TestTrainConfigValues:
                     "--out", tmp_path, "--config", config]) == 2
         assert line.split()[0] in capsys.readouterr().err
         assert not (tmp_path / "dnn.ckpt").exists()
+
+    @pytest.mark.parametrize("lines", [
+        ["hidden_width = 100000000"], ["context = 1000001"],
+        ["n_bands = 100000"], ["n_hidden_layers = 100000"],
+        # few enough parameters, but a 3.1 G-float im2col batch
+        ["n_bands = 30000", "n_hidden_layers = 0"],
+        # convolutions that build_network would refuse
+        ["freq_filter_width = 50"], ["time_pool = 14"]])
+    def test_unbuildable_network_exit_2_before_reading(self, lines, tmp_path,
+                                                       capsys):
+        # Most of these would take gigabytes. The corpus does not exist, so
+        # even without the checks train would stop at read_corpus (exit 1),
+        # before it builds any network.
+        config = tmp_path / "t.conf"
+        config.write_text("".join(line + "\n" for line in lines))
+        tracemalloc.start()
+        try:
+            code = run(["train", "--arch", "fcnn",
+                        "--corpus", tmp_path / "no-corpus",
+                        "--out", tmp_path / "out", "--config", config])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert all(line.replace(" ", "") in err for line in lines)
+        assert peak < 4 * 2**20
+        assert not (tmp_path / "out").exists()
 
     def test_non_integer_arch_value_exit_2(self, corpus_dir, tmp_path, capsys):
         config = tmp_path / "t.conf"

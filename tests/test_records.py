@@ -228,6 +228,25 @@ def test_bundle_with_other_tv_channels_is_rejected(tmp_path):
         load_acoustic_bundle(path)
 
 
+@pytest.mark.parametrize("field,oversized", [
+    (b"n_hidden_layers=0\n", b"n_hidden_layers=100000\n"),
+    (b"\ncontext=1\n", b"\ncontext=100000000\n")])
+def test_bundle_with_an_oversized_spec_is_rejected(field, oversized, tmp_path):
+    """A spec too large to build is refused before any layer is built."""
+    path = tmp_path / "bundle.ckpt"
+    save_acoustic_bundle(path, tiny_bundle())
+    blob = path.read_bytes()
+    start = blob.index(b"AMB1") + 4
+    (n,) = struct.unpack_from("<I", blob, start)
+    meta = blob[start + 4:start + 4 + n]
+    assert meta.count(field) == 1
+    meta = meta.replace(field, oversized)
+    path.write_bytes(blob[:start] + struct.pack("<I", len(meta)) + meta
+                     + blob[start + 4 + n:])
+    with pytest.raises(FormatError, match="MAX_PARAMETERS"):
+        load_acoustic_bundle(path)
+
+
 def test_reader_checks_sizes_before_reading():
     r = Reader(b"\x05\x00\x00\x00abc")
     (n,) = r.take("<I")
