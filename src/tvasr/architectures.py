@@ -1,17 +1,18 @@
 """Acoustic-model topologies: DNN, CNN, TFCNN, and the fused dual-stream fCNN.
 
-All four consume spliced acoustic features laid out as (context, stream,
-band) within each flat frame vector. The frequency-convolution stream views
-that vector as 40 band positions x (streams * context) channels; the
-time-convolution streams view it as context positions x per-frame channels.
-The fCNN's time stream instead consumes spliced tract-variable trajectories.
-Stream outputs are concatenated per frame (frequency maps first) and fed to
-a shared dense stack ending in a softmax layer.
+Every network, the speech-inversion CNN too, is one recipe: `ConvStream`s
+(conv, activation, max pool) concatenated per frame into a `dense_stack`.
+`ArchSpec._convs` lists a spec's streams, which `build_network` builds and
+`ArchSpec` sizes in closed form. The frequency stream views the spliced
+(context, stream, band) acoustic frame as 40 bands x (streams * context)
+channels, the tfcnn's time stream as context positions x per-frame channels;
+the fCNN's time stream reads spliced TVs, and a dnn has no conv stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,45 @@ ARCH_KINDS = ("dnn", "cnn", "tfcnn", "fcnn")
 # 256 MiB of float32. Training holds several copies of each.
 MAX_PARAMETERS = 2**27
 MAX_BATCH_CONV_FLOATS = 2**26
+
+
+class ConvStream(NamedTuple):
+    """Conv (`filters` of `width`), activation and max pool (by `pool`)
+    over the input `input_name`, read as `positions` x `channels` per frame
+    (after `view_shape` and `view_perm`, if given; see `Conv1d`)."""
+
+    input_name: str
+    axis: str
+    positions: int
+    channels: int
+    filters: int
+    width: int
+    pool: int
+    view_shape: tuple | None = None
+    view_perm: tuple | None = None
+
+    @property
+    def out_dim(self) -> int:
+        return max(0, self.positions - self.width + 1) // self.pool * self.filters
+
+    def build(self, rng, activation: str, dtype) -> Stream:
+        conv = Conv1d(self.axis, self.filters, self.width, self.channels,
+                      self.positions, view_shape=self.view_shape,
+                      view_perm=self.view_perm, rng=rng, dtype=dtype)
+        pool = MaxPool1d(self.pool, conv.out_positions, self.filters)
+        return Stream(self.input_name, self.positions * self.channels,
+                      [conv, Activation(activation), pool])
+
+
+def dense_stack(rng, in_dim: int, n_hidden: int, width: int, activation: str,
+                n_out: int, dtype) -> list:
+    """n_hidden dense layers of `width` units, each followed by the
+    activation, then a dense layer to n_out; weights drawn in layer order."""
+    layers, d = [], in_dim
+    for _ in range(n_hidden):
+        layers += [Dense(d, width, rng, dtype), Activation(activation)]
+        d = width
+    return layers + [Dense(d, n_out, rng, dtype)]
 
 
 @dataclass
@@ -99,27 +139,35 @@ class ArchSpec:
             "freq_pool", "time_filters", "time_filter_width", "time_pool"))
 
     def _convs(self) -> list:
-        """(positions, channels, filters, width, pool) of each convolution
-        that build_network gives this spec, frequency conv first."""
-        freq = (self.n_bands, self.n_feature_streams * self.context,
-                self.freq_filters, self.freq_filter_width, self.freq_pool)
-        time_input = {"tfcnn": (self.context,
+        """This spec's ConvStreams in build order: the frequency stream, then
+        a tfcnn's or fcnn's time stream."""
+        freq = ConvStream(
+            ACOUSTIC_INPUT, "frequency", self.n_bands,
+            self.n_feature_streams * self.context, self.freq_filters,
+            self.freq_filter_width, self.freq_pool,
+            (self.context, self.n_feature_streams, self.n_bands), (2, 0, 1))
+        time_input = {"tfcnn": (ACOUSTIC_INPUT, self.context,
                                 self.n_feature_streams * self.n_bands),
-                      "fcnn": (self.tv_context, self.n_tvs)}
-        if self.kind == "dnn":
-            return []
-        if self.kind == "cnn":
-            return [freq]
-        return [freq, (*time_input[self.kind], self.time_filters,
-                       self.time_filter_width, self.time_pool)]
+                      "fcnn": (TV_INPUT, self.tv_context, self.n_tvs)}
+        if self.kind not in time_input:
+            return [freq] if self.kind == "cnn" else []
+        name, positions, channels = time_input[self.kind]
+        return [freq, ConvStream(name, "time", positions, channels,
+                                 self.time_filters, self.time_filter_width,
+                                 self.time_pool)]
+
+    @property
+    def fused_dim(self) -> int:
+        """Width of the per-frame vector that enters the dense stack."""
+        convs = self._convs()
+        return sum(c.out_dim for c in convs) if convs else self.acoustic_dim
 
     @property
     def n_parameters(self) -> int:
         """Trainable values of build_network(self), in closed form."""
-        total, d = 0, self.acoustic_dim if self.kind == "dnn" else 0
-        for positions, channels, filters, width, pool in self._convs():
-            total += width * channels * filters + filters
-            d += max(0, positions - width + 1) // pool * filters
+        total = sum(c.width * c.channels * c.filters + c.filters
+                    for c in self._convs())
+        d = self.fused_dim
         if self.n_hidden_layers:
             h = self.hidden_width
             total += d * h + h + (self.n_hidden_layers - 1) * (h * h + h)
@@ -131,14 +179,14 @@ class ArchSpec:
         training batch's im2col matrix, the input a convolution copies out
         and keeps for its backward, holds at most MAX_BATCH_CONV_FLOATS
         floats. (Datasets need neither, so the spec itself does not check.)"""
-        for positions, channels, _, width, pool in self._convs():
-            if width > positions or pool > min(positions - width + 1,
-                                               MAX_POOL_SIZE):
+        for c in self._convs():
+            out = c.positions - c.width + 1
+            if out < 1 or c.pool > min(out, MAX_POOL_SIZE):
                 raise ConfigError(
-                    f"a conv of width {width} pooled by {pool} does not fit "
-                    f"its {positions} positions (pools are at most "
+                    f"a conv of width {c.width} pooled by {c.pool} does not "
+                    f"fit its {c.positions} positions (pools are at most "
                     f"{MAX_POOL_SIZE}); its size keys: {self._size_keys()}")
-            floats = batch_size * (positions - width + 1) * width * channels
+            floats = batch_size * out * c.width * c.channels
             if floats > MAX_BATCH_CONV_FLOATS:
                 raise ConfigError(
                     f"one batch of the {self.kind} network's convolution "
@@ -155,68 +203,19 @@ class ArchSpec:
         return self.n_tvs * self.tv_context
 
 
-def _dense_stack(rng, in_dim: int, spec: ArchSpec, dtype):
-    layers = []
-    d = in_dim
-    for _ in range(spec.n_hidden_layers):
-        layers.append(Dense(d, spec.hidden_width, rng, dtype))
-        layers.append(Activation(spec.hidden_activation))
-        d = spec.hidden_width
-    layers.append(Dense(d, spec.n_classes, rng, dtype))
-    layers.append(Softmax())
-    return layers
-
-
-def _freq_conv_stream(rng, spec: ArchSpec, dtype) -> Stream:
-    channels = spec.n_feature_streams * spec.context
-    conv = Conv1d("frequency", spec.freq_filters, spec.freq_filter_width,
-                  channels, spec.n_bands,
-                  view_shape=(spec.context, spec.n_feature_streams, spec.n_bands),
-                  view_perm=(2, 0, 1), rng=rng, dtype=dtype)
-    pool = MaxPool1d(spec.freq_pool, conv.out_positions, spec.freq_filters)
-    return Stream(ACOUSTIC_INPUT, spec.acoustic_dim,
-                  [conv, Activation(spec.hidden_activation), pool])
-
-
-def _time_conv_stream(rng, spec: ArchSpec, input_name: str, n_positions: int,
-                      n_channels: int, dtype) -> Stream:
-    conv = Conv1d("time", spec.time_filters, spec.time_filter_width,
-                  n_channels, n_positions, rng=rng, dtype=dtype)
-    pool = MaxPool1d(spec.time_pool, conv.out_positions, spec.time_filters)
-    return Stream(input_name, n_positions * n_channels,
-                  [conv, Activation(spec.hidden_activation), pool])
-
-
-# Input streams per kind, built (and drawing from the RNG) in list order:
-# the frequency stream before the time stream. The dnn's one stream has no
-# layers; the tfcnn's time stream reads the acoustic input, the fcnn's the TVs.
-_STREAMS = {
-    "dnn": lambda rng, spec, dtype: [
-        Stream(ACOUSTIC_INPUT, spec.acoustic_dim, [])],
-    "cnn": lambda rng, spec, dtype: [_freq_conv_stream(rng, spec, dtype)],
-    "tfcnn": lambda rng, spec, dtype: [
-        _freq_conv_stream(rng, spec, dtype),
-        _time_conv_stream(rng, spec, ACOUSTIC_INPUT, spec.context,
-                          spec.n_feature_streams * spec.n_bands, dtype)],
-    "fcnn": lambda rng, spec, dtype: [
-        _freq_conv_stream(rng, spec, dtype),
-        _time_conv_stream(rng, spec, TV_INPUT, spec.tv_context, spec.n_tvs,
-                          dtype)],
-}
-
-
 def build_network(spec: ArchSpec, seed: int = 0, dtype=np.float32) -> NetworkGraph:
-    """The spec's input streams, concatenated per frame into the dense stack.
-
-    The stack draws its weights after the streams. A dnn with
-    n_hidden_layers=0 is multinomial logistic regression; an fcnn's forward
-    requires both "acoustic" and "tv" inputs.
-    """
+    """The spec's ConvStreams (a dnn's one stream passes the acoustic input
+    through), then its dense stack and a softmax, drawing weights in that
+    order. A dnn with n_hidden_layers=0 is multinomial logistic regression;
+    an fcnn's forward requires both "acoustic" and "tv" inputs."""
     rng = np.random.default_rng(seed)
-    streams = _STREAMS[spec.kind](rng, spec, dtype)
-    fused = sum(s.layers[-1].out_dim(None) if s.layers else s.input_dim
-                for s in streams)
-    return NetworkGraph(streams, _dense_stack(rng, fused, spec, dtype), dtype)
+    streams = [c.build(rng, spec.hidden_activation, dtype)
+               for c in spec._convs()]
+    trunk = dense_stack(rng, spec.fused_dim, spec.n_hidden_layers,
+                        spec.hidden_width, spec.hidden_activation,
+                        spec.n_classes, dtype)
+    return NetworkGraph(streams or [Stream(ACOUSTIC_INPUT, spec.acoustic_dim, [])],
+                        trunk + [Softmax()], dtype)
 
 
 # ---------------------------------------------------------------------------

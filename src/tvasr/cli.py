@@ -299,11 +299,16 @@ def cmd_evaluate(args) -> int:
     text = "\n".join(lines)
     print(text)
     # the two fCNN variants, and the three subsets, keep their reports apart
-    # in one --out; a subset's rows form their own panel in `report`
+    # in one --out; the rows of a split other than test, and of a subset,
+    # form their own panel in `report`
     variant = "-inverted" if inverted else ""
     name = f"eval-{bundle.spec.kind}{variant}-{args.split}"
     if args.subset != "all":
-        name, tag = f"{name}-{args.subset}", f"{tag} ({args.subset})"
+        name = f"{name}-{args.subset}"
+    scope = [v for v, default in ((args.split, "test"), (args.subset, "all"))
+             if v != default]
+    if scope:
+        tag = f"{tag} ({', '.join(scope)})"
     with open(out / f"{name}.txt", "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
     with open(out / "results.tsv", "a", encoding="utf-8") as fh:

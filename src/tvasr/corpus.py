@@ -18,16 +18,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import (DEFAULT_SAMPLE_RATE, Waveform, mix_noise_at_snr, read_wav,
-                    write_wav)
+from .audio import (DEFAULT_SAMPLE_RATE, FRAME_SHIFT, Waveform, frame_samples,
+                    mix_noise_at_snr, read_wav, write_wav)
 from .errors import ConfigError, FormatError
 from .features import frame_count, load_feature_matrix, save_feature_matrix
 from .synth import (NOISE_KINDS, TVTrajectory, default_inventory,
                     default_vocabulary, frame_labels, generate_gestural_score,
-                    generate_noise, n_gesture_classes, render_tvs,
-                    synthesize_speech_from_tvs)
+                    generate_noise, max_score_duration, n_gesture_classes,
+                    render_tvs, synthesize_speech_from_tvs)
 
 SPLITS = ("train", "cv", "test")
+# build_parallel_corpus refuses a config whose clean and noisy float64
+# samples could pass this many bytes, before it synthesizes anything: both
+# copies of every utterance stay in memory until the corpus is written. The
+# README's 500-utterance corpus (1-2 words, severity up to 0.7) is bounded
+# by 0.28 GB, and the acceptance tests' (1 word) by 0.14 GB.
+MAX_CORPUS_SAMPLE_BYTES = 2**31
 # the splits that train and train-inversion read
 TRAINING_SPLITS = ("train", "cv")
 
@@ -87,6 +93,19 @@ def _split_of(index: int, n_train: int, n_cv: int) -> str:
     return "test"
 
 
+def _sample_bytes_bound(n_utts: int, severity_max: float,
+                        words_max: int) -> float:
+    """Bytes that the float64 samples of a build_parallel_corpus corpus
+    cannot exceed: render_tvs rounds a score to the nearest frame, and
+    synthesis gives (T - 1) * shift + win samples for T frames."""
+    win_n, shift_n = frame_samples(DEFAULT_SAMPLE_RATE)
+    try:
+        frames = max_score_duration(words_max, severity_max) / FRAME_SHIFT + 1
+        return 2 * n_utts * 8 * (frames * shift_n + win_n)
+    except OverflowError:  # an int too large for a float
+        return np.inf
+
+
 def build_parallel_corpus(n_utts: int, severity_range=(0.0, 0.0),
                           snr_range=(10.0, 80.0), rng_seed=0,
                           n_words_range=(1, 2)) -> ParallelCorpus:
@@ -94,7 +113,8 @@ def build_parallel_corpus(n_utts: int, severity_range=(0.0, 0.0),
 
     Words come from `default_vocabulary()` and noise from `NOISE_KINDS`.
     ConfigError unless the severity and SNR ranges are finite with
-    min <= max, and the word range has 1 <= min <= max.
+    min <= max, and the word range has 1 <= min <= max; also if the samples
+    could pass MAX_CORPUS_SAMPLE_BYTES.
     """
     if n_utts < 10:
         raise ConfigError(f"corpus needs at least 10 utterances, got {n_utts}")
@@ -106,6 +126,13 @@ def build_parallel_corpus(n_utts: int, severity_range=(0.0, 0.0),
     if not 1 <= low <= high:
         raise ConfigError(f"word range [{low}, {high}] needs "
                           "1 <= words_min <= words_max")
+    bound = _sample_bytes_bound(n_utts, severity_range[1], high)
+    if bound > MAX_CORPUS_SAMPLE_BYTES:
+        raise ConfigError(
+            f"the corpus samples could take {bound:.3g} bytes, more than "
+            f"MAX_CORPUS_SAMPLE_BYTES = {MAX_CORPUS_SAMPLE_BYTES:,}; "
+            f"n_utts={n_utts}, words_max={high}, "
+            f"severity_max={severity_range[1]}")
     vocab = default_vocabulary()
     n_train, n_cv, _ = split_sizes(n_utts)
 

@@ -19,10 +19,10 @@ import contextlib
 import hashlib
 import os
 import struct
-import threading
 import uuid
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -331,54 +331,36 @@ def _cached_nmc(wav: Waveform, n_coeffs: int):
 def nmc_map(waveforms: list, n_coeffs: int = 40) -> list:
     """nmc_features of each waveform, in input order, on every usable CPU.
 
-    The calling thread and one more thread per further CPU this process may
-    run on (never more threads than waveforms) take waveforms in turn.
-    The compiled sosfilt core and numpy's loops release the GIL, so
-    utterances are computed side by side, with the same bits as one at a
-    time. If waveforms fail, the first failing one's exception is raised
-    once every thread is done.
+    A ThreadPoolExecutor with one worker per CPU this process may run on,
+    never more than waveforms, computes them side by side while the caller
+    waits: the compiled sosfilt core and numpy's loops release the GIL, and
+    the bits are those of one at a time. With one waveform or one usable CPU
+    the calling thread computes them itself. The first failing waveform's
+    exception is raised once the workers stop: waveforms not started when
+    the caller reaches that failure are cancelled, the others still finish.
 
     The NMC of a waveform read from a file (`Waveform.path`) is kept in an
-    NMC1 sidecar, <stem>.nmc next to that file. A sidecar whose key, frame
-    count and values digest all check out is read instead of computed; any
-    other is a miss. Once every waveform has succeeded, the NMC computed for
-    each miss is written to its sidecar; a write that fails is skipped.
+    NMC1 sidecar, <stem>.nmc next to it, and read back while its key, frame
+    count and values digest check out. Computed NMCs are written to their
+    sidecars only once every waveform has succeeded; a failed write is skipped.
     """
     # design each filter bank here, so that no two threads design one
     for rate in {w.sample_rate for w in waveforms}:
         _am_subband_bank(n_coeffs, rate)
-    out = [None] * len(waveforms)
-    misses = [None] * len(waveforms)
-    errors = {}
-    taken = iter(range(len(waveforms)))
-    lock = threading.Lock()
-
-    def work():
-        while not errors:
-            with lock:
-                i = next(taken, None)
-            if i is None:
-                return
-            try:
-                out[i], misses[i] = _cached_nmc(waveforms[i], n_coeffs)
-            except Exception as exc:  # re-raised by the calling thread
-                errors[i] = exc
-
+    work = partial(_cached_nmc, n_coeffs=n_coeffs)
     n_threads = min(_usable_cpus(), len(waveforms))
-    helpers = [threading.Thread(target=work) for _ in range(n_threads - 1)]
-    for thread in helpers:
-        thread.start()
-    try:
-        work()
-    finally:
-        for thread in helpers:
-            thread.join()
-    if errors:
-        raise errors[min(errors)]
-    for feats, miss in zip(out, misses):
+    if n_threads < 2:
+        done = list(map(work, waveforms))
+    else:
+        pool = ThreadPoolExecutor(n_threads)
+        try:
+            done = list(pool.map(work, waveforms))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    for feats, miss in done:
         if miss is not None:
             _write_nmc_sidecar(*miss, feats)
-    return out
+    return [feats for feats, _ in done]
 
 
 def _sum_rows(chunks) -> np.ndarray:

@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .architectures import ACOUSTIC_INPUT, ConvStream, dense_stack
 from .audio import DEFAULT_SAMPLE_RATE, Waveform
 from .corpus import ParallelCorpus
 from .errors import FormatError
 from .features import (NormStats, SpliceSpec, nmc_map, norm_stats,
                        norm_stats_to_bytes, read_norm_stats)
-from .nn import (Activation, Conv1d, Dense, MaxPool1d, NetworkGraph, Stream,
-                 check_activation, forward, network_from_bytes,
+from .nn import (NetworkGraph, check_activation, forward, network_from_bytes,
                  network_to_bytes)
 from .records import Reader, read_file
 from .synth import N_TVS, TVTrajectory
@@ -70,23 +70,17 @@ class InversionModel:
 
 def build_inversion_net(cfg: InversionConfig, seed: int = 0,
                         dtype=np.float32) -> NetworkGraph:
+    """The frequency-conv recipe of the acoustic models on the spliced NMC
+    frames, into a dense stack with a linear N_TVS-unit output."""
     rng = np.random.default_rng(seed)
     width = cfg.splice.width
-    conv = Conv1d("frequency", cfg.n_filters, cfg.filter_width,
-                  in_channels=width, n_positions=cfg.n_coeffs,
-                  view_shape=(width, cfg.n_coeffs), view_perm=(1, 0),
-                  rng=rng, dtype=dtype)
-    pool = MaxPool1d(cfg.pool, conv.out_positions, cfg.n_filters)
-    stream = Stream("acoustic", cfg.n_coeffs * width,
-                    [conv, Activation(cfg.activation), pool])
-    trunk = []
-    d = pool.out_dim(None)
-    for _ in range(cfg.n_dense):
-        trunk.append(Dense(d, cfg.dense_width, rng, dtype))
-        trunk.append(Activation(cfg.activation))
-        d = cfg.dense_width
-    trunk.append(Dense(d, N_TVS, rng, dtype))
-    return NetworkGraph([stream], trunk, dtype)
+    conv = ConvStream(ACOUSTIC_INPUT, "frequency", cfg.n_coeffs, width,
+                      cfg.n_filters, cfg.filter_width, cfg.pool,
+                      (width, cfg.n_coeffs), (1, 0))
+    stream = conv.build(rng, cfg.activation, dtype)
+    return NetworkGraph([stream], dense_stack(
+        rng, conv.out_dim, cfg.n_dense, cfg.dense_width, cfg.activation,
+        N_TVS, dtype), dtype)
 
 
 def inversion_dataset(corpus: ParallelCorpus, split: str,

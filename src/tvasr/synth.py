@@ -186,6 +186,11 @@ def n_gesture_classes() -> int:
     return len(default_inventory()) + 1
 
 
+# a score's lead and tail silence, and the range of its inter-word gaps (s)
+_EDGE_SILENCE = 0.08
+_WORD_GAP = (0.05, 0.10)
+
+
 def generate_gestural_score(rng_seed, vocab, dysarthria_severity: float,
                             n_words_range=(1, 2)):
     """Score a random utterance from `vocab` at the given severity.
@@ -210,10 +215,10 @@ def generate_gestural_score(rng_seed, vocab, dysarthria_severity: float,
 
     tv_gestures = [[] for _ in range(N_TVS)]
     segments = []
-    t = 0.08  # lead silence
+    t = _EDGE_SILENCE  # lead silence
     for n, wi in enumerate(word_idx):
         if n:
-            t += float(rng.uniform(0.05, 0.10))  # inter-word gap
+            t += float(rng.uniform(*_WORD_GAP))  # inter-word gap
         for unit_id in vocab[wi].unit_ids:
             unit = units_by_id[unit_id]
             duration = unit.duration * (1.0 + s)
@@ -226,8 +231,17 @@ def generate_gestural_score(rng_seed, vocab, dysarthria_severity: float,
                 realized = target + (NEUTRAL_TV - target) * (s / 2.0)
                 tv_gestures[tv].append(Gesture(onset, offset, realized))
             t += duration
-    duration = t + 0.08  # tail silence
+    duration = t + _EDGE_SILENCE  # tail silence
     return GesturalScore(duration, tv_gestures, segments), transcript
+
+
+def max_score_duration(n_words: int, dysarthria_severity: float) -> float:
+    """Seconds that no generate_gestural_score score of at most n_words
+    words of `default_vocabulary()` at this severity exceeds."""
+    longest_word = (max(len(w.unit_ids) for w in default_vocabulary())
+                    * max(u.duration for u in default_inventory()))
+    return (2 * _EDGE_SILENCE + (n_words - 1) * _WORD_GAP[1]
+            + n_words * longest_word * (1.0 + dysarthria_severity))
 
 
 def critically_damped_smooth(track: np.ndarray,

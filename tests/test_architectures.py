@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from tvasr.nn import forward
 from tvasr.pipeline import scale_arch_spec
 
 RNG = np.random.default_rng(99)
+SRC = Path(__file__).resolve().parents[1] / "src" / "tvasr"
 
 
 def toy_spec(kind, **overrides):
@@ -344,3 +348,30 @@ def test_shape_ledger_chains_at_paper_and_toy_scale():
         build_network(toy_spec(kind)).shape_ledger()
         build_network(ArchSpec(kind=kind, n_classes=42, n_hidden_layers=6,
                                hidden_width=2048)).shape_ledger()
+
+
+def test_only_the_builders_construct_layers():
+    """Every network is built from ConvStream records and dense_stack; only
+    nn.py (its loader and clones) and architectures.py name a layer class."""
+    layers = {"Dense", "Conv1d", "MaxPool1d", "Activation", "Softmax"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in layers:
+                found.append(path.name)
+    assert set(found) == {"nn.py", "architectures.py"}
+
+
+def test_no_module_imports_threading():
+    """nmc_map runs on concurrent.futures; no module manages threads itself."""
+    imported = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, a.name) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.append((path.name, node.module))
+    assert [i for i in imported if i[1].split(".")[0] == "threading"] == []

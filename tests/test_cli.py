@@ -111,6 +111,23 @@ class TestCorpusGen:
         assert f"error: {name} range" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("lines,key", [
+        ("n_utts = 10000000", "n_utts"), ("words_max = 100000", "words_max")])
+    def test_oversized_corpus_exit_2(self, lines, key, tmp_path, capsys,
+                                     monkeypatch):
+        def started(*args, **kwargs):
+            raise AssertionError("corpus synthesis started")
+
+        # so that no failure of the bound can synthesize the corpus
+        monkeypatch.setattr(corpus_module, "generate_gestural_score", started)
+        config = tmp_path / "c.conf"
+        config.write_text(lines + "\n")
+        out = tmp_path / "corpus"
+        assert run(["corpus-gen", "--out", out, "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert "MAX_CORPUS_SAMPLE_BYTES" in err and f"{key}=" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", ["-1", "seven"])
     def test_bad_seed_exit_2(self, seed, tmp_path, capsys):
         out = tmp_path / "corpus"
@@ -281,6 +298,24 @@ class TestEvaluate:
         table = results_table([(*row.split("\t")[:3], float(row.split("\t")[3]))
                                for row in rows])
         assert sum(line.endswith(" *") for line in table.splitlines()) == 3
+
+    def test_each_split_keeps_its_panel(self, trained_dir, corpus_dir,
+                                        tmp_path, capsys):
+        out = tmp_path / "results"
+        for split, subset in (("test", "all"), ("cv", "all"),
+                              ("cv", "noisy")):
+            assert run(["evaluate", "--checkpoint", trained_dir / "fcnn.ckpt",
+                        "--corpus", corpus_dir, "--out", out, "--tag", "toy",
+                        "--split", split, "--subset", subset]) == 0
+        rows = (out / "results.tsv").read_text().splitlines()
+        assert [row.split("\t")[2] for row in rows] == [
+            "toy", "toy (cv)", "toy (cv, noisy)"]
+        capsys.readouterr()
+        assert run(["report", "--results", out / "results.tsv"]) == 0
+        table = capsys.readouterr().out.splitlines()
+        # three panels, so no row is starred against another split's
+        assert sum(line.endswith(" *") for line in table) == 3
+        assert sum(set(line) == set("-+") for line in table) == 3
 
     def test_unreadable_corpus_exit_1(self, trained_dir, tmp_path):
         (tmp_path / "manifest.tsv").write_text("\n")

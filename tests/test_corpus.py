@@ -1,4 +1,5 @@
 import shutil
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -81,6 +82,55 @@ class TestBuild:
             assert utt.labels[-1] == 0
             assert utt.labels.max() < small_corpus.n_classes
             assert utt.labels.max() > 0
+
+
+class Started(Exception):
+    """Raised in place of the first score, so that no test of the size bound
+    can synthesize a corpus, whatever the bound does."""
+
+
+@pytest.fixture
+def no_synthesis(monkeypatch):
+    def started(*args, **kwargs):
+        raise Started
+
+    monkeypatch.setattr(corpus_module, "generate_gestural_score", started)
+
+
+class TestSizeBound:
+    @pytest.mark.parametrize("n_utts, severity, words", [
+        (500, (0.3, 0.7), (1, 2)),     # the README walkthrough
+        (500, (0.3, 0.7), (1, 1)),     # the acceptance tests
+        (120, (0.1, 0.3), (1, 1)),     # the paper-scale benchmarks
+        (45, (0.3, 0.7), (1, 2))])     # the walkthrough benchmark
+    def test_documented_corpora_pass(self, no_synthesis, n_utts, severity,
+                                     words):
+        with pytest.raises(Started):
+            build_parallel_corpus(n_utts, severity_range=severity,
+                                  n_words_range=words)
+
+    @pytest.mark.parametrize("key, n_utts, words", [
+        ("n_utts", 10**7, (1, 2)), ("n_utts", 10**400, (1, 2)),
+        ("words_max", 10, (1, 10**6)), ("words_max", 10, (1, 10**400))])
+    def test_oversized_corpus_refused_before_synthesis(self, no_synthesis,
+                                                       key, n_utts, words):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError,
+                               match=f"MAX_CORPUS_SAMPLE_BYTES.*{key}="):
+                build_parallel_corpus(n_utts, severity_range=(0.3, 0.7),
+                                      n_words_range=words)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_bound_holds_for_the_longest_scores(self):
+        # severity 1 and three words a score: the bound must not undercount
+        corpus = build_parallel_corpus(10, severity_range=(1.0, 1.0),
+                                       n_words_range=(3, 3), rng_seed=2)
+        used = sum(u.waveform.samples.nbytes for u in corpus.utterances)
+        assert used <= corpus_module._sample_bytes_bound(10, 1.0, 3)
 
 
 class TestDiskRoundtrip:

@@ -240,6 +240,9 @@ class TestNmcMap:
     def test_one_thread_per_cpu_and_never_more_than_waveforms(
             self, monkeypatch, n_cpus, n_wavs):
         n_threads = min(n_cpus, n_wavs)
+        # the pool's workers compute while the caller waits; a one-thread
+        # call runs on the caller and starts none
+        workers = n_threads if n_threads > 1 else 0
         before = threading.active_count()
         running = []
         # each call waits for n_threads calls at once, so no thread takes
@@ -255,8 +258,27 @@ class TestNmcMap:
         monkeypatch.setattr(features, "nmc_features", fake_nmc)
         wavs = self.waveforms(n_wavs)
         assert nmc_map(wavs) == [w.sample_rate for w in wavs]
-        assert running == [before + n_threads - 1] * (n_wavs // n_threads)
+        assert running == [before + workers] * (n_wavs // n_threads)
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n_cpus, n_wavs", [(4, 1), (1, 3)])
+    def test_one_waveform_or_one_cpu_starts_no_thread(self, monkeypatch,
+                                                      n_cpus, n_wavs):
+        threads = []
+
+        def fake_nmc(wav, n_coeffs):
+            threads.append(threading.current_thread())
+            return wav.sample_rate
+
+        def no_start(thread):
+            raise AssertionError("nmc_map started a thread")
+
+        monkeypatch.setattr(features, "_usable_cpus", lambda: n_cpus)
+        monkeypatch.setattr(features, "nmc_features", fake_nmc)
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        wavs = self.waveforms(n_wavs)
+        assert nmc_map(wavs) == [w.sample_rate for w in wavs]
+        assert threads == [threading.current_thread()] * n_wavs
 
     def test_first_failing_waveform_wins(self, monkeypatch):
         # waveforms 1 and 2 both fail, each while the other is running
@@ -343,6 +365,18 @@ class TestNmcSidecar:
         (again,) = nmc_map([read_wav(path)])
         assert calls == []
         assert np.array_equal(again, feats)
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_a_failing_waveform_writes_no_sidecar(self, tmp_path,
+                                                  monkeypatch, n_cpus):
+        wavs = [self.wav_file(tmp_path / f"{i}.wav", seed=i) for i in range(3)]
+        wavs.append(self.wav_file(tmp_path / "short.wav", n_samples=399))
+        monkeypatch.setattr(features, "_usable_cpus", lambda: n_cpus)
+        calls = self.counting(monkeypatch)
+        with pytest.raises(ValueError):
+            nmc_map(wavs)
+        assert len(calls) == 3  # the others were computed, then dropped
+        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".wav"] * 4
 
     def test_failed_write_is_skipped(self, tmp_path, monkeypatch):
         wav = self.wav_file(tmp_path / "a.wav")
