@@ -28,28 +28,12 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct
-from scipy.signal import butter, sosfilt
+from scipy.signal import butter
 
 from .audio import FRAME_SHIFT, Waveform, frame_samples
 from .errors import FormatError
 from .records import Reader, read_file
-from .synth import N_TVS, TVTrajectory
-
-
-def _public_sosfilt(sos, x, zi):
-    """`sosfilt` along the rows of `x`, in place, in the argument order and
-    (rows, sections, 2) state layout of its compiled core."""
-    x[...], zf = sosfilt(sos, x, zi=np.moveaxis(zi, 1, 0))
-    zi[...] = np.moveaxis(zf, 0, 1)
-
-
-# NMC runs dozens of filters per utterance, so it calls sosfilt's compiled
-# core in place, without sosfilt's checks, input copy and axis moves; the
-# arithmetic, and so every bit, is the same.
-try:
-    from scipy.signal._sosfilt import _sosfilt
-except ImportError:  # a scipy without that core: the same bits, slower
-    _sosfilt = _public_sosfilt
+from .synth import N_TVS, TVTrajectory, _sosfilt
 
 LOG_FLOOR = 1e-10
 STD_FLOOR = 1e-8

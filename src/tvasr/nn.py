@@ -94,11 +94,12 @@ class Dense:
         y += self.bias
         return y
 
-    def backward(self, dy):
+    def backward(self, dy, need_dx=True):
+        """(dx, [dw, db]); dx is None when the caller will not read it."""
         x = self._cache
         dw = x.T @ dy
         db = dy.sum(axis=0)
-        dx = dy @ self.weight.T
+        dx = dy @ self.weight.T if need_dx else None
         return dx, [dw, db]
 
     def clone(self):
@@ -491,7 +492,9 @@ def _forward_chain(layers, x, train):
     return x
 
 
-def _backward_chain(layers, dy, scope, visit):
+def _backward_chain(layers, dy, scope, visit, need_dx=True):
+    """Backpropagate dy through `layers`; with need_dx False, a dense first
+    layer skips its input gradient and the chain returns None."""
     folded = _relu_folded(layers)
     for i in reversed(range(len(layers))):
         layer = layers[i]
@@ -499,7 +502,10 @@ def _backward_chain(layers, dy, scope, visit):
         if folded[i]:
             visit(layer, [], where)  # its pool applied its gradient
             continue
-        dy, grads = layer.backward(dy)
+        if i == 0 and not need_dx and layer.kind == "dense":
+            dy, grads = layer.backward(dy, need_dx=False)
+        else:
+            dy, grads = layer.backward(dy)
         visit(layer, grads, where)
         del grads  # so the visitor may free them before the next backward
     return dy
@@ -565,8 +571,12 @@ def _backprop(net: NetworkGraph, loss_grad, visit) -> None:
     "trunk layer 6 (dense)". Layers without parameters, and a ReLU folded
     into its pool, get no gradients.
     """
+    # a dnn's one stream has no layers, so nothing reads the trunk's dx
     dy = _backward_chain(net.trunk, np.asarray(loss_grad, dtype=net.dtype),
-                         "trunk", visit)
+                         "trunk", visit,
+                         any(stream.layers for stream in net.streams))
+    if dy is None:
+        return
     offset = 0
     for s, (stream, width) in enumerate(zip(net.streams,
                                             net.stream_out_dims())):

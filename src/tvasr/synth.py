@@ -12,8 +12,9 @@ by s/2, and unit onsets jitter with sigma = 20*s ms.
 
 Synthesis drives a pulse/noise source gated by the glottis TV through three
 cascaded resonators whose center frequencies are affine in the tongue-body,
-tongue-tip, and lip TVs. Lip protrusion and velum have no acoustic effect;
-they are only recoverable through their correlation with the audible TVs.
+tongue-tip, and lip TVs, filtered as one cascade of second-order sections
+per frame. Lip protrusion and velum have no acoustic effect; they are only
+recoverable through their correlation with the audible TVs.
 """
 
 from __future__ import annotations
@@ -22,23 +23,26 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.signal import sosfilt
 
 from .audio import DEFAULT_SAMPLE_RATE, FRAME_SHIFT, Waveform, frame_samples
 
 
-def _public_linear_filter(b, a, x, axis=-1, zi=None):
-    """`lfilter`, in the argument order of its compiled core."""
-    return lfilter(b, a, x, axis, zi)
+def _public_sosfilt(sos, x, zi):
+    """`sosfilt` along the rows of `x`, in place, in the argument order and
+    (rows, sections, 2) state layout of its compiled core."""
+    x[...], zf = sosfilt(sos, x, zi=np.moveaxis(zi, 1, 0))
+    zi[...] = np.moveaxis(zf, 0, 1)
 
 
-# Synthesis runs thousands of short filters per utterance, so it calls the
-# compiled core that lfilter returns through, without lfilter's per-call
-# checks; the arithmetic, and so every bit, is the same.
+# Every IIR filter of the program (synthesis, TV smoothing, NMC) is a
+# cascade of second-order sections, and synthesis runs one per 10 ms frame,
+# so they call sosfilt's compiled core in place, without sosfilt's checks,
+# input copy and axis moves; the arithmetic, and so every bit, is the same.
 try:
-    from scipy.signal._sigtools import _linear_filter
+    from scipy.signal._sosfilt import _sosfilt
 except ImportError:  # a scipy without that core: the same bits, slower
-    _linear_filter = _public_linear_filter
+    _sosfilt = _public_sosfilt
 
 TV_CHANNELS = (
     "lip_aperture",
@@ -247,18 +251,20 @@ def max_score_duration(n_words: int, dysarthria_severity: float) -> float:
 def critically_damped_smooth(track: np.ndarray,
                              init: float = NEUTRAL_TV) -> np.ndarray:
     """Critically damped second-order response to a piecewise target track
-    sampled every FRAME_SHIFT.
+    sampled every FRAME_SHIFT, along the last axis of a (T,) or (n, T) array.
 
-    Implemented as two cascaded one-pole lowpass filters with the articulator
-    time constant; the output is a convex average of past targets, so it is
+    Implemented as two cascaded one-pole lowpass sections with the
+    articulator time constant, both starting at rest at `init`, in one call
+    over all rows; the output is a convex average of past targets, so it is
     monotone for steps and never overshoots the track's range.
     """
     alpha = np.exp(-FRAME_SHIFT / TV_TIME_CONSTANT)
-    b, a = np.array([1.0 - alpha]), np.array([1.0, -alpha])
-    y = np.asarray(track, dtype=np.float64)
-    for _ in range(2):
-        y = _linear_filter(b, a, y, -1, np.array([alpha * init]))[0]
-    return y
+    y = np.array(track, dtype=np.float64, order="C", ndmin=2)
+    sos = np.tile([1.0 - alpha, 0.0, 0.0, 1.0, -alpha, 0.0], (2, 1))
+    zi = np.zeros((len(y), 2, 2))
+    zi[:, :, 0] = alpha * init
+    _sosfilt(sos, y, zi)
+    return y.reshape(np.shape(track))
 
 
 def render_tvs(score: GesturalScore) -> TVTrajectory:
@@ -270,13 +276,11 @@ def render_tvs(score: GesturalScore) -> TVTrajectory:
     """
     n_frames = max(1, int(round(score.duration / FRAME_SHIFT)))
     centers = (np.arange(n_frames) + 0.5) * FRAME_SHIFT
-    out = np.empty((n_frames, N_TVS))
-    for tv in range(N_TVS):
-        track = np.full(n_frames, NEUTRAL_TV)
-        for g in score.tv_gestures[tv]:
+    tracks = np.full((N_TVS, n_frames), NEUTRAL_TV)
+    for track, gestures in zip(tracks, score.tv_gestures):
+        for g in gestures:
             track[(centers >= g.onset) & (centers < g.offset)] = g.target
-        out[:, tv] = critically_damped_smooth(track)
-    return TVTrajectory(np.clip(out, 0.0, 1.0))
+    return TVTrajectory(np.clip(critically_damped_smooth(tracks).T, 0.0, 1.0))
 
 
 def frame_labels(score: GesturalScore, n_frames: int) -> np.ndarray:
@@ -304,10 +308,11 @@ def synthesize_speech_from_tvs(tv: TVTrajectory, rng_seed) -> Waveform:
 
     The glottis TV mixes a pulse train at F0 with white noise per sample;
     the mix drives three cascaded two-pole resonators whose coefficients are
-    updated every frame from the formant map. The output length is
-    (T-1)*shift + win samples so that the frame grid of the front ends
-    (FRAME_WIN windows every FRAME_SHIFT) yields exactly T frames; the
-    waveform is peak-normalized to 0.9. Identical seed and TVs give
+    updated every frame from the formant map: one cascade of three
+    second-order sections per frame, its state carried to the next frame.
+    The output length is (T-1)*shift + win samples so that the frame grid
+    of the front ends (FRAME_WIN windows every FRAME_SHIFT) yields exactly
+    T frames; the waveform is peak-normalized to 0.9. Identical seed and TVs give
     bit-identical audio.
     """
     rng = np.random.default_rng(rng_seed)
@@ -326,24 +331,21 @@ def synthesize_speech_from_tvs(tv: TVTrajectory, rng_seed) -> Waveform:
     noise = rng.normal(0.0, 0.15, n)
     excitation = glottis * pulses + (1.0 - glottis) * noise
 
-    formants = _formants(tv.frames)
-    radii = np.exp(-np.pi * np.asarray(_FORMANT_BANDWIDTHS) / sample_rate)
-    out = excitation
-    b = np.empty(1)
-    for k in range(3):
-        r = radii[k]
-        cos_t = np.cos(2.0 * np.pi * formants[:, k] / sample_rate)
-        gains = 1.0 - 2.0 * r * cos_t + r * r
-        a1s = -2.0 * r * cos_t
-        a = np.array([1.0, 0.0, r * r])
-        y = np.empty(n)
-        zi = np.zeros(2)
-        for frame in range(t_frames):
-            start = frame * shift_n
-            stop = n if frame == t_frames - 1 else (frame + 1) * shift_n
-            b[0], a[1] = gains[frame], a1s[frame]
-            y[start:stop], zi = _linear_filter(b, a, out[start:stop], -1, zi)
-        out = y
+    # (T, 3, 6) sections, one per frame and formant: [gain, 0, 0, 1, a1, r^2]
+    r = np.exp(-np.pi * np.asarray(_FORMANT_BANDWIDTHS) / sample_rate)
+    cos_t = np.cos(2.0 * np.pi * _formants(tv.frames) / sample_rate)
+    sos = np.zeros((t_frames, 3, 6))
+    sos[:, :, 0] = 1.0 - 2.0 * r * cos_t + r * r
+    sos[:, :, 3] = 1.0
+    sos[:, :, 4] = -2.0 * r * cos_t
+    sos[:, :, 5] = r * r
+    out = excitation[None, :]  # filtered in place, one row
+    zi = np.zeros((1, 3, 2))
+    for frame in range(t_frames):
+        start = frame * shift_n
+        stop = n if frame == t_frames - 1 else (frame + 1) * shift_n
+        _sosfilt(sos[frame], out[:, start:stop], zi)
+    out = out[0]
 
     peak = np.max(np.abs(out))
     if peak > 0:

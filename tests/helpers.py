@@ -2,8 +2,9 @@
 
 These deliberately re-derive expected values through different mechanisms
 than the library code: central finite differences for gradients, a memoized
-recursive edit-distance for alignment counts, and per-band, per-call filter
-design for the front ends. They must stay independent of the implementation
+recursive edit-distance for alignment counts, per-band, per-call filter
+design for the front ends, and one `lfilter` call per resonator and frame
+for synthesis. They must stay independent of the implementation
 paths they check.
 """
 
@@ -12,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.fft import dct
-from scipy.signal import butter, sosfilt
+from scipy.signal import butter, lfilter, sosfilt
 
 from tvasr.nn import NetworkGraph, backward, forward, mse_loss, softmax_cross_entropy
 
@@ -230,6 +231,64 @@ def reference_nmc(samples, sample_rate, n_coeffs=40):
         energies.append(np.mean(np.square(_frames(envelope, win, shift)), axis=1))
     modulation = np.log(np.maximum(np.stack(energies, axis=1), 1e-10))
     return dct(modulation, type=2, norm="ortho", axis=1)[:, :n_coeffs]
+
+
+# ---------------------------------------------------------------------------
+# Synthesis oracles: the public lfilter, one resonator over one frame and one
+# TV channel's one-pole pass at a time, with the constants written out here;
+# nothing is shared with tvasr.synth.
+# ---------------------------------------------------------------------------
+
+_SYNTH_RATE, _SYNTH_WIN, _SYNTH_SHIFT = 16000, 400, 160
+
+
+def reference_render_tvs(score):
+    """(T, 8) TVs of a gestural score: each channel's piecewise target track
+    through two one-pole lowpass passes, 40 ms time constant, at rest at 0.5."""
+    n_frames = max(1, int(round(score.duration / 0.010)))
+    centers = (np.arange(n_frames) + 0.5) * 0.010
+    alpha = np.exp(-0.010 / 0.040)
+    out = np.empty((n_frames, 8))
+    for tv in range(8):
+        y = np.full(n_frames, 0.5)
+        for g in score.tv_gestures[tv]:
+            y[(centers >= g.onset) & (centers < g.offset)] = g.target
+        for _ in range(2):
+            y, _ = lfilter([1.0 - alpha], [1.0, -alpha], y, zi=[alpha * 0.5])
+        out[:, tv] = y
+    return np.clip(out, 0.0, 1.0)
+
+
+def reference_synthesis(tvs, seed):
+    """Peak-normalized float64 samples of (T, 8) TVs: the glottis mixes a
+    100 Hz pulse train with seeded noise, through three resonators, each
+    filtered over the whole signal one frame at a time."""
+    tvs = np.asarray(tvs, dtype=np.float64)
+    t_frames = len(tvs)
+    n = (t_frames - 1) * _SYNTH_SHIFT + _SYNTH_WIN
+    centers = np.arange(t_frames) * _SYNTH_SHIFT + _SYNTH_SHIFT / 2.0
+    glottis = np.interp(np.arange(n), centers, tvs[:, 7])
+    phase = np.cumsum(np.full(n, 100.0 / _SYNTH_RATE))
+    pulses = np.zeros(n)
+    pulses[np.diff(np.floor(phase), prepend=0.0) > 0] = 3.0
+    noise = np.random.default_rng(seed).normal(0.0, 0.15, n)
+    x = glottis * pulses + (1.0 - glottis) * noise
+    formants = [(280.0, 520.0, 3, 90.0), (850.0, 1250.0, 4, 130.0),
+                (2100.0, 700.0, 0, 180.0)]  # (base, slope, TV, bandwidth)
+    for base, slope, tv, bandwidth in formants:
+        r = np.exp(-np.pi * bandwidth / _SYNTH_RATE)
+        y, zi = np.empty(n), np.zeros(2)
+        for frame in range(t_frames):
+            f = base + slope * tvs[frame, tv]
+            cos_t = np.cos(2.0 * np.pi * f / _SYNTH_RATE)
+            start = frame * _SYNTH_SHIFT
+            stop = n if frame == t_frames - 1 else start + _SYNTH_SHIFT
+            y[start:stop], zi = lfilter([1.0 - 2.0 * r * cos_t + r * r],
+                                        [1.0, -2.0 * r * cos_t, r * r],
+                                        x[start:stop], zi=zi)
+        x = y
+    peak = np.max(np.abs(x))
+    return x * (0.9 / peak) if peak > 0 else x
 
 
 # ---------------------------------------------------------------------------

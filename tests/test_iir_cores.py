@@ -1,48 +1,44 @@
-"""Synthesis and NMC call scipy's compiled IIR cores directly: the cores, and
-their public-function fallbacks, give the bits of `lfilter` and `sosfilt`."""
+"""Every IIR filter of the program (synthesis, TV smoothing, NMC) calls
+scipy's compiled sosfilt core directly: the core, and its public-function
+fallback, give the bits of `sosfilt`."""
 
 import ast
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.signal import butter, lfilter, sosfilt
+from scipy.signal import butter, sosfilt
 
-from tvasr import features, synth
+from tvasr import synth
 
 SRC = Path(synth.__file__).parent
 RNG = np.random.default_rng(25)
 
-LINEAR_FILTERS = [synth._linear_filter, synth._public_linear_filter]
-SOS_FILTERS = [features._sosfilt, features._public_sosfilt]
+SOS_FILTERS = [synth._sosfilt, synth._public_sosfilt]
 
 
-def resonator_coefficients():
-    r, cos_t = np.exp(-np.pi * 130.0 / 16000), np.cos(RNG.uniform(0.1, 1.5))
-    return (np.array([1.0 - 2.0 * r * cos_t + r * r]),
-            np.array([1.0, -2.0 * r * cos_t, r * r]))
+def resonator_cascade():
+    """Three two-pole resonator sections, [gain, 0, 0, 1, a1, r^2]."""
+    r = np.exp(-np.pi * np.array([90.0, 130.0, 180.0]) / 16000)
+    cos_t = np.cos(RNG.uniform(0.1, 1.5, size=3))
+    sos = np.zeros((3, 6))
+    sos[:, 0] = 1.0 - 2.0 * r * cos_t + r * r
+    sos[:, 3], sos[:, 4], sos[:, 5] = 1.0, -2.0 * r * cos_t, r * r
+    return sos
 
 
-def smoothing_coefficients():
-    alpha = np.exp(-0.010 / 0.040)
-    return np.array([1.0 - alpha]), np.array([1.0, -alpha])
-
-
-@pytest.mark.parametrize("linear_filter", LINEAR_FILTERS)
-@pytest.mark.parametrize("coefficients", [resonator_coefficients,
-                                          smoothing_coefficients])
-def test_linear_filter_matches_lfilter_over_chained_frames(linear_filter,
-                                                           coefficients):
+@pytest.mark.parametrize("sos_filter", SOS_FILTERS)
+def test_sosfilt_over_chained_frames_of_a_cascade(sos_filter):
     x = RNG.normal(size=1000)
-    zi = np.full(len(coefficients()[1]) - 1, 0.3)
-    zi_ref = zi.copy()
+    block = x[None, :].copy()
+    zi = np.full((1, 3, 2), 0.3)
+    zi_ref = zi[0].copy()
     for start in range(0, len(x), 160):
-        b, a = coefficients()  # new coefficients every frame, as synthesis
-        frame = x[start:start + 160]
-        y, zi = linear_filter(b, a, frame, -1, zi)
-        y_ref, zi_ref = lfilter(b, a, frame, zi=zi_ref)
-        assert np.array_equal(y, y_ref)
-        assert np.array_equal(zi, zi_ref)
+        sos = resonator_cascade()  # new coefficients every frame, as synthesis
+        sos_filter(sos, block[:, start:start + 160], zi)
+        y_ref, zi_ref = sosfilt(sos, x[start:start + 160], zi=zi_ref)
+        assert np.array_equal(block[0, start:start + 160], y_ref)
+        assert np.array_equal(zi[0], zi_ref)
 
 
 def band_block():
@@ -111,17 +107,15 @@ def fallback_of(tree, import_node, name):
     return None
 
 
-def test_private_scipy_imports_are_the_two_cores_with_fallbacks():
-    allowed = {("synth.py", "scipy.signal._sigtools", "_linear_filter"):
-               "lfilter",
-               ("features.py", "scipy.signal._sosfilt", "_sosfilt"):
-               "sosfilt"}
+def test_the_one_private_scipy_import_is_the_sosfilt_core_with_fallback():
+    allowed = {("synth.py", "scipy.signal._sosfilt", "_sosfilt"): "sosfilt"}
     seen = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         for module, name, node in private_scipy_imports(tree):
             key = (path.name, module, name)
             assert key in allowed, f"{path.name}:{node.lineno}: {module} {name}"
+            assert key not in seen, f"{path.name}:{node.lineno}: a second import"
             fallback = fallback_of(tree, node, name)
             assert fallback is not None, f"{key} has no ImportError fallback"
             calls = {call.func.id for call in ast.walk(fallback)

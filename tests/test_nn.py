@@ -546,6 +546,41 @@ class TestSgdStep:
         assert loss1 <= loss0 + 1e-6
 
 
+class TestInputGradientOfTheFirstLayer:
+    """Nothing reads the input gradient of a dnn's first trunk layer, so no
+    backward builds it; a trunk after a conv stream still builds it."""
+
+    @pytest.fixture
+    def dense_dx_built(self, monkeypatch):
+        built = []
+        original = Dense.backward
+
+        def recording(layer, dy, need_dx=True):
+            dx, grads = original(layer, dy, need_dx)
+            built.append((layer, dx is not None))
+            return dx, grads
+
+        monkeypatch.setattr(Dense, "backward", recording)
+        return built
+
+    @pytest.mark.parametrize("sizes", [[6, 8, 5, 4], [6, 4]])
+    def test_dnn_sgd_step(self, dense_dx_built, sizes):
+        net = dense_net(sizes, seed=9)
+        logits = forward(net, {"acoustic": RNG.standard_normal((7, 6))},
+                         mode="train")
+        _, grad = softmax_cross_entropy(logits, RNG.integers(0, 4, 7))
+        sgd_step(net, grad, 0.1)
+        dense = [l for l in net.trunk if l.kind == "dense"]
+        assert dense_dx_built == [(l, l is not dense[0]) for l in dense[::-1]]
+
+    def test_conv_net_backward(self, dense_dx_built):
+        net = conv_net(seed=9)
+        logits = forward(net, {"acoustic": RNG.standard_normal((7, 30))},
+                         mode="train")
+        backward(net, softmax_cross_entropy(logits, RNG.integers(0, 5, 7))[1])
+        assert dense_dx_built == [(net.trunk[0], True)]
+
+
 class TestOneLayerAtATime:
     """sgd_step updates each layer as its backward returns, then frees it."""
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from helpers import reference_render_tvs, reference_synthesis
+from tvasr import synth
 from tvasr.features import logmel_filterbank
 from tvasr.synth import (NEUTRAL_TV, NOISE_KINDS, N_TVS, TVTrajectory,
                          critically_damped_smooth, default_inventory,
@@ -190,6 +192,51 @@ class TestSynthesize:
         ratio_lo = spec_lo[low_band].sum() / spec_lo[high_band].sum()
         ratio_hi = spec_hi[low_band].sum() / spec_hi[high_band].sum()
         assert ratio_lo > ratio_hi  # F1 moved up with tongue-body degree
+
+
+@pytest.fixture(params=["compiled core", "public sosfilt"])
+def sos_core(request, monkeypatch):
+    """Run synth once through sosfilt's compiled core, once through the
+    public `sosfilt` fallback."""
+    if request.param == "public sosfilt":
+        monkeypatch.setattr(synth, "_sosfilt", synth._public_sosfilt)
+    return request.param
+
+
+class TestSynthesisOracle:
+    """The float64 samples and TVs equal an lfilter oracle bit for bit:
+    `corpus_digest` rounds samples to 16 bits, NMC reads them unrounded."""
+
+    def test_scored_utterances(self, sos_core):
+        for seed in range(36):
+            score, _ = generate_gestural_score(seed, default_vocabulary(),
+                                               (seed % 9) * 0.1, (1, 3))
+            tvs = render_tvs(score)
+            assert np.array_equal(tvs.frames, reference_render_tvs(score))
+            samples = synthesize_speech_from_tvs(tvs, seed).samples
+            assert samples.dtype == np.float64
+            assert np.array_equal(samples, reference_synthesis(tvs.frames, seed))
+
+    @pytest.mark.parametrize("n_frames", [1, 2])
+    def test_shortest_trajectories(self, sos_core, n_frames):
+        for seed in range(5):
+            frames = np.random.default_rng(seed).uniform(size=(n_frames, N_TVS))
+            samples = synthesize_speech_from_tvs(TVTrajectory(frames), seed)
+            assert np.array_equal(samples.samples,
+                                  reference_synthesis(frames, seed))
+
+    def test_smoothing_rows_in_one_call_equals_one_call_per_row(self,
+                                                                sos_core):
+        tracks = np.random.default_rng(3).uniform(size=(5, 37))
+        together = critically_damped_smooth(tracks, init=0.2)
+        assert together.shape == tracks.shape
+        for track, row in zip(tracks, together):
+            assert np.array_equal(critically_damped_smooth(track, init=0.2),
+                                  row)
+        column_major = np.asfortranarray(tracks)
+        assert np.array_equal(critically_damped_smooth(column_major, init=0.2),
+                              together)
+        assert np.array_equal(column_major, tracks)  # the input is left as is
 
 
 class TestNoiseBank:
