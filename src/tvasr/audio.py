@@ -49,10 +49,6 @@ class Waveform:
         if np.max(np.abs(self.samples)) > 1.0 + 1e-9:
             raise ValueError("waveform samples exceed [-1, 1]")
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 def frame_samples(sample_rate: int) -> tuple:
     """Analysis window and frame shift in samples at `sample_rate`.
@@ -126,33 +122,20 @@ def write_wav(path, wav: Waveform) -> None:
         fh.write(payload)
 
 
-def _tile_noise(noise: np.ndarray, n: int, sample_rate: int) -> np.ndarray:
-    """Repeat noise to cover n samples, crossfading 50 ms at each seam."""
-    if len(noise) >= n:
-        return noise[:n]
-    fade = min(int(round(0.05 * sample_rate)), len(noise) // 2)
-    out = np.array(noise, dtype=np.float64)
-    ramp = np.linspace(0.0, 1.0, fade, endpoint=False) if fade else None
-    while len(out) < n:
-        if fade:
-            head = noise[:fade] * ramp + out[-fade:] * (1.0 - ramp)
-            out = np.concatenate([out[:-fade], head, noise[fade:]])
-        else:
-            out = np.concatenate([out, noise])
-    return out[:n]
-
-
 def mix_noise_at_snr(clean: Waveform, noise: Waveform, snr_db: float) -> Waveform:
     """Add noise to clean speech at the requested SNR.
 
-    The noise is tiled (with a 50 ms crossfade at seams) when shorter than
-    the clean signal, then scaled so that 10*log10(P_clean / P_noise) over
-    the whole utterance equals snr_db. The mix is clipped to [-1, 1]; a
-    warning reports the clipped fraction when any sample clips.
+    The noise must have as many samples as the clean signal (ValueError
+    otherwise). It is scaled so that 10*log10(P_clean / P_noise) over the
+    whole utterance equals snr_db. The mix is clipped to [-1, 1]; a warning
+    reports the clipped fraction when any sample clips.
     """
     if clean.sample_rate != noise.sample_rate:
         raise ValueError("clean and noise sample rates differ")
-    seg = _tile_noise(noise.samples, len(clean.samples), clean.sample_rate)
+    seg = noise.samples
+    if len(seg) != len(clean.samples):
+        raise ValueError(f"noise has {len(seg)} samples, the clean signal "
+                         f"{len(clean.samples)}")
     noise_power = float(np.mean(np.square(seg)))
     if noise_power <= 0.0:
         raise ConfigError("noise signal has zero power")

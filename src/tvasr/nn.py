@@ -24,6 +24,7 @@ reads them, and its gradient is taken there.
 from __future__ import annotations
 
 import struct
+from copy import deepcopy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +63,21 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
     return out
 
 
-class Dense:
+class _Layer:
+    """What a layer has unless it says otherwise: any input width (in_dim
+    None), an output as wide as its input, no parameters, no cache."""
+
+    in_dim = None
+    _cache = None
+
+    def out_dim(self, in_dim: int) -> int:
+        return in_dim
+
+    def param_arrays(self):
+        return []
+
+
+class Dense(_Layer):
     kind = "dense"
 
     def __init__(self, n_in: int, n_out: int, rng=None, dtype=np.float32):
@@ -75,7 +90,6 @@ class Dense:
         else:
             self.weight = glorot_uniform(rng, (n_in, n_out), n_in, n_out, dtype)
         self.bias = np.zeros(n_out, dtype=dtype)
-        self._cache = None
 
     @property
     def in_dim(self):
@@ -102,14 +116,8 @@ class Dense:
         dx = dy @ self.weight.T if need_dx else None
         return dx, [dw, db]
 
-    def clone(self):
-        other = Dense(self.n_in, self.n_out, dtype=self.weight.dtype)
-        other.weight = self.weight.copy()
-        other.bias = self.bias.copy()
-        return other
 
-
-class Conv1d:
+class Conv1d(_Layer):
     """Valid 1-D convolution along one axis of the flat feature vector.
 
     The incoming (T, D) tensor is viewed as (T, n_positions, in_channels);
@@ -152,7 +160,6 @@ class Conv1d:
         else:
             self.weight = glorot_uniform(rng, (kc, n_filters), kc, n_filters, dtype)
         self.bias = np.zeros(n_filters, dtype=dtype)
-        self._cache = None
 
     @property
     def in_dim(self):
@@ -198,20 +205,12 @@ class Conv1d:
         db = dy2.sum(axis=0)
         return None, [dw, db]
 
-    def clone(self):
-        other = Conv1d(self.axis, self.n_filters, self.filter_width,
-                       self.in_channels, self.n_positions,
-                       self.view_shape, self.view_perm, dtype=self.weight.dtype)
-        other.weight = self.weight.copy()
-        other.bias = self.bias.copy()
-        return other
-
 
 # The cached max-pool indices are uint8.
 MAX_POOL_SIZE = 256
 
 
-class MaxPool1d:
+class MaxPool1d(_Layer):
     """Non-overlapping max pooling over positions, per channel.
 
     Input is (T, n_positions * n_channels) position-major; trailing positions
@@ -232,7 +231,6 @@ class MaxPool1d:
         self.pool_size = pool_size
         self.n_positions = n_positions
         self.n_channels = n_channels
-        self._cache = None
 
     @property
     def in_dim(self):
@@ -244,9 +242,6 @@ class MaxPool1d:
 
     def out_dim(self, in_dim: int) -> int:
         return self.out_positions * self.n_channels
-
-    def param_arrays(self):
-        return []
 
     def forward(self, x, train, relu=False):
         """Pool x; with relu=True, pool max(x, 0) from the max of x.
@@ -301,9 +296,6 @@ class MaxPool1d:
             np.multiply(dy_bits, idx == j, out=dxw[:, :, j, :])
         return dx.view(dy.dtype).reshape(t, self.in_dim), []
 
-    def clone(self):
-        return MaxPool1d(self.pool_size, self.n_positions, self.n_channels)
-
 
 def check_activation(fn: str) -> None:
     """ConfigError unless fn names an activation: "sigmoid" or "relu"."""
@@ -311,21 +303,12 @@ def check_activation(fn: str) -> None:
         raise ConfigError(f"unknown activation {fn!r}")
 
 
-class Activation:
+class Activation(_Layer):
     kind = "activation"
 
     def __init__(self, fn: str = "sigmoid"):
         check_activation(fn)
         self.fn = fn
-        self._cache = None
-
-    in_dim = None
-
-    def out_dim(self, in_dim: int) -> int:
-        return in_dim
-
-    def param_arrays(self):
-        return []
 
     def forward(self, x, train):
         y = expit(x) if self.fn == "sigmoid" else np.maximum(x, 0)
@@ -339,23 +322,9 @@ class Activation:
             return dy * y * (1.0 - y), []
         return dy * (y > 0), []
 
-    def clone(self):
-        return Activation(self.fn)
 
-
-class Softmax:
+class Softmax(_Layer):
     kind = "softmax"
-
-    def __init__(self):
-        self._cache = None
-
-    in_dim = None
-
-    def out_dim(self, in_dim: int) -> int:
-        return in_dim
-
-    def param_arrays(self):
-        return []
 
     def forward(self, x, train):
         """Probabilities; the network's train-mode forward skips this layer."""
@@ -367,9 +336,6 @@ class Softmax:
     def backward(self, dy):
         """The loss gradient of a softmax net is taken at its logits."""
         return dy, []
-
-    def clone(self):
-        return Softmax()
 
 
 @dataclass
@@ -407,13 +373,8 @@ class NetworkGraph:
         return dims
 
     def stream_out_dims(self) -> list:
-        out = []
-        for stream in self.streams:
-            d = stream.input_dim
-            for layer in stream.layers:
-                d = layer.out_dim(d)
-            out.append(d)
-        return out
+        return [_chain_dims(stream.layers, stream.input_dim, f"stream {s}", [])
+                for s, stream in enumerate(self.streams)]
 
     def shape_ledger(self):
         """Per-layer (scope, kind, in_dim, out_dim) entries, validating the chain.
@@ -428,27 +389,11 @@ class NetworkGraph:
         if any(layer.kind == "softmax" for layer in body):
             raise ConfigError("a softmax layer may only end the trunk")
         ledger = []
+        d = 0
         for s, stream in enumerate(self.streams):
-            d = stream.input_dim
-            for layer in stream.layers:
-                expected = layer.in_dim
-                if expected is not None and expected != d:
-                    raise ConfigError(
-                        f"stream {s} layer {layer.kind}: expects {expected} "
-                        f"inputs but receives {d}")
-                d_out = layer.out_dim(d)
-                ledger.append((f"stream{s}:{stream.input_name}", layer.kind, d, d_out))
-                d = d_out
-        d = int(sum(self.stream_out_dims()))
-        for layer in self.trunk:
-            expected = layer.in_dim
-            if expected is not None and expected != d:
-                raise ConfigError(
-                    f"trunk layer {layer.kind}: expects {expected} inputs "
-                    f"but receives {d}")
-            d_out = layer.out_dim(d)
-            ledger.append(("trunk", layer.kind, d, d_out))
-            d = d_out
+            d += _chain_dims(stream.layers, stream.input_dim,
+                             f"stream{s}:{stream.input_name}", ledger)
+        _chain_dims(self.trunk, int(d), "trunk", ledger)
         return ledger
 
     def output_dim(self) -> int:
@@ -462,10 +407,25 @@ class NetworkGraph:
         return bool(self.trunk) and self.trunk[-1].kind == "softmax"
 
     def copy(self):
-        streams = [Stream(s.input_name, s.input_dim, [l.clone() for l in s.layers])
-                   for s in self.streams]
-        trunk = [l.clone() for l in self.trunk]
-        return NetworkGraph(streams, trunk, self.dtype)
+        """An independent graph: its own parameter arrays and no caches, so
+        a training step on it needs a train-mode forward of its own."""
+        no_caches = {id(layer._cache): None for layer in self.all_layers()}
+        other = deepcopy(self, no_caches)
+        other._train_ready = False
+        return other
+
+
+def _chain_dims(layers, d: int, scope: str, ledger: list) -> int:
+    """Width after `layers` on d inputs; appends each layer's ledger entry,
+    and raises ConfigError where a layer expects another input width."""
+    for layer in layers:
+        if layer.in_dim is not None and layer.in_dim != d:
+            raise ConfigError(f"{scope} layer {layer.kind}: expects "
+                              f"{layer.in_dim} inputs but receives {d}")
+        d_out = layer.out_dim(d)
+        ledger.append((scope, layer.kind, d, d_out))
+        d = d_out
+    return d
 
 
 def _relu_folded(layers) -> list:

@@ -351,8 +351,9 @@ def test_shape_ledger_chains_at_paper_and_toy_scale():
 
 
 def test_only_the_builders_construct_layers():
-    """Every network is built from ConvStream records and dense_stack; only
-    nn.py (its loader and clones) and architectures.py name a layer class."""
+    """Every network is built from ConvStream records and dense_stack; no
+    module but architectures.py and nn.py names a layer class in a call, and
+    nn.py's loader calls each class through a variable."""
     layers = {"Dense", "Conv1d", "MaxPool1d", "Activation", "Softmax"}
     found = []
     for path in sorted(SRC.glob("*.py")):
@@ -362,7 +363,8 @@ def test_only_the_builders_construct_layers():
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
             if name in layers:
                 found.append(path.name)
-    assert set(found) == {"nn.py", "architectures.py"}
+    assert "architectures.py" in found
+    assert set(found) <= {"nn.py", "architectures.py"}
 
 
 def test_no_module_imports_threading():

@@ -865,6 +865,61 @@ class TestCheckpointFormat:
             self.load(path)
 
 
+class TestCopy:
+    """NetworkGraph.copy: the same bytes, its own parameters, no caches."""
+
+    @staticmethod
+    def trained_forward(seed=31):
+        """A float32 two-stream net after a train-mode forward, and the
+        loss gradient of that forward."""
+        net = two_stream_net(dtype=np.float32, seed=seed)
+        rng = np.random.default_rng(seed)
+        x = {"acoustic": rng.standard_normal((6, 32)).astype(np.float32),
+             "tv": rng.standard_normal((6, 15)).astype(np.float32)}
+        logits = forward(net, x, mode="train")
+        _, grad = softmax_cross_entropy(logits, rng.integers(0, 4, 6))
+        return net, x, grad
+
+    def test_same_bytes(self):
+        net, _, _ = self.trained_forward()
+        assert network_to_bytes(net.copy()) == network_to_bytes(net)
+
+    def test_no_parameter_array_is_shared(self):
+        net, _, _ = self.trained_forward()
+        other = net.copy()
+        ours = [p for layer in net.all_layers() for p in layer.param_arrays()]
+        theirs = [p for layer in other.all_layers()
+                  for p in layer.param_arrays()]
+        assert len(ours) == len(theirs) == 8
+        for p in ours:
+            for q in theirs:
+                assert not np.shares_memory(p, q)
+
+    def test_a_copy_has_no_caches_and_needs_its_own_forward(self):
+        net, x, grad = self.trained_forward()
+        other = net.copy()
+        assert all(layer._cache is None for layer in other.all_layers())
+        with pytest.raises(StateError):
+            sgd_step(other, grad, 0.1)
+        forward(other, x, mode="train")
+        sgd_step(other, grad, 0.1)
+        sgd_step(net, grad, 0.1)
+        assert network_to_bytes(other) == network_to_bytes(net)
+
+    def test_the_original_keeps_its_caches_and_steps_alone(self):
+        net, _, grad = self.trained_forward()
+        caches = [layer._cache for layer in net.all_layers()]
+        # every layer but the softmax, which a train-mode forward skips
+        assert sum(cache is not None for cache in caches) == 9
+        other = net.copy()
+        assert all(layer._cache is cache
+                   for layer, cache in zip(net.all_layers(), caches))
+        copied = network_to_bytes(other)
+        sgd_step(net, grad, 0.1)
+        assert network_to_bytes(net) != copied
+        assert network_to_bytes(other) == copied
+
+
 def test_count_parameters():
     net = dense_net([4, 5, 3], seed=1)
     assert count_parameters(net) == 4 * 5 + 5 + 5 * 3 + 3
